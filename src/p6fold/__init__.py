@@ -29,7 +29,6 @@ from .ring import (
     GradedPoly,
     ParamExpr,
     invert_unit,
-    mul,
     normal_chern,
     reduce_to_params,
     schur_values,
@@ -65,7 +64,6 @@ __all__ = [
     "is_feasible",
     "iter_feasible",
     "lifting_threshold",
-    "mul",
     "normal_chern",
     "profile",
     "reduce_to_params",

@@ -153,10 +153,16 @@ def _crossing_paper(s_eff: int, kappa: int) -> int:
           - Fraction(3 * s_eff * s_eff - 28, 4))
 
     lcm = math.lcm(qa.denominator, qb.denominator, qc.denominator)
-    ia = qa.numerator * (lcm // qa.denominator)
+    ia = qa.numerator * (lcm // qa.denominator)  # > 0 because s_eff >= 34
     ib = qb.numerator * (lcm // qb.denominator)
     ic = qc.numerator * (lcm // qc.denominator)
-    assert ia > 0 and ic < 0
+    if ic >= 0:
+        # qc < 0  <=>  4*(9 - 12*kappa) < 33*(3*s_eff^2 - 28)
+        least = (36 - 33 * (3 * s_eff * s_eff - 28)) // 48 + 1
+        raise DomainError(
+            f"kappa = {kappa} is out of range for effective degree "
+            f"{s_eff}: the crossing argument needs kappa >= {least}"
+        )
 
     disc = ib * ib - 4 * ia * ic
     root_hint = (-ib + math.isqrt(disc)) // (2 * ia)
@@ -164,10 +170,12 @@ def _crossing_paper(s_eff: int, kappa: int) -> int:
     def positive(x: int) -> bool:
         return ia * x * x + ib * x + ic > 0
 
-    d_star = root_hint - 2
+    # ic < 0 puts the lower root below 0, and isqrt rounds down, so the walk
+    # starts in [0, upper root], where the quadratic is not positive, and
+    # stops at the first integer past the upper root.
+    d_star = max(root_hint - 2, 0)
     while not positive(d_star):
         d_star += 1
-    assert not positive(d_star - 1)
     return d_star
 
 
@@ -186,7 +194,12 @@ def _crossing_sharp(s_eff: int, kappa: int, hi: int) -> int:
         disc = b * b - 4 * a * c
         return disc > rhs * rhs
 
-    assert exceeds(hi)
+    if not exceeds(hi):
+        raise DomainError(
+            f"kappa = {kappa} is out of range for sharp mode at effective "
+            f"degree {s_eff}: the sharp lower bound on delta does not "
+            f"exceed the genus bound at the paper crossing d = {hi}"
+        )
     lo = 1  # exceeds(1) is False: the genus bound is >= 860 there
     while hi - lo > 1:
         mid = (lo + hi) // 2

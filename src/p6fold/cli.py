@@ -8,6 +8,7 @@ infeasible or some identity failed, 2 usage error, 3 domain error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -135,8 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_hypothesis_flags(p_scan)
     p_scan.add_argument("--with-profile", action="store_true",
                         help="append profile columns to each row")
-    p_scan.add_argument("--workers", type=int,
-                        default=int(os.environ.get(WORKERS_ENV, "1")),
+    p_scan.add_argument("--workers", type=int, default=None,
                         help=f"parallel workers (default ${WORKERS_ENV} or 1)")
     p_scan.add_argument("--out", metavar="FILE", default=None,
                         help="write to FILE instead of stdout")
@@ -221,17 +221,27 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    workers = args.workers
+    if workers is None:
+        env = os.environ.get(WORKERS_ENV, "1")
+        try:
+            workers = int(env)
+        except ValueError:
+            print(f"error: {WORKERS_ENV} must be an integer, got {env!r}",
+                  file=sys.stderr)
+            return 2
     cfg = _config_from_args(args)
     print(f"# box volume {args.box.volume()}", file=sys.stderr)
-    if args.out:
-        with open(args.out, "w") as sink:
-            result = run_scan(args.box, cfg, sink,
-                                   workers=args.workers, fmt=args.fmt,
-                                   with_profile=args.with_profile)
-    else:
-        result = run_scan(args.box, cfg, sys.stdout,
-                               workers=args.workers, fmt=args.fmt,
-                               with_profile=args.with_profile)
+    try:
+        sink = (open(args.out, "w") if args.out
+                else contextlib.nullcontext(sys.stdout))
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror}",
+              file=sys.stderr)
+        return 2
+    with sink as out:
+        result = run_scan(args.box, cfg, out, workers=workers, fmt=args.fmt,
+                          with_profile=args.with_profile)
     print(f"# scanned {result.scanned} feasible {result.feasible}",
           file=sys.stderr)
     return 0

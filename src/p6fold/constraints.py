@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .formatting import rat_str
-from .invariants import InvariantTuple
+from .invariants import InvariantTuple, hodge_numbers, schur_numbers
 
 COVER_FLAGS = frozenset(
     {"covered_by_lines", "section_not_general_type", "kx_plus_h_empty"}
@@ -85,6 +85,10 @@ class ConstraintReport:
         }
 
 
+_SCHUR_IDS = ("S1", "S2", "S3", "S4", "S5", "S6")
+_HODGE_IDS = ("H1", "H2")
+
+
 def _iter_constraints(t: InvariantTuple,
                       cfg: HypothesisConfig) -> Iterator[ConstraintValue]:
     d, delta, chi, u, v = t
@@ -97,21 +101,10 @@ def _iter_constraints(t: InvariantTuple,
         yield ConstraintValue("B4", chi - 1, chi >= 1)
         yield ConstraintValue("B5", u - 1, u >= 1)
 
-    schur = (
-        ("S1", 2 * d + delta),
-        ("S2", 2 * d + 4 * delta + 8 * chi - 2 * u),
-        ("S3", d + 2 * delta + 2 * chi + u),
-        ("S4", -5 * d - 5 * delta - 8 * chi + 2 * u + d * d),
-        ("S5", 4 * d - 3 * delta - 30 * chi - 3 * u + v + 24 - d * d),
-        ("S6", -3 * d + 11 * delta + 68 * chi + 4 * u - v - 48 + d * d),
-    )
-    for cid, value in schur:
+    for cid, value in zip(_SCHUR_IDS, schur_numbers(d, delta, chi, u, v)):
         yield ConstraintValue(cid, value, value >= 0)
-
-    h1 = (3 * d + 6 * delta + 10 * chi - u) ** 2 - v * (2 * d + delta)
-    yield ConstraintValue("H1", h1, h1 >= 0)
-    h2 = delta * delta - (2 * delta + 10 * chi - u) * d + d * d
-    yield ConstraintValue("H2", h2, h2 >= 0)
+    for cid, value in zip(_HODGE_IDS, hodge_numbers(d, delta, chi, u, v)):
+        yield ConstraintValue(cid, value, value >= 0)
 
     cap = cfg.effective_cap
     if cap is not None:

@@ -3,7 +3,9 @@
 Each registry entry recomputes its left side from first principles through
 the ring machinery (:func:`normal_chern`, :func:`twist_rank3`,
 :func:`schur_values`, :func:`reduce_to_params`) and compares it
-coefficient-by-coefficient against the independently stated right side.
+coefficient-by-coefficient against its stated right side.  The Schur and
+Hodge right sides are the closed forms of :mod:`p6fold.invariants` that
+``profile`` and the constraint system run, so the registry proves that code.
 The 17 canonical ids:
 
     L3.4          normal-bundle Chern classes (three components at once)
@@ -24,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import UnknownIdentityError
+from .invariants import hodge_numbers, schur_numbers
 from .ring import (
     chi,
     d,
@@ -81,16 +84,11 @@ _N2_STATED = 21 * h * h + 7 * h * k + k * k - c2
 _N3_STATED = (35 * h ** 3 + 21 * h * h * k + 7 * h * k * k + k ** 3
               - 7 * h * c2 - c3 + 48)
 
-# ParamExpr forms of the six Schur numbers (order: s1*h^2, s20*h, s11*h,
-# s300, s210, s111):
-SCHUR_PARAM_FORMS = (
-    2 * d + delta,
-    2 * d + 4 * delta + 8 * chi - 2 * u,
-    d + 2 * delta + 2 * chi + u,
-    -5 * d - 5 * delta - 8 * chi + 2 * u + d * d,
-    4 * d - 3 * delta - 30 * chi - 3 * u + v + 24 - d * d,
-    -3 * d + 11 * delta + 68 * chi + 4 * u - v - 48 + d * d,
-)
+# The closed forms that profile() and the constraint system run on ints,
+# here on the parameter generators.  Schur order: s1*h^2, s20*h, s11*h,
+# s300, s210, s111; Hodge order: twisted determinant, hyperplane.
+SCHUR_PARAM_FORMS = schur_numbers(d, delta, chi, u, v)
+_HODGE_PARAM_FORMS = hodge_numbers(d, delta, chi, u, v)
 
 
 def _check_normal_chern(which=None):
@@ -125,11 +123,9 @@ def _check_table_hc2():
 
 
 def _check_table_c3():
-    # The c3 table row is forced by the n3 formula plus n3 = d^2:
+    # The c3 table row is forced by the stated n3 plus n3 = d^2:
     # c3 = (35h^3 + 21h^2k + 7hk^2 + k^3 - 7h*c2) + 48 - d^2.
-    forced = reduce_to_params(
-        35 * h ** 3 + 21 * h * h * k + 7 * h * k * k + k ** 3 - 7 * h * c2
-    ) + 48 - d * d
+    forced = reduce_to_params(_N3_STATED + c3) - d * d
     return [_compare("", reduce_to_params(c3), forced)]
 
 
@@ -151,16 +147,14 @@ def _check_hodge_det():
     D = 4 * h + k
     lhs = (reduce_to_params(h * D * D) ** 2
            - reduce_to_params(D ** 3) * reduce_to_params(h * h * D))
-    rhs = (3 * d + 6 * delta + 10 * chi - u) ** 2 - v * (2 * d + delta)
-    return [_compare("", lhs, rhs)]
+    return [_compare("", lhs, _HODGE_PARAM_FORMS[0])]
 
 
 def _check_hodge_hyperplane():
     # Hodge index on the hyperplane surface: (h^2*k)^2 >= (h^3)*(h*k^2).
     lhs = (reduce_to_params(h * h * k) ** 2
            - reduce_to_params(h ** 3) * reduce_to_params(h * k * k))
-    rhs = delta ** 2 - (2 * delta + 10 * chi - u) * d + d * d
-    return [_compare("", lhs, rhs)]
+    return [_compare("", lhs, _HODGE_PARAM_FORMS[1])]
 
 
 def _check_closing_quadratic():

@@ -1,9 +1,12 @@
-"""Closed-form numeric profile of a candidate threefold from its five invariants.
+"""Closed forms in the five invariants, and the numeric profile of a tuple.
 
 The five integers ``(d, delta, chi, u, v)`` determine every Chern and
-intersection number in scope.  :func:`profile` computes them all by direct
-substitution, deliberately *not* through the symbolic ring, so the two
-routes can be cross-checked against each other.
+intersection number in scope.  :func:`degree3_numbers`,
+:func:`schur_numbers` and :func:`hodge_numbers` are the only copy of these
+closed forms.  They are plain arithmetic, so the same function runs on ints
+(in :func:`profile` and the constraint system) and on the ring's
+``ParamExpr`` generators (in the substitution table and the identity
+registry, which proves them).
 
 ``profile`` is total on raw integer tuples; geometric plausibility (parity,
 positivity) is the constraints module's business.
@@ -75,10 +78,51 @@ class Profile:
         }
 
 
-def _as_int(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise AssertionError(f"{what} came out non-integral: {x}")
-    return int(x)
+# The k*c2 number is pinned by Riemann-Roch: chi(O_X) = (c1*c2)/24 = 1 for a
+# rationally connected threefold, so k*c2 = -c1*c2 = -24.
+KC2_VALUE = -24
+
+
+def degree3_numbers(d, delta, chi, u, v):
+    """The substitution table: ``(h^3, h^2k, hk^2, k^3, h*c2, k*c2, c3)``.
+
+    Derivations: adjunction on the sectional curve (h^2k), Noether's formula
+    on the hyperplane surface (hk^2), the cube of the twisted normal
+    determinant 4h+k (k^3), the tangent sequence of the hyperplane surface
+    (h*c2), Riemann-Roch (k*c2), and the double-point identity n3 = d^2 (c3).
+    """
+    return (
+        d,
+        -2 * d + delta,
+        3 * d - 2 * delta + 10 * chi - u,
+        -4 * d - 24 * delta - 120 * chi + 12 * u + v,
+        d - delta + 2 * chi + u,
+        KC2_VALUE,
+        3 * d - 10 * delta - 64 * chi - 2 * u + v - d * d + 48,
+    )
+
+
+def schur_numbers(d, delta, chi, u, v):
+    """The six Schur numbers of N(-1): s(1)h^2, s(20)h, s(11)h, s(300),
+    s(210), s(111)."""
+    return (
+        2 * d + delta,
+        2 * d + 4 * delta + 8 * chi - 2 * u,
+        d + 2 * delta + 2 * chi + u,
+        -5 * d - 5 * delta - 8 * chi + 2 * u + d * d,
+        4 * d - 3 * delta - 30 * chi - 3 * u + v + 24 - d * d,
+        -3 * d + 11 * delta + 68 * chi + 4 * u - v - 48 + d * d,
+    )
+
+
+def hodge_numbers(d, delta, chi, u, v):
+    """The two Hodge-index expressions, multiplied out so they stay total
+    when 2d + delta = 0: on the twisted-determinant divisor, then on the
+    hyperplane divisor.  A genuine threefold makes both non-negative."""
+    return (
+        (3 * d + 6 * delta + 10 * chi - u) ** 2 - v * (2 * d + delta),
+        delta * delta - (2 * delta + 10 * chi - u) * d + d * d,
+    )
 
 
 def from_geometry(d: int, g: int, chi: int, u: int, v: int) -> InvariantTuple:
@@ -89,54 +133,21 @@ def from_geometry(d: int, g: int, chi: int, u: int, v: int) -> InvariantTuple:
 
 
 def profile(t: InvariantTuple) -> Profile:
-    """Every derived number of ``t``, by closed-form substitution.
+    """Every derived number of ``t``, by the closed forms above.
 
-    Internal arithmetic routes through exact rationals and asserts
-    integrality, so a bad coefficient shows up as a hard failure instead of
-    a silently wrong number.
+    Raises :class:`ValueError` unless all five invariants are integers.
     """
-    d, delta, chi, u, v = (Fraction(x) for x in t)
-
-    h3 = d
-    h2k = -2 * d + delta
-    hk2 = 3 * d - 2 * delta + 10 * chi - u
-    k3 = -4 * d - 24 * delta - 120 * chi + 12 * u + v
-    hc2 = d - delta + 2 * chi + u
-    kc2 = Fraction(-24)
-    c3top = 3 * d - 10 * delta - 64 * chi - 2 * u + v - d * d + 48
-
-    n3 = 35 * h3 + 21 * h2k + 7 * hk2 + k3 - 7 * hc2 - c3top + 48
-    assert n3 == d * d, (t, n3)
-
-    KS2 = 10 * chi - u
-    c2S = 2 * chi + u
-    assert KS2 + c2S == 12 * chi, t  # Noether
+    if not all(isinstance(x, int) for x in t):
+        raise ValueError(f"profile needs five integers, got {tuple(t)!r}")
+    d, delta, chi, u, v = t
+    h3, h2k, hk2, k3, hc2, kc2, c3top = degree3_numbers(d, delta, chi, u, v)
     pg = chi - 1
-    g = Fraction(delta + 2, 2)
-
-    schur = SchurNumbers(
-        s1h2=_as_int(2 * d + delta, "s1h2"),
-        s20h=_as_int(2 * d + 4 * delta + 8 * chi - 2 * u, "s20h"),
-        s11h=_as_int(d + 2 * delta + 2 * chi + u, "s11h"),
-        s300=_as_int(-5 * d - 5 * delta - 8 * chi + 2 * u + d * d, "s300"),
-        s210=_as_int(4 * d - 3 * delta - 30 * chi - 3 * u + v + 24 - d * d,
-                     "s210"),
-        s111=_as_int(-3 * d + 11 * delta + 68 * chi + 4 * u - v - 48 + d * d,
-                     "s111"),
-    )
-
     return Profile(
-        h3=_as_int(h3, "h3"),
-        h2k=_as_int(h2k, "h2k"),
-        hk2=_as_int(hk2, "hk2"),
-        k3=_as_int(k3, "k3"),
-        hc2=_as_int(hc2, "hc2"),
-        kc2=_as_int(kc2, "kc2"),
-        c3top=_as_int(c3top, "c3"),
-        n3=_as_int(n3, "n3"),
-        KS2=_as_int(KS2, "KS2"),
-        c2S=_as_int(c2S, "c2S"),
-        pg=_as_int(pg, "pg"),
-        g=int(g) if g.denominator == 1 else g,
-        schur=schur,
+        h3=h3, h2k=h2k, hk2=hk2, k3=k3, hc2=hc2, kc2=kc2, c3top=c3top,
+        n3=d * d,  # the double-point identity (registry id DP)
+        KS2=10 * chi - u,
+        c2S=2 * chi + u,
+        pg=pg,
+        g=(delta + 2) // 2 if delta % 2 == 0 else Fraction(delta + 2, 2),
+        schur=SchurNumbers(*schur_numbers(d, delta, chi, u, v)),
     )

@@ -13,9 +13,11 @@ Two symbolic domains live here:
   h^{1,1}(S), and the cube of the twisted normal determinant).  Every
   intersection number of the threefold reduces to one of these.
 
+Both share one implementation of the arithmetic, equality and rendering.
 :func:`reduce_to_params` is the bridge: it sends each degree-3 monomial to
-its closed-form value in the five parameters.  All arithmetic is exact
-(``fractions.Fraction``); nothing here ever rounds.
+its closed-form value in the five parameters, which is
+:func:`p6fold.invariants.degree3_numbers` run on the parameter generators.
+All arithmetic is exact (``fractions.Fraction``); nothing here ever rounds.
 
 Everything is immutable and safe to share across threads.
 """
@@ -27,64 +29,56 @@ from typing import NamedTuple
 
 from .errors import DomainError
 from .formatting import terms_str
-
-# Exponent tuples are (e_h, e_k, e_c2, e_c3); grading weights of the generators.
-_WEIGHTS = (1, 1, 2, 3)
-_TOP_DEGREE = 3
-_GEN_NAMES = ("h", "k", "c2", "c3")
-
-_PARAM_NAMES = ("d", "delta", "chi", "u", "v")
-_PARAM_DISPLAY = ("d", "δ", "χ", "u", "v")
+from .invariants import KC2_VALUE, degree3_numbers
 
 
-def _degree(mono):
-    return sum(e * w for e, w in zip(mono, _WEIGHTS))
+class _Poly:
+    """Immutable sparse polynomial: mapping exponent tuple -> Fraction.
 
-
-def _canon_key(mono):
-    # Canonical term order: lexicographic on exponent vectors, largest first,
-    # so pure h-powers lead and the constant term trails.
-    return mono
-
-
-class GradedPoly:
-    """Immutable element of the truncated ring; mapping monomial -> coefficient.
-
-    Supports ``+ - *`` (with other elements, ints, or Fractions) and integer
-    powers.  Monomials of total degree above 3 are silently dropped by
-    multiplication; constructing one directly is an error.
+    Supports ``+ - *`` (with the same kind, ints, or Fractions), integer
+    powers, ``==`` and ``hash``.  A subclass declares its variable names
+    and, optionally, grading weights and a truncation degree: products of
+    higher weighted degree are dropped, and constructing such a monomial is
+    an error.  Mixing two kinds of polynomial raises ``TypeError``.
     """
 
     __slots__ = ("_terms",)
+    _NAMES: tuple = ()
+    _WEIGHTS: tuple = ()
+    _TOP = None
 
     def __init__(self, terms=None):
         clean = {}
         for mono, coeff in (terms or {}).items():
             mono = tuple(mono)
-            if len(mono) != 4 or any(e < 0 for e in mono):
-                raise ValueError(f"bad monomial {mono!r}")
-            if _degree(mono) > _TOP_DEGREE:
-                raise ValueError(f"monomial {mono!r} exceeds total degree 3")
+            if len(mono) != len(self._NAMES) or any(e < 0 for e in mono):
+                raise ValueError(
+                    f"bad {type(self).__name__} monomial {mono!r}")
+            if self._TOP is not None and self._degree(mono) > self._TOP:
+                raise ValueError(f"monomial {mono!r} exceeds total degree "
+                                 f"{self._TOP}")
             c = Fraction(coeff)
             if c:
                 clean[mono] = c
-        object.__setattr__(self, "_terms", clean)
-
-    # -- constructors -------------------------------------------------------
+        self._terms = clean
 
     @classmethod
-    def constant(cls, value) -> "GradedPoly":
-        return cls({(0, 0, 0, 0): Fraction(value)})
+    def _degree(cls, mono) -> int:
+        return sum(e * w for e, w in zip(mono, cls._WEIGHTS))
+
+    @classmethod
+    def constant(cls, value):
+        return cls({(0,) * len(cls._NAMES): Fraction(value)})
 
     @classmethod
     def _coerce(cls, other):
-        if isinstance(other, GradedPoly):
+        if isinstance(other, cls):
             return other
         if isinstance(other, (int, Fraction)):
             return cls.constant(other)
         return NotImplemented
 
-    # -- ring operations ----------------------------------------------------
+    # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -92,13 +86,13 @@ class GradedPoly:
             return NotImplemented
         terms = dict(self._terms)
         for mono, c in other._terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + c
-        return GradedPoly(terms)
+            terms[mono] = terms.get(mono, 0) + c
+        return type(self)(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedPoly({m: -c for m, c in self._terms.items()})
+        return type(self)({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -113,61 +107,33 @@ class GradedPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        top = self._TOP
         terms = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 mono = tuple(a + b for a, b in zip(m1, m2))
-                if _degree(mono) > _TOP_DEGREE:
-                    continue  # dim X = 3: higher products vanish
-                terms[mono] = terms.get(mono, Fraction(0)) + c1 * c2
-        return GradedPoly(terms)
+                if top is not None and self._degree(mono) > top:
+                    continue  # truncated: e.g. dim X = 3 for GradedPoly
+                terms[mono] = terms.get(mono, 0) + c1 * c2
+        return type(self)(terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = GradedPoly.constant(1)
+        result = self.constant(1)
         for _ in range(n):
             result = result * self
         return result
 
-    # -- structure ----------------------------------------------------------
+    # -- structure, equality, rendering --------------------------------------
 
     def coefficient(self, mono) -> Fraction:
         return self._terms.get(tuple(mono), Fraction(0))
 
-    def constant_term(self) -> Fraction:
-        return self._terms.get((0, 0, 0, 0), Fraction(0))
-
     def monomials(self):
         return dict(self._terms)
-
-    def degree_part(self, degree: int) -> "GradedPoly":
-        return GradedPoly(
-            {m: c for m, c in self._terms.items() if _degree(m) == degree}
-        )
-
-    def degrees(self):
-        return sorted({_degree(m) for m in self._terms})
-
-    def is_homogeneous(self, degree: int) -> bool:
-        return all(_degree(m) == degree for m in self._terms)
-
-    def degree3_basis(self) -> "Basis3":
-        """The seven coordinates of the degree-3 component."""
-        p = self.degree_part(3)
-        return Basis3(
-            h3=p.coefficient((3, 0, 0, 0)),
-            h2k=p.coefficient((2, 1, 0, 0)),
-            hk2=p.coefficient((1, 2, 0, 0)),
-            k3=p.coefficient((0, 3, 0, 0)),
-            hc2=p.coefficient((1, 0, 1, 0)),
-            kc2=p.coefficient((0, 1, 1, 0)),
-            c3=p.coefficient((0, 0, 0, 1)),
-        )
-
-    # -- equality / rendering ------------------------------------------------
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -182,13 +148,45 @@ class GradedPoly:
         return bool(self._terms)
 
     def text(self) -> str:
-        """Canonical serialization, terms in canonical order."""
-        ordered = sorted(self._terms.items(), key=lambda kv: _canon_key(kv[0]),
-                         reverse=True)
-        return terms_str(ordered, _GEN_NAMES)
+        """Canonical serialization: terms in descending lexicographic order
+        of their exponent tuples."""
+        return terms_str(sorted(self._terms.items(), reverse=True),
+                         self._NAMES)
 
     def __repr__(self):
-        return f"GradedPoly({self.text()})"
+        return f"{type(self).__name__}({self.text()})"
+
+
+class GradedPoly(_Poly):
+    """Element of the truncated ring on ``h, k, c2, c3``, graded by weights
+    1, 1, 2, 3; products above total degree 3 vanish on a threefold."""
+
+    __slots__ = ()
+    _NAMES = ("h", "k", "c2", "c3")
+    _WEIGHTS = (1, 1, 2, 3)
+    _TOP = 3
+
+    def constant_term(self) -> Fraction:
+        return self._terms.get((0, 0, 0, 0), Fraction(0))
+
+    def degree_part(self, degree: int) -> "GradedPoly":
+        return GradedPoly({m: c for m, c in self._terms.items()
+                           if self._degree(m) == degree})
+
+    def degrees(self):
+        return sorted({self._degree(m) for m in self._terms})
+
+    def is_homogeneous(self, degree: int) -> bool:
+        return all(self._degree(m) == degree for m in self._terms)
+
+    def degree3_basis(self) -> "Basis3":
+        """The seven coordinates of the degree-3 component."""
+        return Basis3(*(self.coefficient(m) for m in _BASIS3_MONOMIALS))
+
+
+# The degree-3 monomials of GradedPoly, in Basis3 order.
+_BASIS3_MONOMIALS = ((3, 0, 0, 0), (2, 1, 0, 0), (1, 2, 0, 0), (0, 3, 0, 0),
+                     (1, 0, 1, 0), (0, 1, 1, 0), (0, 0, 0, 1))
 
 
 class Basis3(NamedTuple):
@@ -203,88 +201,16 @@ class Basis3(NamedTuple):
     c3: Fraction
 
 
-class ParamExpr:
-    """Immutable polynomial in the five parameters, exact coefficients.
+_PARAM_NAMES = ("d", "delta", "chi", "u", "v")
 
-    Exponent tuples run over ``(d, delta, chi, u, v)``.  Unlike
-    :class:`GradedPoly` there is no truncation; squares of reduced numbers
-    (Hodge-index expressions) live here.
-    """
 
-    __slots__ = ("_terms",)
+class ParamExpr(_Poly):
+    """Polynomial in the five parameters ``(d, delta, chi, u, v)``, with no
+    truncation: squares of reduced numbers (Hodge-index expressions) live
+    here."""
 
-    def __init__(self, terms=None):
-        clean = {}
-        for mono, coeff in (terms or {}).items():
-            mono = tuple(mono)
-            if len(mono) != 5 or any(e < 0 for e in mono):
-                raise ValueError(f"bad parameter monomial {mono!r}")
-            c = Fraction(coeff)
-            if c:
-                clean[mono] = c
-        object.__setattr__(self, "_terms", clean)
-
-    @classmethod
-    def constant(cls, value) -> "ParamExpr":
-        return cls({(0, 0, 0, 0, 0): Fraction(value)})
-
-    @classmethod
-    def _coerce(cls, other):
-        if isinstance(other, ParamExpr):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return cls.constant(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        terms = dict(self._terms)
-        for mono, c in other._terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + c
-        return ParamExpr(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ParamExpr({m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        terms = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                terms[mono] = terms.get(mono, Fraction(0)) + c1 * c2
-        return ParamExpr(terms)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = ParamExpr.constant(1)
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def coefficient(self, mono) -> Fraction:
-        return self._terms.get(tuple(mono), Fraction(0))
-
-    def monomials(self):
-        return dict(self._terms)
+    __slots__ = ()
+    _NAMES = ("d", "δ", "χ", "u", "v")
 
     def evaluate(self, d, delta, chi, u, v) -> Fraction:
         """Exact value at an integer or rational parameter point."""
@@ -320,28 +246,8 @@ class ParamExpr:
                     coeff *= Fraction(val) ** mono[i]
                 rest[i] = 0
             key = tuple(rest)
-            new = terms.get(key, Fraction(0)) + coeff
-            terms[key] = new
+            terms[key] = terms.get(key, 0) + coeff
         return ParamExpr(terms)
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def text(self) -> str:
-        ordered = sorted(self._terms.items(), key=lambda kv: kv[0], reverse=True)
-        return terms_str(ordered, _PARAM_DISPLAY)
-
-    def __repr__(self):
-        return f"ParamExpr({self.text()})"
 
 
 # Ring generators.
@@ -357,36 +263,20 @@ chi = ParamExpr({(0, 0, 1, 0, 0): 1})
 u = ParamExpr({(0, 0, 0, 1, 0): 1})
 v = ParamExpr({(0, 0, 0, 0, 1): 1})
 
-# The k*c2 number is pinned by Riemann-Roch: chi(O_X) = (c1*c2)/24 = 1 for a
-# rationally connected threefold, so k*c2 = -c1*c2 = -24.
-KC2_VALUE = -24
-
-# Closed-form value of each degree-3 basis monomial in the five parameters.
-# Derivations: adjunction on the sectional curve (h2k), Noether's formula on
-# the hyperplane surface (hk2), the cube of the twisted normal determinant
-# 4h+k (k3), the tangent sequence of the hyperplane surface (hc2), and the
-# double-point identity n3 = d^2 (c3).
+# Closed-form value of each degree-3 basis monomial in the five parameters:
+# the int closed forms of :mod:`p6fold.invariants`, run on the generators.
 SUBSTITUTIONS = {
-    (3, 0, 0, 0): d,
-    (2, 1, 0, 0): -2 * d + delta,
-    (1, 2, 0, 0): 3 * d - 2 * delta + 10 * chi - u,
-    (0, 3, 0, 0): -4 * d - 24 * delta - 120 * chi + 12 * u + v,
-    (1, 0, 1, 0): d - delta + 2 * chi + u,
-    (0, 1, 1, 0): ParamExpr.constant(KC2_VALUE),
-    (0, 0, 0, 1): 3 * d - 10 * delta - 64 * chi - 2 * u + v - d * d + 48,
+    mono: ParamExpr() + value
+    for mono, value in zip(_BASIS3_MONOMIALS,
+                           degree3_numbers(d, delta, chi, u, v))
 }
-
-
-def mul(a: GradedPoly, b: GradedPoly) -> GradedPoly:
-    """Truncated product (function form of ``a * b``)."""
-    return a * b
 
 
 def invert_unit(c: GradedPoly) -> GradedPoly:
     """Multiplicative inverse of a total class with constant term 1.
 
     ``invert_unit(1 + a) = 1 - a + a^2 - a^3`` truncated above degree 3, so
-    ``mul(c, invert_unit(c)) == 1``.
+    ``c * invert_unit(c) == 1``.
     """
     if c.constant_term() != 1:
         raise DomainError("invert_unit requires constant term 1, got "
@@ -421,7 +311,7 @@ def normal_chern() -> tuple[GradedPoly, GradedPoly, GradedPoly]:
 def _require_degree(poly: GradedPoly, degree: int, what: str,
                     allow_constant: bool = False):
     for mono in poly.monomials():
-        deg = _degree(mono)
+        deg = GradedPoly._degree(mono)
         if deg == degree:
             continue
         if allow_constant and deg == 0:
@@ -478,7 +368,7 @@ def reduce_to_params(p: GradedPoly) -> ParamExpr:
     """
     result = ParamExpr()
     for mono, coeff in p.monomials().items():
-        deg = _degree(mono)
+        deg = GradedPoly._degree(mono)
         if deg == 0:
             result = result + coeff
         elif deg == 3:

@@ -179,7 +179,9 @@ def scan(box: ScanBox, cfg: HypothesisConfig, sink,
         feasible += n_feasible
         lines.extend(rows)
 
-    assert scanned == box.volume()
+    if scanned != box.volume():
+        raise RuntimeError(f"scan covered {scanned} points of a "
+                           f"{box.volume()}-point box")
     payload = "".join(line + "\n" for line in lines)
     sink.write(payload)
     return ScanResult(scanned=scanned, feasible=feasible)

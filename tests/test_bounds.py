@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -162,6 +166,35 @@ def test_degree_bound_domain():
     for s in (33, 20, 1):
         with pytest.raises(DomainError):
             degree_bound(s, 9)
+
+
+def test_degree_bound_rejects_kappa_below_the_crossing_range():
+    assert degree_bound(34, -2364).first_contradictory_degree > 0
+    for mode in ("paper", "sharp"):
+        with pytest.raises(DomainError, match="kappa = -2365 .* >= -2364"):
+            degree_bound(34, -2365, mode=mode)
+    with pytest.raises(DomainError, match="kappa = -10000"):
+        degree_bound(34, -10 ** 4)
+
+
+def test_sharp_mode_rejects_kappa_without_a_crossing():
+    assert degree_bound(34, 10 ** 9).first_contradictory_degree > 0
+    with pytest.raises(DomainError, match="kappa = 1000000000 .* sharp"):
+        degree_bound(34, 10 ** 9, mode="sharp")
+
+
+def test_kappa_range_errors_survive_optimize_flag():
+    # python -O strips assert statements; the range checks must not be one.
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    for flags in (["--kappa", "-10000"], ["--kappa", "1000000000", "--sharp"]):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "p6fold.cli", "bound", "--s", "34",
+             *flags],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+        assert proc.stderr.startswith(f"error: kappa = {flags[1]} is out of "
+                                      "range")
 
 
 def test_degree_bound_monotone_in_kappa():

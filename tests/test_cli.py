@@ -148,6 +148,13 @@ def test_bound_small_s_is_domain_error(capsys):
     assert "cannot cross" in err
 
 
+def test_bound_kappa_out_of_range_is_domain_error(capsys):
+    code, out, err = run_cli(["bound", "--s", "34", "--kappa", "-10000"],
+                             capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: kappa = -10000 is out of range")
+
+
 def test_scan_stdout_and_summary(capsys):
     code, out, err = run_cli(
         ["scan", "--box", "d=1..2,delta=-2,chi=1,u=1..2,v=0..2"], capsys)
@@ -206,6 +213,30 @@ def test_workers_env_var_sets_default(monkeypatch, capsys):
         ["scan", "--box", "d=1..6,delta=-2..0,chi=1,u=1..2,v=0..2"], capsys)
     assert code2 == 0
     assert out == out2  # worker count never changes the bytes
+
+
+def test_bad_workers_env_var_only_breaks_scan(monkeypatch, capsys):
+    monkeypatch.setenv("P6FOLD_WORKERS", "abc")
+    assert run_cli(["verify", "--id", "DP"], capsys)[0] == 0
+    assert run_cli(["bound", "--s", "34"], capsys)[0] == 0
+    code, out, err = run_cli(
+        ["scan", "--box", "d=1..2,delta=-2,chi=1,u=1..2,v=0..2"], capsys)
+    assert (code, out) == (2, "")
+    assert "error: P6FOLD_WORKERS must be an integer, got 'abc'" in err
+    code, _, _ = run_cli(
+        ["scan", "--box", "d=1..2,delta=-2,chi=1,u=1..2,v=0..2",
+         "--workers", "1"], capsys)
+    assert code == 0  # an explicit --workers never reads the variable
+
+
+def test_scan_unwritable_out_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(
+        ["scan", "--box", "d=1..2,delta=-2,chi=1,u=1..2,v=0..2",
+         "--out", str(target)], capsys)
+    assert (code, out) == (2, "")
+    assert f"error: cannot write {target}" in err
+    assert not target.parent.exists()
 
 
 def test_console_script_end_to_end():

@@ -91,6 +91,16 @@ def test_profile_schur_matches_symbolic_route():
         assert tuple(profile(t).schur) == expected
 
 
+@pytest.mark.parametrize("bad", [
+    (Fraction(1, 2), -2, 1, 1, 0),
+    (1, -2.0, 1, 1, 0),
+    (1, -2, 1, 1, "0"),
+])
+def test_profile_rejects_non_integers(bad):
+    with pytest.raises(ValueError, match="five integers"):
+        profile(bad)
+
+
 def test_raw_mode_odd_delta_has_half_integral_genus():
     p = profile(InvariantTuple(3, 1, 1, 1, 0))
     assert p.g == Fraction(3, 2)

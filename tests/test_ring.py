@@ -21,7 +21,6 @@ from p6fold.ring import (
     h,
     invert_unit,
     k,
-    mul,
     normal_chern,
     reduce_to_params,
     schur_values,
@@ -106,10 +105,6 @@ def test_mul_distributes(a, b, c):
 @given(polys, polys)
 def test_mul_matches_sympy_truncation(a, b):
     assert a * b == sympy_truncated_product(a, b)
-
-
-def test_mul_function_form():
-    assert mul(h, k) == h * k
 
 
 # -- inversion ----------------------------------------------------------------
@@ -287,6 +282,15 @@ def test_param_power_and_equality_with_scalars():
     assert (d - d) == 0
     assert ParamExpr.constant(Fraction(3, 2)) == Fraction(3, 2)
     assert d ** 0 == 1
+
+
+def test_mixing_graded_and_parameter_polynomials_is_a_type_error():
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(TypeError):
+            op(h, d)
+        with pytest.raises(TypeError):
+            op(d, h)
+    assert h != ParamExpr({(1, 0, 0, 0, 0): 1})
 
 
 @given(polys)

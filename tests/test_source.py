@@ -1,0 +1,20 @@
+"""Properties of the package source itself."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import p6fold
+
+PACKAGE = Path(p6fold.__file__).resolve().parent
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements, so no runtime check may be one.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
