@@ -3,8 +3,9 @@ Scanning the feasible region
 ============================
 
 Which small invariant tuples survive the full constraint system?  The
-scanner enumerates integer boxes and streams the survivors in lexicographic
-order; the output is identical for any worker count.
+scanner walks the (d, delta, chi, u) cells of an integer box, takes the
+feasible v of each cell as one interval, and streams the survivors in
+lexicographic order.
 """
 
 import io
@@ -26,12 +27,12 @@ for t, p in survivors:
 
 # The same scan through the streaming interface, CSV into any sink.
 sink = io.StringIO()
-result = scan(box, cfg, sink, workers=2)
+result = scan(box, cfg, sink)
 assert sink.getvalue().count("\n") == result.feasible + 1  # header + rows
-print(f"\nstreamed {result.feasible}/{result.scanned} rows via 2 workers")
+print(f"\nstreamed {result.feasible}/{result.scanned} rows")
 
 # Raising the degree floor (nondegenerate varieties have d >= 4) thins the
 # region out.
 strict = HypothesisConfig(min_degree=4)
-result = scan(box, strict, sys.stdout, workers=1)
+result = scan(box, strict, sys.stdout)
 print(f"with d >= 4: {result.feasible} tuples", file=sys.stderr)

@@ -176,6 +176,20 @@ def _crossing_paper(s_eff: int, kappa: int) -> int:
     d_star = max(root_hint - 2, 0)
     while not positive(d_star):
         d_star += 1
+
+    # -B/A bounds delta from below only where C(d) < 0.  C'' = 34 - 12d is
+    # negative for d >= 3, and d* lies past the vertex -ib/(2*ia), which is
+    # above 1000 for every s_eff >= 34; so C(d*) < 0 and C'(d*) < 0 keep C
+    # negative for every d >= d*.
+    c_at = -2 * d_star ** 3 + 17 * d_star ** 2 + (6 * kappa - 18) * d_star \
+        + kappa * kappa
+    c_slope = -6 * d_star ** 2 + 34 * d_star + 6 * kappa - 18
+    if c_at >= 0 or c_slope >= 0:
+        raise DomainError(
+            f"kappa = {kappa} is out of range for effective degree "
+            f"{s_eff}: the forced quadratic's constant term C(d) is not "
+            f"negative for every d from the crossing d = {d_star} on"
+        )
     return d_star
 
 
@@ -194,12 +208,8 @@ def _crossing_sharp(s_eff: int, kappa: int, hi: int) -> int:
         disc = b * b - 4 * a * c
         return disc > rhs * rhs
 
-    if not exceeds(hi):
-        raise DomainError(
-            f"kappa = {kappa} is out of range for sharp mode at effective "
-            f"degree {s_eff}: the sharp lower bound on delta does not "
-            f"exceed the genus bound at the paper crossing d = {hi}"
-        )
+    # exceeds(hi) holds: C(hi) < 0 puts the true root above -B/A, which
+    # exceeds the genus bound at the paper crossing hi.
     lo = 1  # exceeds(1) is False: the genus bound is >= 860 there
     while hi - lo > 1:
         mid = (lo + hi) // 2

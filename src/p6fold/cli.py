@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 
 from . import bounds, constraints, identities
@@ -19,7 +18,6 @@ from .invariants import InvariantTuple, profile
 from .scan import ScanBox, scan as run_scan
 
 TUPLE_FIELDS = ("d", "delta", "chi", "u", "v")
-WORKERS_ENV = "P6FOLD_WORKERS"
 
 
 def parse_tuple(text: str) -> InvariantTuple:
@@ -136,8 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_hypothesis_flags(p_scan)
     p_scan.add_argument("--with-profile", action="store_true",
                         help="append profile columns to each row")
-    p_scan.add_argument("--workers", type=int, default=None,
-                        help=f"parallel workers (default ${WORKERS_ENV} or 1)")
+    p_scan.add_argument("--workers", type=int, default=1,
+                        help="accepted for compatibility; the scan runs in "
+                             "one process")
     p_scan.add_argument("--out", metavar="FILE", default=None,
                         help="write to FILE instead of stdout")
     _add_format_flags(p_scan, ("csv", "jsonl"), "csv")
@@ -221,15 +220,6 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    workers = args.workers
-    if workers is None:
-        env = os.environ.get(WORKERS_ENV, "1")
-        try:
-            workers = int(env)
-        except ValueError:
-            print(f"error: {WORKERS_ENV} must be an integer, got {env!r}",
-                  file=sys.stderr)
-            return 2
     cfg = _config_from_args(args)
     print(f"# box volume {args.box.volume()}", file=sys.stderr)
     try:
@@ -240,7 +230,7 @@ def _cmd_scan(args) -> int:
               file=sys.stderr)
         return 2
     with sink as out:
-        result = run_scan(args.box, cfg, out, workers=workers, fmt=args.fmt,
+        result = run_scan(args.box, cfg, out, fmt=args.fmt,
                           with_profile=args.with_profile)
     print(f"# scanned {result.scanned} feasible {result.feasible}",
           file=sys.stderr)

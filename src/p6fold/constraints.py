@@ -126,3 +126,26 @@ def evaluate(t: InvariantTuple, cfg: HypothesisConfig) -> ConstraintReport:
 def is_feasible(t: InvariantTuple, cfg: HypothesisConfig) -> bool:
     """Conjunction shortcut: stops at the first violated constraint."""
     return all(e.satisfied for e in _iter_constraints(InvariantTuple(*t), cfg))
+
+
+def feasible_v(d: int, delta: int, chi: int, u: int, cfg: HypothesisConfig,
+               lo: int, hi: int) -> range:
+    """The v in ``lo..hi`` for which ``(d, delta, chi, u, v)`` is feasible.
+
+    Every constraint value is affine in v (registry-checked for the Schur
+    and Hodge forms; the others do not involve v), so its values at v = 0
+    and v = 1 give its slope.  A sloped constraint ``value >= 0`` bounds v
+    on one side; a flat one either holds for every v or empties the cell.
+    """
+    lower, upper = lo, hi
+    at0 = _iter_constraints(InvariantTuple(d, delta, chi, u, 0), cfg)
+    at1 = _iter_constraints(InvariantTuple(d, delta, chi, u, 1), cfg)
+    for e0, e1 in zip(at0, at1):
+        slope = e1.value - e0.value
+        if slope > 0:
+            lower = max(lower, -(e0.value // slope))  # ceil(-value / slope)
+        elif slope < 0:
+            upper = min(upper, e0.value // -slope)
+        elif not e0.satisfied:
+            return range(0)
+    return range(lower, upper + 1)

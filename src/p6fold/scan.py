@@ -1,21 +1,21 @@
 """Lattice scan over invariant boxes, streaming the feasible tuples.
 
-The box is partitioned along d; workers evaluate disjoint slices and the
-results are merged back in submission order, so the output is byte-identical
-for any worker count and always lexicographic in (d, delta, chi, u, v).
-Rows are buffered and written to the sink in one call, so a failed write
-leaves no partial output behind.
+The scan walks the (d, delta, chi, u) cells of the box in lexicographic
+order and, in each, only the v that :func:`constraints.feasible_v` leaves,
+so its cost grows with the number of cells plus the number of feasible
+rows, not with the box volume.  Output is always lexicographic in
+(d, delta, chi, u, v).  Rows are buffered and written to the sink in one
+call, so a failed write leaves no partial output behind.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Tuple
 
-from .constraints import HypothesisConfig, is_feasible
+from .constraints import HypothesisConfig, feasible_v, is_feasible
 from .invariants import InvariantTuple, Profile, profile
 
 CSV_HEADER = "d,delta,chi,u,v"
@@ -90,11 +90,6 @@ class ScanBox:
             n *= hi - lo + 1
         return n
 
-    def __iter__(self) -> Iterator[InvariantTuple]:
-        spans = [range(lo, hi + 1) for lo, hi in self.ranges()]
-        for point in product(*spans):
-            yield InvariantTuple(*point)
-
 
 @dataclass(frozen=True)
 class ScanResult:
@@ -102,12 +97,23 @@ class ScanResult:
     feasible: int
 
 
+def _feasible_points(box: ScanBox, cfg: HypothesisConfig
+                     ) -> Iterator[InvariantTuple]:
+    # The v-interval only skips work: is_feasible still decides every row.
+    (d0, d1), (e0, e1), (c0, c1), (u0, u1), (v0, v1) = box.ranges()
+    for d, delta, chi, u in product(range(d0, d1 + 1), range(e0, e1 + 1),
+                                    range(c0, c1 + 1), range(u0, u1 + 1)):
+        for v in feasible_v(d, delta, chi, u, cfg, v0, v1):
+            t = InvariantTuple(d, delta, chi, u, v)
+            if is_feasible(t, cfg):
+                yield t
+
+
 def iter_feasible(box: ScanBox, cfg: HypothesisConfig
                   ) -> Iterator[Tuple[InvariantTuple, Profile]]:
     """Lazily yield each feasible tuple with its profile, in lex order."""
-    for t in box:
-        if is_feasible(t, cfg):
-            yield t, profile(t)
+    for t in _feasible_points(box, cfg):
+        yield t, profile(t)
 
 
 def _format_row(t: InvariantTuple, fmt: str, with_profile: bool) -> str:
@@ -117,35 +123,10 @@ def _format_row(t: InvariantTuple, fmt: str, with_profile: bool) -> str:
             p = profile(t).to_json_dict()
             cells += [str(p[col]) for col in CSV_PROFILE_COLUMNS]
         return ",".join(cells)
-    if fmt == "jsonl":
-        d, delta, chi, u, v = t
-        record = {"d": d, "delta": delta, "chi": chi, "u": u, "v": v}
-        record.update(profile(t).to_json_dict())
-        return json.dumps(record)
-    raise ValueError(f"unknown scan format {fmt!r}")
-
-
-def _scan_slice(args) -> Tuple[int, int, list]:
-    (d_lo, d_hi), rest, cfg, fmt, with_profile = args
-    sub = ScanBox((d_lo, d_hi), *rest)
-    scanned = sub.volume()
-    rows = []
-    for t in sub:
-        if is_feasible(t, cfg):
-            rows.append(_format_row(t, fmt, with_profile))
-    return scanned, len(rows), rows
-
-
-def _chunks(lo: int, hi: int, parts: int):
-    # Split [lo, hi] into at most `parts` contiguous runs of near-equal size.
-    count = hi - lo + 1
-    parts = max(1, min(parts, count))
-    base, extra = divmod(count, parts)
-    start = lo
-    for i in range(parts):
-        size = base + (1 if i < extra else 0)
-        yield start, start + size - 1
-        start += size
+    d, delta, chi, u, v = t
+    record = {"d": d, "delta": delta, "chi": chi, "u": u, "v": v}
+    record.update(profile(t).to_json_dict())
+    return json.dumps(record)
 
 
 def scan(box: ScanBox, cfg: HypothesisConfig, sink,
@@ -155,33 +136,19 @@ def scan(box: ScanBox, cfg: HypothesisConfig, sink,
     """Filter the box through the constraint system and write to ``sink``.
 
     ``fmt`` is ``"csv"`` or ``"jsonl"``; CSV optionally appends profile
-    columns.  Output order is lexicographic regardless of ``workers``.
+    columns.  Output order is lexicographic.  ``workers`` is accepted for
+    compatibility; the scan runs in one process.
     """
-    rest = box.ranges()[1:]
-    jobs = [((lo, hi), rest, cfg, fmt, with_profile)
-            for lo, hi in _chunks(box.d[0], box.d[1], workers)]
-
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            results = list(pool.map(_scan_slice, jobs))
-    else:
-        results = [_scan_slice(job) for job in jobs]
-
+    if fmt not in ("csv", "jsonl"):
+        raise ValueError(f"unknown scan format {fmt!r}")
     lines = []
     if header and fmt == "csv":
         cols = CSV_HEADER
         if with_profile:
             cols += "," + ",".join(CSV_PROFILE_COLUMNS)
         lines.append(cols)
-    scanned = feasible = 0
-    for n_scanned, n_feasible, rows in results:
-        scanned += n_scanned
-        feasible += n_feasible
-        lines.extend(rows)
-
-    if scanned != box.volume():
-        raise RuntimeError(f"scan covered {scanned} points of a "
-                           f"{box.volume()}-point box")
-    payload = "".join(line + "\n" for line in lines)
-    sink.write(payload)
-    return ScanResult(scanned=scanned, feasible=feasible)
+    rows = [_format_row(t, fmt, with_profile)
+            for t in _feasible_points(box, cfg)]
+    lines.extend(rows)
+    sink.write("".join(line + "\n" for line in lines))
+    return ScanResult(scanned=box.volume(), feasible=len(rows))

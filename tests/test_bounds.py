@@ -175,11 +175,16 @@ def test_degree_bound_rejects_kappa_below_the_crossing_range():
             degree_bound(34, -2365, mode=mode)
     with pytest.raises(DomainError, match="kappa = -10000"):
         degree_bound(34, -10 ** 4)
+    # The quadratics cross at d = 647238, but C(d) >= 0 there, so -B/A is
+    # no lower bound on delta and that crossing proves nothing.
+    a, b, c = section5_quadratic(647238, 10 ** 9)
+    assert c >= 0
+    with pytest.raises(DomainError, match="kappa = 1000000000 .* C\\(d\\)"):
+        degree_bound(34, 10 ** 9)
 
 
 def test_sharp_mode_rejects_kappa_without_a_crossing():
-    assert degree_bound(34, 10 ** 9).first_contradictory_degree > 0
-    with pytest.raises(DomainError, match="kappa = 1000000000 .* sharp"):
+    with pytest.raises(DomainError, match="kappa = 1000000000 .* C\\(d\\)"):
         degree_bound(34, 10 ** 9, mode="sharp")
 
 

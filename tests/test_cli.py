@@ -155,6 +155,13 @@ def test_bound_kappa_out_of_range_is_domain_error(capsys):
     assert err.startswith("error: kappa = -10000 is out of range")
 
 
+def test_bound_kappa_without_negative_constant_term_is_domain_error(capsys):
+    code, out, err = run_cli(
+        ["bound", "--s", "34", "--kappa", "1000000000"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: kappa = 1000000000 is out of range")
+
+
 def test_scan_stdout_and_summary(capsys):
     code, out, err = run_cli(
         ["scan", "--box", "d=1..2,delta=-2,chi=1,u=1..2,v=0..2"], capsys)
@@ -201,32 +208,6 @@ def test_mutually_exclusive_formats(capsys):
 
 def test_missing_subcommand_is_usage_error(capsys):
     assert run_cli([], capsys)[0] == 2
-
-
-def test_workers_env_var_sets_default(monkeypatch, capsys):
-    monkeypatch.setenv("P6FOLD_WORKERS", "3")
-    code, out, _ = run_cli(
-        ["scan", "--box", "d=1..6,delta=-2..0,chi=1,u=1..2,v=0..2"], capsys)
-    assert code == 0
-    monkeypatch.delenv("P6FOLD_WORKERS")
-    code2, out2, _ = run_cli(
-        ["scan", "--box", "d=1..6,delta=-2..0,chi=1,u=1..2,v=0..2"], capsys)
-    assert code2 == 0
-    assert out == out2  # worker count never changes the bytes
-
-
-def test_bad_workers_env_var_only_breaks_scan(monkeypatch, capsys):
-    monkeypatch.setenv("P6FOLD_WORKERS", "abc")
-    assert run_cli(["verify", "--id", "DP"], capsys)[0] == 0
-    assert run_cli(["bound", "--s", "34"], capsys)[0] == 0
-    code, out, err = run_cli(
-        ["scan", "--box", "d=1..2,delta=-2,chi=1,u=1..2,v=0..2"], capsys)
-    assert (code, out) == (2, "")
-    assert "error: P6FOLD_WORKERS must be an integer, got 'abc'" in err
-    code, _, _ = run_cli(
-        ["scan", "--box", "d=1..2,delta=-2,chi=1,u=1..2,v=0..2",
-         "--workers", "1"], capsys)
-    assert code == 0  # an explicit --workers never reads the variable
 
 
 def test_scan_unwritable_out_is_usage_error(tmp_path, capsys):

@@ -10,6 +10,7 @@ from p6fold.constraints import (
     COVER_FLAGS,
     HypothesisConfig,
     evaluate,
+    feasible_v,
     is_feasible,
 )
 from p6fold.invariants import InvariantTuple, profile
@@ -148,3 +149,21 @@ def test_report_json_schema():
 def test_evaluate_is_deterministic():
     t = InvariantTuple(4, 0, 1, 6, 32)
     assert evaluate(t, GEOMETRIC) == evaluate(t, GEOMETRIC)
+
+
+@pytest.mark.parametrize("cfg", [
+    GEOMETRIC,
+    HypothesisConfig(geometric_mode=False),
+    HypothesisConfig(ks2_cap=9),
+    HypothesisConfig(min_degree=3, cover_flags=frozenset({"covered_by_lines"})),
+])
+def test_feasible_v_is_exactly_the_feasible_v(cfg):
+    rng = random.Random(61)
+    for _ in range(300):
+        d, delta = rng.randint(-2, 12), rng.randint(-4, 10)
+        chi, u = rng.randint(0, 3), rng.randint(0, 12)
+        lo = rng.randint(-20, 40)
+        hi = lo + rng.randint(-1, 60)
+        expected = [v for v in range(lo, hi + 1)
+                    if is_feasible(InvariantTuple(d, delta, chi, u, v), cfg)]
+        assert list(feasible_v(d, delta, chi, u, cfg, lo, hi)) == expected

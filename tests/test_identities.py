@@ -6,6 +6,7 @@ import pytest
 
 from p6fold.errors import UnknownIdentityError
 from p6fold.identities import (
+    _HODGE_PARAM_FORMS,
     SCHUR_PARAM_FORMS,
     identity_ids,
     verify_all,
@@ -106,3 +107,10 @@ def test_schur_sum_identity():
         (1, 0, 0, 0, 0): 3, (0, 1, 0, 0, 0): 6, (0, 0, 1, 0, 0): 10,
         (0, 0, 0, 1, 0): -1,
     })
+
+
+def test_schur_and_hodge_forms_are_affine_in_v():
+    # constraints.feasible_v reads each constraint's v-slope off v = 0 and
+    # v = 1, which is exact only while no form has a v^2 (or higher) term.
+    for form in (*SCHUR_PARAM_FORMS, *_HODGE_PARAM_FORMS):
+        assert all(mono[4] <= 1 for mono in form.monomials()), form.text()

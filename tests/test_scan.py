@@ -61,12 +61,34 @@ def random_box(rng, max_volume=1500):
             return box
 
 
+# Tuples feasible under every config below.  Each wide-v box is drawn around
+# one, so it has rows, and its v range is wide enough for the per-cell
+# v-interval to clip both ends.
+ANCHORS = ((3, 0, 1, 7, 24), (4, 0, 1, 6, 28), (4, 2, 1, 11, 45),
+           (5, -2, 1, 1, 10))
+WIDE_V_CONFIGS = (
+    HypothesisConfig(geometric_mode=False),
+    HypothesisConfig(ks2_cap=9),
+    HypothesisConfig(min_degree=3, cover_flags=frozenset({"covered_by_lines"})),
+)
+
+
+def wide_v_box(rng):
+    *rest, v = rng.choice(ANCHORS)
+    spans = [(x - rng.randint(0, 2), x + rng.randint(0, 2)) for x in rest]
+    lo = v - rng.randint(0, 40)
+    spans.append((lo, lo + rng.randint(40, 60)))
+    return ScanBox(*spans)
+
+
 def test_matches_naive_filter_on_random_boxes():
     rng = random.Random(20250101)
-    for _ in range(12):
-        box = random_box(rng)
-        expected = naive_feasible_rows(box, GEOMETRIC)
-        result, out = run_scan(box)
+    cases = [(random_box(rng), GEOMETRIC) for _ in range(12)]
+    cases += [(wide_v_box(rng), cfg)
+              for cfg in WIDE_V_CONFIGS for _ in range(3)]
+    for box, cfg in cases:
+        expected = naive_feasible_rows(box, cfg)
+        result, out = run_scan(box, cfg)
         assert out.strip().splitlines()[1:] == expected
         assert result.scanned == box.volume()
         assert result.feasible == len(expected)
@@ -132,6 +154,17 @@ def test_box_parse_round_trip():
 def test_box_parse_rejects(spec):
     with pytest.raises(ValueError):
         ScanBox.parse(spec)
+
+
+@pytest.mark.parametrize("box", [
+    ScanBox.of(d=(1, 2), delta=-1, chi=1, u=(1, 2), v=(0, 2)),  # no rows
+    ScanBox.of(d=(1, 2), delta=-2, chi=1, u=(1, 2), v=(0, 2)),  # two rows
+])
+def test_unknown_format_is_rejected_before_scanning(box):
+    sink = _FailingSink()
+    with pytest.raises(ValueError, match="unknown scan format 'xml'"):
+        scan(box, GEOMETRIC, sink, fmt="xml")
+    assert sink.calls == 0
 
 
 class _FailingSink:
