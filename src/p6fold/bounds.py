@@ -10,7 +10,10 @@ theorem past its own threshold), the reported bound is the applicability
 clamp ``max(s^3, ceil(threshold), crossing - 1)``; for s = 34, kappa = 9
 that is 34^3 = 39304, driven by the clamp rather than the crossing.
 
-Everything is exact: integer sign analysis and rational bisection, no floats.
+Every step runs the one forced quadratic :func:`section5_quadratic`, which
+registry id S5.QUAD proves.  Everything is exact, no floats: integer sign
+analysis, one ``isqrt`` for sharp :func:`delta_lower`, and bisection over
+integer degrees for the sharp crossing.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .formatting import rat_str
+from .invariants import require_ints
 
-#: width of the bisection bracket in sharp mode
+#: rounding grid of sharp-mode :func:`delta_lower`
 SHARP_TOLERANCE = Fraction(1, 10 ** 6)
 
 
@@ -60,6 +64,7 @@ def lifting_threshold(s: int) -> Fraction:
     """Degrees above ``(s-1)(s-3)/2 + 8s - 3`` force the threefold into a
     fourfold of degree s whenever the sectional curve lies on a degree-s
     surface.  May be half-integral."""
+    require_ints("s must be an integer", s)
     if s < 1:
         raise DomainError(f"lifting threshold needs s >= 1, got {s}")
     return Fraction((s - 1) * (s - 3), 2) + 8 * s - 3
@@ -75,6 +80,7 @@ def _genus_upper_delta_raw(d, s_eff: int) -> Fraction:
 def genus_upper_delta(d: int, s: int) -> Fraction:
     """Upper bound on delta = 2g - 2 for a sectional curve lying on no
     surface of degree s (even effective degree >= 12, valid for d > s^3)."""
+    require_ints("d and s must be integers", d, s)
     s_eff = _effective_even(s)
     if s_eff < 12:
         raise DomainError(
@@ -87,22 +93,17 @@ def genus_upper_delta(d: int, s: int) -> Fraction:
     return _genus_upper_delta_raw(d, s_eff)
 
 
-def section5_quadratic(d: int, kappa: int):
+def section5_quadratic(d, kappa):
     """Coefficients (A, B, C) of the forced quadratic in delta.
 
     Expanding ``(3d + 6*delta + kappa)^2 - (2d + delta)(d^2 - 4d + 3*delta + 9)``
     gives A = 33, B = -d^2 + 34d + 12*kappa - 9,
-    C = -2d^3 + 17d^2 + (6*kappa - 18)d + kappa^2.
+    C = -2d^3 + 17d^2 + (6*kappa - 18)d + kappa^2.  Plain arithmetic: ints
+    for an int d, and the registry runs it on the ``ParamExpr`` generator d.
     """
-    a = Fraction(33)
-    b = Fraction(-d * d + 34 * d + 12 * kappa - 9)
-    c = Fraction(-2 * d ** 3 + 17 * d * d + (6 * kappa - 18) * d
-                 + kappa * kappa)
-    return a, b, c
-
-
-def _eval_quadratic(a, b, c, x):
-    return a * x * x + b * x + c
+    return (33,
+            -d * d + 34 * d + 12 * kappa - 9,
+            -2 * d ** 3 + 17 * d * d + (6 * kappa - 18) * d + kappa * kappa)
 
 
 def delta_lower(d: int, kappa: int, mode: str = "paper") -> Fraction:
@@ -111,9 +112,10 @@ def delta_lower(d: int, kappa: int, mode: str = "paper") -> Fraction:
 
     ``paper`` returns the closed-form sum-of-roots relaxation -B/A; it bounds
     the positive root from below because the other root is negative.
-    ``sharp`` returns an exact rational within :data:`SHARP_TOLERANCE` below
-    the true positive root, by bisection.
+    ``sharp`` returns the largest multiple of :data:`SHARP_TOLERANCE` that is
+    not above the true positive root, by one exact integer square root.
     """
+    require_ints("d and kappa must be integers", d, kappa)
     if mode not in ("paper", "sharp"):
         raise ValueError(f"mode must be 'paper' or 'sharp', got {mode!r}")
     a, b, c = section5_quadratic(d, kappa)
@@ -123,42 +125,33 @@ def delta_lower(d: int, kappa: int, mode: str = "paper") -> Fraction:
             f"{rat_str(c)} is non-negative"
         )
     if mode == "paper":
-        return -b / a
-
-    # Bisect for the positive root.  The vertex value c - b^2/(4a) < c < 0,
-    # so [vertex, hi] brackets it once the quadratic is positive at hi.
-    lo = -b / (2 * a)
-    step = max(Fraction(1), abs(lo))
-    hi = lo + step
-    while _eval_quadratic(a, b, c, hi) <= 0:
-        step *= 2
-        hi = lo + step
-    while hi - lo > SHARP_TOLERANCE:
-        mid = (lo + hi) / 2
-        if _eval_quadratic(a, b, c, mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return lo
+        return Fraction(-b, a)
+    # floor(n * root) = floor((-b*n + sqrt(n^2 * disc)) / 2a), and flooring
+    # the square root first leaves the floor of the quotient unchanged.
+    n = SHARP_TOLERANCE.denominator
+    return Fraction((-b * n + math.isqrt(n * n * (b * b - 4 * a * c)))
+                    // (2 * a), n)
 
 
 def _crossing_paper(s_eff: int, kappa: int) -> int:
-    # delta_lower(d, paper) > genus_upper(d) is a quadratic inequality in d
-    # with positive leading coefficient 1/33 - 1/s_eff.  Clear denominators
-    # to an integer quadratic and bracket its upper root with isqrt.
-    # delta_lower paper = (d^2 - 34*d - 12*kappa + 9)/33
-    qa = Fraction(1, 33) - Fraction(1, s_eff)
-    qb = Fraction(-34, 33) - (Fraction(s_eff, 2) - 3)
-    qc = (Fraction(-12 * kappa + 9, 33)
-          - Fraction(3 * s_eff * s_eff - 28, 4))
+    # The gap between -B/A and the genus bound is a quadratic in d with
+    # positive leading coefficient 1/33 - 1/s_eff.  Read it off its values
+    # at d = 0, 1, 2, clear denominators and bracket its upper root with
+    # isqrt.
+    def gap(dd: int, k: int = kappa) -> Fraction:
+        a, b, _ = section5_quadratic(dd, k)
+        return Fraction(-b, a) - _genus_upper_delta_raw(dd, s_eff)
+
+    g0, g1, g2 = gap(0), gap(1), gap(2)
+    qa = (g2 - 2 * g1 + g0) / 2  # > 0 because s_eff >= 34
+    qb = g1 - g0 - qa
+    qc = g0
 
     lcm = math.lcm(qa.denominator, qb.denominator, qc.denominator)
-    ia = qa.numerator * (lcm // qa.denominator)  # > 0 because s_eff >= 34
-    ib = qb.numerator * (lcm // qb.denominator)
-    ic = qc.numerator * (lcm // qc.denominator)
+    ia, ib, ic = (q.numerator * (lcm // q.denominator) for q in (qa, qb, qc))
     if ic >= 0:
-        # qc < 0  <=>  4*(9 - 12*kappa) < 33*(3*s_eff^2 - 28)
-        least = (36 - 33 * (3 * s_eff * s_eff - 28)) // 48 + 1
+        # qc = gap(0) falls linearly in kappa; name the least kappa past 0.
+        least = math.floor(kappa - qc / (gap(0, kappa + 1) - qc)) + 1
         raise DomainError(
             f"kappa = {kappa} is out of range for effective degree "
             f"{s_eff}: the crossing argument needs kappa >= {least}"
@@ -177,14 +170,13 @@ def _crossing_paper(s_eff: int, kappa: int) -> int:
     while not positive(d_star):
         d_star += 1
 
-    # -B/A bounds delta from below only where C(d) < 0.  C'' = 34 - 12d is
-    # negative for d >= 3, and d* lies past the vertex -ib/(2*ia), which is
-    # above 1000 for every s_eff >= 34; so C(d*) < 0 and C'(d*) < 0 keep C
-    # negative for every d >= d*.
-    c_at = -2 * d_star ** 3 + 17 * d_star ** 2 + (6 * kappa - 18) * d_star \
-        + kappa * kappa
-    c_slope = -6 * d_star ** 2 + 34 * d_star + 6 * kappa - 18
-    if c_at >= 0 or c_slope >= 0:
+    # -B/A bounds delta from below only where C(d) < 0.  The gap falls from
+    # d = 0 to d = 1 and 2, so d* > 2, and for d >= 2 the second difference
+    # of C is 22 - 12d < 0; so C(d*) < 0 and a falling step from d* keep C
+    # negative at every integer d >= d*.
+    c_at = section5_quadratic(d_star, kappa)[2]
+    c_next = section5_quadratic(d_star + 1, kappa)[2]
+    if c_at >= 0 or c_next >= c_at:
         raise DomainError(
             f"kappa = {kappa} is out of range for effective degree "
             f"{s_eff}: the forced quadratic's constant term C(d) is not "
@@ -227,6 +219,7 @@ def degree_bound(s: int, kappa: int, mode: str = "paper") -> BoundReport:
     their applicability ranges; the final bound then clamps by s^3 and the
     lifting threshold, mirroring the structure of the argument.
     """
+    require_ints("s and kappa must be integers", s, kappa)
     if mode not in ("paper", "sharp"):
         raise ValueError(f"mode must be 'paper' or 'sharp', got {mode!r}")
     s_eff = _effective_even(s)
@@ -259,7 +252,7 @@ def proof_trace(report: BoundReport) -> str:
     s_eff = _effective_even(report.s)
     genus_const = Fraction(3 * s_eff * s_eff - 28, 4)
     genus_lin = Fraction(s_eff, 2) - 3
-    lower_const = Fraction(-12 * report.kappa + 9, 33)
+    a, b0, _ = section5_quadratic(0, report.kappa)
     lines = [
         f"degree bound for s = {report.s} (effective even degree {s_eff}), "
         f"K_S^2 cap {report.kappa} [{report.delta_mode} mode]",
@@ -270,9 +263,9 @@ def proof_trace(report: BoundReport) -> str:
         f"delta <= d^2/{s_eff} + {rat_str(genus_lin)}*d + "
         f"{rat_str(genus_const)}",
         f"  [3] Schur semi-positivity + Hodge index with K_S^2 <= "
-        f"{report.kappa}: 33*delta^2 + (-d^2 + 34*d + "
-        f"{12 * report.kappa - 9})*delta + C(d) >= 0, so "
-        f"delta >= (d^2 - 34*d)/33 + ({rat_str(lower_const)}) "
+        f"{report.kappa}: {a}*delta^2 + (-d^2 + 34*d + {b0})*delta + "
+        f"C(d) >= 0, so delta >= (d^2 - 34*d)/{a} + "
+        f"({rat_str(Fraction(-b0, a))}) "
         "once C(d) < 0",
         f"  [4] crossing: the lower bound [3] exceeds the upper bound [2] "
         f"from d = {report.first_contradictory_degree} on",

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .formatting import rat_str
-from .invariants import InvariantTuple, hodge_numbers, schur_numbers
+from .invariants import (InvariantTuple, hodge_numbers, require_ints,
+                         schur_numbers)
 
 COVER_FLAGS = frozenset(
     {"covered_by_lines", "section_not_general_type", "kx_plus_h_empty"}
@@ -43,6 +44,9 @@ class HypothesisConfig:
     min_degree: int = 1
 
     def __post_init__(self):
+        require_ints("min_degree must be an integer", self.min_degree)
+        if self.ks2_cap is not None:
+            require_ints("ks2_cap must be an integer or None", self.ks2_cap)
         unknown = set(self.cover_flags) - COVER_FLAGS
         if unknown:
             raise ValueError(f"unknown cover flags: {sorted(unknown)}")
@@ -115,6 +119,7 @@ def _iter_constraints(t: InvariantTuple,
 def evaluate(t: InvariantTuple, cfg: HypothesisConfig) -> ConstraintReport:
     """Evaluate every constraint; the report keeps all exact slacks."""
     t = InvariantTuple(*t)
+    require_ints("evaluate needs five integers", *t)
     entries = tuple(_iter_constraints(t, cfg))
     return ConstraintReport(
         tuple=t,
@@ -125,7 +130,9 @@ def evaluate(t: InvariantTuple, cfg: HypothesisConfig) -> ConstraintReport:
 
 def is_feasible(t: InvariantTuple, cfg: HypothesisConfig) -> bool:
     """Conjunction shortcut: stops at the first violated constraint."""
-    return all(e.satisfied for e in _iter_constraints(InvariantTuple(*t), cfg))
+    t = InvariantTuple(*t)
+    require_ints("is_feasible needs five integers", *t)
+    return all(e.satisfied for e in _iter_constraints(t, cfg))
 
 
 def feasible_v(d: int, delta: int, chi: int, u: int, cfg: HypothesisConfig,

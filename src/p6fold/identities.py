@@ -5,15 +5,17 @@ the ring machinery (:func:`normal_chern`, :func:`twist_rank3`,
 :func:`schur_values`, :func:`reduce_to_params`) and compares it
 coefficient-by-coefficient against its stated right side.  The Schur and
 Hodge right sides are the closed forms of :mod:`p6fold.invariants` that
-``profile`` and the constraint system run, so the registry proves that code.
-The 17 canonical ids:
+``profile`` and the constraint system run, and the S5.QUAD right side is
+:func:`p6fold.bounds.section5_quadratic`, which the bound solver runs; so the
+registry proves that code.  S5.QUAD builds its left side from the same Schur
+and Hodge forms, eliminating v at chi = u = 1.  The 17 canonical ids:
 
     L3.4          normal-bundle Chern classes (three components at once)
     L3.6.1-L3.6.5 consistency of the degree-3 substitution table
     L4.3.1-L4.3.6 the six Schur numbers of the twisted normal bundle
     DP            double-point identity: n3 reduces to d^2
     C4.5.1,C4.5.2 the two Hodge-index inequalities in expanded parameter form
-    S5.QUAD       the closing quadratic in delta
+    S5.QUAD       the closing quadratic in delta (K_S^2 cap 9)
     S5.SUM        s(20)*h + s(11)*h = 3d + 6*delta + 10*chi - u
 
 ``L3.4.1``/``L3.4.2``/``L3.4.3`` are accepted as sub-ids of ``L3.4`` for
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .bounds import section5_quadratic
 from .errors import UnknownIdentityError
 from .invariants import hodge_numbers, schur_numbers
 from .ring import (
@@ -158,15 +161,14 @@ def _check_hodge_hyperplane():
 
 
 def _check_closing_quadratic():
-    # Eliminating v between the upper bound (Hodge index, cap 9) and the
-    # lower bound (s210 >= 0 with 30*chi + 3*u - 24 >= 9) gives a quadratic
-    # in delta that must be non-negative.
-    lhs = ((3 * d + 6 * delta + 9) ** 2
-           - (2 * d + delta) * (d * d - 4 * d + 3 * delta + 9))
-    rhs = (33 * delta ** 2
-           + (-d * d + 34 * d + 99) * delta
-           + (81 + 17 * d * d + 36 * d - 2 * d ** 3))
-    return [_compare("", lhs, rhs)]
+    # At chi = u = 1, s210 >= 0 reads v >= d^2 - 4d + 3*delta + 9 and
+    # 10*chi - u = 9; putting that least v into the twisted-determinant
+    # Hodge form eliminates v and leaves the quadratic in delta that the
+    # bound solver runs, at cap 9.
+    v0 = -schur_numbers(d, delta, 1, 1, 0)[4]
+    lhs = hodge_numbers(d, delta, 1, 1, v0)[0]
+    a, b, c = section5_quadratic(d, 9)
+    return [_compare("", lhs, a * delta ** 2 + b * delta + c)]
 
 
 def _check_schur_sum():

@@ -132,13 +132,20 @@ def from_geometry(d: int, g: int, chi: int, u: int, v: int) -> InvariantTuple:
     return InvariantTuple(d, 2 * g - 2, chi, u, v)
 
 
+def require_ints(what: str, *values) -> None:
+    """Raise ``ValueError("<what>, got <values>")`` unless every value is an
+    int, so that no float or fraction reaches a closed form or a decision."""
+    if not all(isinstance(x, int) for x in values):
+        got = values[0] if len(values) == 1 else values
+        raise ValueError(f"{what}, got {got!r}")
+
+
 def profile(t: InvariantTuple) -> Profile:
     """Every derived number of ``t``, by the closed forms above.
 
     Raises :class:`ValueError` unless all five invariants are integers.
     """
-    if not all(isinstance(x, int) for x in t):
-        raise ValueError(f"profile needs five integers, got {tuple(t)!r}")
+    require_ints("profile needs five integers", *t)
     d, delta, chi, u, v = t
     h3, h2k, hk2, k3, hc2, kc2, c3top = degree3_numbers(d, delta, chi, u, v)
     pg = chi - 1

@@ -173,12 +173,6 @@ class GradedPoly(_Poly):
         return GradedPoly({m: c for m, c in self._terms.items()
                            if self._degree(m) == degree})
 
-    def degrees(self):
-        return sorted({self._degree(m) for m in self._terms})
-
-    def is_homogeneous(self, degree: int) -> bool:
-        return all(self._degree(m) == degree for m in self._terms)
-
     def degree3_basis(self) -> "Basis3":
         """The seven coordinates of the degree-3 component."""
         return Basis3(*(self.coefficient(m) for m in _BASIS3_MONOMIALS))
@@ -214,16 +208,8 @@ class ParamExpr(_Poly):
 
     def evaluate(self, d, delta, chi, u, v) -> Fraction:
         """Exact value at an integer or rational parameter point."""
-        point = (Fraction(d), Fraction(delta), Fraction(chi), Fraction(u),
-                 Fraction(v))
-        total = Fraction(0)
-        for mono, c in self._terms.items():
-            term = c
-            for e, x in zip(mono, point):
-                if e:
-                    term *= x ** e
-            total += term
-        return total
+        value = self.substitute(d=d, delta=delta, chi=chi, u=u, v=v)
+        return value.coefficient((0, 0, 0, 0, 0))
 
     def substitute(self, **values) -> "ParamExpr":
         """Partially evaluate; unnamed parameters stay symbolic.

@@ -28,7 +28,11 @@ _AXES = ("d", "delta", "chi", "u", "v")
 def _parse_range(axis: str, value) -> Tuple[int, int]:
     if isinstance(value, int):
         return value, value
-    lo, hi = int(value[0]), int(value[1])
+    if not (isinstance(value, (tuple, list)) and len(value) == 2
+            and all(isinstance(x, int) for x in value)):
+        raise ValueError(f"{axis} must be an integer or a pair of integers, "
+                         f"got {value!r}")
+    lo, hi = value
     if lo > hi:
         raise ValueError(f"empty range for {axis}: {lo}..{hi}")
     return lo, hi

@@ -115,13 +115,31 @@ def test_delta_lower_requires_negative_constant_term():
 
 
 def test_delta_lower_sharp_brackets_the_root():
-    for dd in (100, 500, 16921):
+    for dd in (100, 500, 16921, 17, 16922, 10 ** 6):
         paper = delta_lower(dd, 9, mode="paper")
         sharp = delta_lower(dd, 9, mode="sharp")
         assert paper <= sharp
         # sharp sits within the tolerance below the true root
         assert quadratic_at(dd, 9, sharp) <= 0
         assert quadratic_at(dd, 9, sharp + SHARP_TOLERANCE) > 0
+        # ... on the tolerance grid
+        assert (sharp / SHARP_TOLERANCE).denominator == 1
+
+
+def test_bounds_reject_non_integer_arguments():
+    # Each used to raise a bare TypeError or, for delta_lower, return a value.
+    calls = [
+        (lambda: degree_bound(34.0, 9), "s and kappa"),
+        (lambda: degree_bound(34, 9.0, mode="sharp"), "s and kappa"),
+        (lambda: lifting_threshold(34.5), "s must"),
+        (lambda: genus_upper_delta(39305.5, 34), "d and s"),
+        (lambda: genus_upper_delta(39305, Fraction(34)), "d and s"),
+        (lambda: delta_lower(100.5, 9), "d and kappa"),
+        (lambda: delta_lower(100, Fraction(9), mode="sharp"), "d and kappa"),
+    ]
+    for call, names in calls:
+        with pytest.raises(ValueError, match=f"{names} .*integer"):
+            call()
 
 
 def test_delta_lower_rejects_unknown_mode():
@@ -139,14 +157,22 @@ def test_headline_degree_bound():
     assert report.first_contradictory_degree == 16922
 
 
+# (s, kappa) pairs whose crossings the tests check beyond the headline one.
+CROSSING_CASES = [(s, kappa) for s in (34, 35, 40, 60, 89)
+                  for kappa in (0, 9, 11)] + [(34, -2364)]
+
+
 def test_first_contradiction_sign_change():
     # Independent integer oracle for the crossing of the two delta bounds.
     assert 16921 ** 2 - 16864 * 16921 - 968286 < 0
     assert 16922 ** 2 - 16864 * 16922 - 968286 > 0
-    report = degree_bound(34, 9)
-    d_star = report.first_contradictory_degree
-    assert delta_lower(d_star, 9) > genus_bound_raw(d_star, 34)
-    assert delta_lower(d_star - 1, 9) <= genus_bound_raw(d_star - 1, 34)
+    assert degree_bound(34, 9).first_contradictory_degree == 16922
+    for s, kappa in CROSSING_CASES:
+        s_eff = s if s % 2 == 0 else s - 1
+        d_star = degree_bound(s, kappa).first_contradictory_degree
+        assert delta_lower(d_star, kappa) > genus_bound_raw(d_star, s_eff)
+        assert delta_lower(d_star - 1, kappa) <= \
+            genus_bound_raw(d_star - 1, s_eff)
 
 
 def genus_bound_raw(dd, s_eff):
@@ -220,9 +246,14 @@ def test_sharp_mode_crosses_no_later():
         paper.first_contradictory_degree
     assert sharp.final_bound == paper.final_bound == 39304
     # exact oracle for "true positive root exceeds the genus bound"
-    d_star = sharp.first_contradictory_degree
-    assert true_root_exceeds(d_star, 9, 34)
-    assert not true_root_exceeds(d_star - 1, 9, 34)
+    for s, kappa in CROSSING_CASES:
+        s_eff = s if s % 2 == 0 else s - 1
+        paper = degree_bound(s, kappa)
+        sharp = degree_bound(s, kappa, mode="sharp")
+        d_star = sharp.first_contradictory_degree
+        assert d_star <= paper.first_contradictory_degree
+        assert true_root_exceeds(d_star, kappa, s_eff)
+        assert not true_root_exceeds(d_star - 1, kappa, s_eff)
 
 
 def true_root_exceeds(dd, kappa, s_eff):

@@ -128,6 +128,18 @@ def test_unknown_cover_flag_rejected():
         HypothesisConfig(cover_flags=frozenset({"proper"}))
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"ks2_cap": 9.5}, "ks2_cap"),
+    ({"ks2_cap": "9"}, "ks2_cap"),
+    ({"min_degree": 0.5}, "min_degree"),
+    ({"min_degree": None}, "min_degree"),
+])
+def test_config_rejects_non_integer_numbers(kwargs, name):
+    # ks2_cap=9.5 used to give a K slack of 0.5.
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        HypothesisConfig(**kwargs)
+
+
 def test_min_degree_strictness():
     t = InvariantTuple(2, -2, 1, 2, 2)
     assert is_feasible(t, HypothesisConfig(min_degree=2))

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import FIXTURES, split_bundle_profile
+from p6fold.constraints import HypothesisConfig, evaluate, is_feasible
 from p6fold.errors import DomainError
 from p6fold.invariants import InvariantTuple, from_geometry, profile
 from p6fold.ring import h, normal_chern, reduce_to_params, schur_values, twist_rank3
@@ -95,10 +96,17 @@ def test_profile_schur_matches_symbolic_route():
     (Fraction(1, 2), -2, 1, 1, 0),
     (1, -2.0, 1, 1, 0),
     (1, -2, 1, 1, "0"),
+    (2.0, 0, 1, 1, 0),
+    (1, -2, 1, 1, 0.5),
 ])
 def test_profile_rejects_non_integers(bad):
     with pytest.raises(ValueError, match="five integers"):
         profile(bad)
+    # No float enters a feasibility decision either: evaluate used to return
+    # float slacks and is_feasible to decide on them.
+    for check in (evaluate, is_feasible):
+        with pytest.raises(ValueError, match="five integers"):
+            check(bad, HypothesisConfig())
 
 
 def test_raw_mode_odd_delta_has_half_integral_genus():

@@ -156,6 +156,13 @@ def test_box_parse_rejects(spec):
         ScanBox.parse(spec)
 
 
+@pytest.mark.parametrize("d", [(1.7, 2), 1.5, (1, "2"), (1, 2, 3), None])
+def test_box_of_rejects_non_integer_ranges(d):
+    # (1.7, 2) used to become (1, 2) and 1.5 to raise TypeError.
+    with pytest.raises(ValueError, match="d must be an integer or a pair"):
+        ScanBox.of(d=d, delta=-2, chi=1, u=1, v=0)
+
+
 @pytest.mark.parametrize("box", [
     ScanBox.of(d=(1, 2), delta=-1, chi=1, u=(1, 2), v=(0, 2)),  # no rows
     ScanBox.of(d=(1, 2), delta=-2, chi=1, u=(1, 2), v=(0, 2)),  # two rows
