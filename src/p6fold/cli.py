@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from . import bounds, constraints, identities
@@ -219,19 +220,32 @@ def _cmd_bound(args) -> int:
     return 0
 
 
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at the null device, so that bytes a failed
+    write left in its buffer do not fail again when the interpreter exits.
+    A stdout with no descriptor is left alone."""
+    with contextlib.suppress(AttributeError, OSError, ValueError):
+        fd = sys.stdout.fileno()
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+
+
 def _cmd_scan(args) -> int:
     cfg = _config_from_args(args)
     print(f"# box volume {args.box.volume()}", file=sys.stderr)
     try:
-        sink = (open(args.out, "w") if args.out
-                else contextlib.nullcontext(sys.stdout))
+        with (open(args.out, "w") if args.out
+              else contextlib.nullcontext(sys.stdout)) as out:
+            result = run_scan(args.box, cfg, out, fmt=args.fmt,
+                              with_profile=args.with_profile)
+            out.flush()
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc.strerror}",
-              file=sys.stderr)
+        print(f"error: cannot write {args.out or 'stdout'}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        if not args.out:
+            _discard_stdout()
         return 2
-    with sink as out:
-        result = run_scan(args.box, cfg, out, fmt=args.fmt,
-                          with_profile=args.with_profile)
     print(f"# scanned {result.scanned} feasible {result.feasible}",
           file=sys.stderr)
     return 0

@@ -135,19 +135,18 @@ def is_feasible(t: InvariantTuple, cfg: HypothesisConfig) -> bool:
     return all(e.satisfied for e in _iter_constraints(t, cfg))
 
 
-def feasible_v(d: int, delta: int, chi: int, u: int, cfg: HypothesisConfig,
-               lo: int, hi: int) -> range:
-    """The v in ``lo..hi`` for which ``(d, delta, chi, u, v)`` is feasible.
+# The constraints whose closed forms contain no v and are affine in u.  H1
+# is left out: it has no v when 2d + delta = 0, but it is quadratic in u.
+U_CONSTRAINTS = frozenset("B1 B2 B3 B4 B5 S1 S2 S3 S4 H2 K".split())
 
-    Every constraint value is affine in v (registry-checked for the Schur
-    and Hodge forms; the others do not involve v), so its values at v = 0
-    and v = 1 give its slope.  A sloped constraint ``value >= 0`` bounds v
-    on one side; a flat one either holds for every v or empties the cell.
-    """
+
+def _affine_interval(pairs, lo: int, hi: int) -> range:
+    """The x in ``lo..hi`` at which every constraint holds, given each one's
+    values at x = 0 and x = 1 as ``(e0, e1)`` and affine in x.  A sloped
+    constraint ``value >= 0`` bounds x on one side; a flat one either holds
+    for every x or empties the interval."""
     lower, upper = lo, hi
-    at0 = _iter_constraints(InvariantTuple(d, delta, chi, u, 0), cfg)
-    at1 = _iter_constraints(InvariantTuple(d, delta, chi, u, 1), cfg)
-    for e0, e1 in zip(at0, at1):
+    for e0, e1 in pairs:
         slope = e1.value - e0.value
         if slope > 0:
             lower = max(lower, -(e0.value // slope))  # ceil(-value / slope)
@@ -156,3 +155,30 @@ def feasible_v(d: int, delta: int, chi: int, u: int, cfg: HypothesisConfig,
         elif not e0.satisfied:
             return range(0)
     return range(lower, upper + 1)
+
+
+def feasible_u(d: int, delta: int, chi: int, cfg: HypothesisConfig,
+               lo: int, hi: int) -> range:
+    """The u in ``lo..hi`` at which every constraint in ``U_CONSTRAINTS``
+    holds for ``(d, delta, chi, u)``; outside it no v is feasible.  Raises
+    :class:`ValueError` unless all five numbers are integers."""
+    require_ints("feasible_u needs five integers", d, delta, chi, lo, hi)
+    at0 = _iter_constraints(InvariantTuple(d, delta, chi, 0, 0), cfg)
+    at1 = _iter_constraints(InvariantTuple(d, delta, chi, 1, 0), cfg)
+    return _affine_interval(((e0, e1) for e0, e1 in zip(at0, at1)
+                             if e0.id in U_CONSTRAINTS), lo, hi)
+
+
+def feasible_v(d: int, delta: int, chi: int, u: int, cfg: HypothesisConfig,
+               lo: int, hi: int) -> range:
+    """The v in ``lo..hi`` for which ``(d, delta, chi, u, v)`` is feasible.
+
+    Every constraint value is affine in v (registry-checked for the Schur
+    and Hodge forms; the others do not involve v), so its values at v = 0
+    and v = 1 give its slope.  Raises :class:`ValueError` unless all six
+    numbers are integers.
+    """
+    require_ints("feasible_v needs six integers", d, delta, chi, u, lo, hi)
+    at0 = _iter_constraints(InvariantTuple(d, delta, chi, u, 0), cfg)
+    at1 = _iter_constraints(InvariantTuple(d, delta, chi, u, 1), cfg)
+    return _affine_interval(zip(at0, at1), lo, hi)

@@ -1,9 +1,11 @@
 """Lattice scan over invariant boxes, streaming the feasible tuples.
 
-The scan walks the (d, delta, chi, u) cells of the box in lexicographic
-order and, in each, only the v that :func:`constraints.feasible_v` leaves,
-so its cost grows with the number of cells plus the number of feasible
-rows, not with the box volume.  Output is always lexicographic in
+The scan walks the (d, delta, chi) triples of the box in lexicographic
+order; in each, only the u that :func:`constraints.feasible_u` leaves; and
+in each such cell, only the v that :func:`constraints.feasible_v` leaves.
+So its cost grows with the number of triples, plus the cells left by the
+u-interval, plus the feasible rows, not with the box volume.  Output is
+always lexicographic in
 (d, delta, chi, u, v).  Rows are buffered and written to the sink in one
 call, so a failed write leaves no partial output behind.
 """
@@ -15,7 +17,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Tuple
 
-from .constraints import HypothesisConfig, feasible_v, is_feasible
+from .constraints import (HypothesisConfig, feasible_u, feasible_v,
+                          is_feasible)
 from .invariants import InvariantTuple, Profile, profile
 
 CSV_HEADER = "d,delta,chi,u,v"
@@ -103,14 +106,15 @@ class ScanResult:
 
 def _feasible_points(box: ScanBox, cfg: HypothesisConfig
                      ) -> Iterator[InvariantTuple]:
-    # The v-interval only skips work: is_feasible still decides every row.
+    # The u- and v-intervals only skip work: is_feasible decides every row.
     (d0, d1), (e0, e1), (c0, c1), (u0, u1), (v0, v1) = box.ranges()
-    for d, delta, chi, u in product(range(d0, d1 + 1), range(e0, e1 + 1),
-                                    range(c0, c1 + 1), range(u0, u1 + 1)):
-        for v in feasible_v(d, delta, chi, u, cfg, v0, v1):
-            t = InvariantTuple(d, delta, chi, u, v)
-            if is_feasible(t, cfg):
-                yield t
+    for d, delta, chi in product(range(d0, d1 + 1), range(e0, e1 + 1),
+                                 range(c0, c1 + 1)):
+        for u in feasible_u(d, delta, chi, cfg, u0, u1):
+            for v in feasible_v(d, delta, chi, u, cfg, v0, v1):
+                t = InvariantTuple(d, delta, chi, u, v)
+                if is_feasible(t, cfg):
+                    yield t
 
 
 def iter_feasible(box: ScanBox, cfg: HypothesisConfig

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import subprocess
 import sys
+
+import pytest
 
 from p6fold import bounds, constraints, invariants
 from p6fold.cli import main
@@ -218,6 +222,50 @@ def test_scan_unwritable_out_is_usage_error(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert f"error: cannot write {target}" in err
     assert not target.parent.exists()
+
+
+SMALL_BOX = "d=1..3,delta=-2..7,chi=1..2,u=1..5,v=0..7"
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="no /dev/full")
+
+
+@needs_dev_full
+def test_scan_out_to_full_device_is_usage_error(capsys):
+    # Used to die with an OSError traceback and exit 1 ("infeasible").
+    code, out, err = run_cli(
+        ["scan", "--box", SMALL_BOX, "--out", "/dev/full"], capsys)
+    assert (code, out) == (2, "")
+    assert f"error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}" in err
+
+
+class _FullStdout:
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        pass
+
+
+def test_scan_failed_stdout_write_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    code, _, err = run_cli(["scan", "--box", SMALL_BOX], capsys)
+    assert code == 2
+    assert err.endswith(
+        f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
+
+
+@needs_dev_full
+def test_scan_redirected_to_full_device_exits_cleanly():
+    # With buffered stdout the failed bytes would be flushed again, and fail
+    # again, at interpreter exit (exit status 120).
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "p6fold.cli", "scan", "--box", SMALL_BOX],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1] == (
+        f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}")
 
 
 def test_console_script_end_to_end():

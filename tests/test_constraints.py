@@ -8,8 +8,10 @@ import pytest
 
 from p6fold.constraints import (
     COVER_FLAGS,
+    U_CONSTRAINTS,
     HypothesisConfig,
     evaluate,
+    feasible_u,
     feasible_v,
     is_feasible,
 )
@@ -179,3 +181,29 @@ def test_feasible_v_is_exactly_the_feasible_v(cfg):
         expected = [v for v in range(lo, hi + 1)
                     if is_feasible(InvariantTuple(d, delta, chi, u, v), cfg)]
         assert list(feasible_v(d, delta, chi, u, cfg, lo, hi)) == expected
+
+    # feasible_u: the u whose constraints without v all hold.  Every third
+    # triple has 2d + delta = 0, where H1 has no v but is quadratic in u.
+    for i in range(300):
+        d = rng.randint(-2, 12)
+        delta = -2 * d if i % 3 == 0 else rng.randint(-4, 10)
+        chi = rng.randint(0, 3)
+        lo = rng.randint(-10, 20)
+        hi = lo + rng.randint(-1, 40)
+        expected = [
+            u for u in range(lo, hi + 1)
+            if all(e.satisfied for e in evaluate(
+                InvariantTuple(d, delta, chi, u, 0), cfg).entries
+                if e.id in U_CONSTRAINTS)]
+        assert list(feasible_u(d, delta, chi, cfg, lo, hi)) == expected
+
+
+@pytest.mark.parametrize("call", [
+    lambda cfg: feasible_v(1.5, -2, 1, 1, cfg, 0, 40),  # was range(0, 0)
+    lambda cfg: feasible_v(1, -2, 1, 1, cfg, 0.5, 40),  # was a TypeError
+    lambda cfg: feasible_u(1.5, -2, 1, cfg, 0, 40),
+    lambda cfg: feasible_u(1, -2, 1, cfg, 0, 40.0),
+])
+def test_intervals_reject_non_integer_arguments(call):
+    with pytest.raises(ValueError, match="needs (five|six) integers"):
+        call(HypothesisConfig(geometric_mode=False))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from p6fold.constraints import _HODGE_IDS, _SCHUR_IDS, U_CONSTRAINTS
 from p6fold.errors import UnknownIdentityError
 from p6fold.identities import (
     _HODGE_PARAM_FORMS,
@@ -114,3 +115,16 @@ def test_schur_and_hodge_forms_are_affine_in_v():
     # v = 1, which is exact only while no form has a v^2 (or higher) term.
     for form in (*SCHUR_PARAM_FORMS, *_HODGE_PARAM_FORMS):
         assert all(mono[4] <= 1 for mono in form.monomials()), form.text()
+
+
+def test_u_constraints_are_the_forms_free_of_v_and_affine_in_u():
+    # constraints.feasible_u reads u-slopes off u = 0 and u = 1 at v = 0, so
+    # its Schur and Hodge constraints must have no v and no u^2 term.
+    forms = dict(zip((*_SCHUR_IDS, *_HODGE_IDS),
+                     (*SCHUR_PARAM_FORMS, *_HODGE_PARAM_FORMS)))
+    no_v_affine_u = {
+        cid for cid, form in forms.items()
+        if all(mono[4] == 0 and mono[3] <= 1 for mono in form.monomials())}
+    assert no_v_affine_u == U_CONSTRAINTS & forms.keys()
+    for cid in ("S5", "S6", "H1"):
+        assert any(mono[4] > 0 for mono in forms[cid].monomials()), cid

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import importlib
 import io
 import json
 import random
+from itertools import product
 
 import pytest
 
 from oracles import naive_feasible_rows
-from p6fold.constraints import HypothesisConfig
+from p6fold.constraints import U_CONSTRAINTS, HypothesisConfig, evaluate
 from p6fold.invariants import InvariantTuple
 from p6fold.scan import ScanBox, iter_feasible, scan
+
+# The attribute p6fold.scan is the scan function, not the module.
+scan_module = importlib.import_module("p6fold.scan")
 
 GEOMETRIC = HypothesisConfig()
 
@@ -61,9 +66,9 @@ def random_box(rng, max_volume=1500):
             return box
 
 
-# Tuples feasible under every config below.  Each wide-v box is drawn around
-# one, so it has rows, and its v range is wide enough for the per-cell
-# v-interval to clip both ends.
+# Tuples feasible under every config below.  Each wide-v (wide-u) box is
+# drawn around one, so it has rows, and its v (u) range is wide enough for
+# the per-cell v-interval (the per-triple u-interval) to clip both ends.
 ANCHORS = ((3, 0, 1, 7, 24), (4, 0, 1, 6, 28), (4, 2, 1, 11, 45),
            (5, -2, 1, 1, 10))
 WIDE_V_CONFIGS = (
@@ -81,17 +86,53 @@ def wide_v_box(rng):
     return ScanBox(*spans)
 
 
+def wide_u_box(rng):
+    d, delta, chi, u, v = rng.choice(ANCHORS)
+    lo = u - rng.randint(5, 15)
+    return ScanBox(d=(d - rng.randint(0, 1), d + rng.randint(0, 1)),
+                   delta=(delta - 2, delta + 2),
+                   chi=(chi - rng.randint(0, 1), chi + rng.randint(0, 1)),
+                   u=(lo, lo + rng.randint(20, 30)),
+                   v=(v - rng.randint(0, 8), v + rng.randint(0, 8)))
+
+
 def test_matches_naive_filter_on_random_boxes():
     rng = random.Random(20250101)
     cases = [(random_box(rng), GEOMETRIC) for _ in range(12)]
     cases += [(wide_v_box(rng), cfg)
               for cfg in WIDE_V_CONFIGS for _ in range(3)]
+    cases += [(wide_u_box(rng), cfg)
+              for cfg in WIDE_V_CONFIGS for _ in range(2)]
     for box, cfg in cases:
         expected = naive_feasible_rows(box, cfg)
         result, out = run_scan(box, cfg)
         assert out.strip().splitlines()[1:] == expected
         assert result.scanned == box.volume()
         assert result.feasible == len(expected)
+
+
+def test_scan_skips_cells_outside_the_u_interval(monkeypatch):
+    # The first scan-sparse benchmark box: feasible_v runs only on the cells
+    # whose constraints without v hold, not on all 11,160 cells.
+    box = ScanBox.parse("d=1..10,delta=-2..28,chi=1..3,u=4..15,v=-4..36")
+    calls = []
+    real = scan_module.feasible_v
+
+    def counting_feasible_v(*args):
+        calls.append(args[:4])
+        return real(*args)
+
+    monkeypatch.setattr(scan_module, "feasible_v", counting_feasible_v)
+    result, _ = run_scan(box)
+    cells = [
+        cell for cell in product(*(range(lo, hi + 1)
+                                   for lo, hi in box.ranges()[:4]))
+        if all(e.satisfied for e in evaluate(
+            InvariantTuple(*cell, 0), GEOMETRIC).entries
+            if e.id in U_CONSTRAINTS)]
+    assert calls == cells
+    assert len(cells) == 283
+    assert result.scanned == box.volume()
 
 
 def test_worker_counts_produce_identical_bytes():
