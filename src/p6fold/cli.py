@@ -2,7 +2,8 @@
 
 Thin adapters only: every number printed here is produced by the library
 modules.  Exit codes: 0 success / feasible / all identities pass, 1
-infeasible or some identity failed, 2 usage error, 3 domain error.
+infeasible or some identity failed, 2 usage error or a failed write of the
+output, 3 domain error.
 """
 
 from __future__ import annotations
@@ -234,18 +235,11 @@ def _discard_stdout() -> None:
 def _cmd_scan(args) -> int:
     cfg = _config_from_args(args)
     print(f"# box volume {args.box.volume()}", file=sys.stderr)
-    try:
-        with (open(args.out, "w") if args.out
-              else contextlib.nullcontext(sys.stdout)) as out:
-            result = run_scan(args.box, cfg, out, fmt=args.fmt,
-                              with_profile=args.with_profile)
-            out.flush()
-    except OSError as exc:
-        print(f"error: cannot write {args.out or 'stdout'}: "
-              f"{exc.strerror or exc}", file=sys.stderr)
-        if not args.out:
-            _discard_stdout()
-        return 2
+    with (open(args.out, "w") if args.out
+          else contextlib.nullcontext(sys.stdout)) as out:
+        result = run_scan(args.box, cfg, out, fmt=args.fmt,
+                          with_profile=args.with_profile)
+        out.flush()
     print(f"# scanned {result.scanned} feasible {result.feasible}",
           file=sys.stderr)
     return 0
@@ -267,7 +261,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except OSError as exc:
+        # Only output can fail: no subcommand reads a file.
+        target = getattr(args, "out", None)
+        print(f"error: cannot write {target or 'stdout'}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        if not target:
+            _discard_stdout()
+        return 2
     except UnknownIdentityError as exc:
         print(f"error: unknown identity id {exc.args[0]!r}; known ids: "
               f"{', '.join(identities.identity_ids())}", file=sys.stderr)

@@ -4,21 +4,34 @@ Constraints, in fixed report order:
 
 * ``B1``–``B5`` (geometric mode only): d at least the minimal degree, delta
   even, delta >= -2, chi >= 1, u >= 1.
-* ``S1``–``S6``: the six Schur numbers of the twisted normal bundle, each
-  required non-negative because the bundle is globally generated.
-* ``H1``, ``H2``: the two Hodge-index inequalities, in multiplied-out form so
-  they stay total even when 2d + delta = 0.
+* ``S1``–``S6``: the six Schur numbers of the twisted normal bundle
+  N(-1), s(1)h^2, s(2)h, s(1,1)h, s(3), s(2,1) and s(1,1,1), where
+  s(lambda) is the determinant of the Chern classes c_{lambda_i + j - i}
+  of N(-1).  Each is required non-negative because N(-1) is globally
+  generated.
+* ``H1``, ``H2``: the Hodge index inequality for h and D = c1(N(-1)) =
+  4h + k, on a member of |D| and on the hyperplane surface:
+  (h.D^2)^2 >= (h^2.D)(D^3) and (h^2.D)^2 >= (h^3)(h.D^2).  They are in
+  multiplied-out form, so they stay total even when 2d + delta = 0.
 * ``K`` (only when a cap is configured): K_S^2 = 10*chi - u at most the cap.
 
-Inequality constraints are satisfied iff their value is >= 0; the parity
-constraint ``B2`` is satisfied iff its value (delta mod 2) is 0.  All values
-are exact integers on integer tuples.
+All values are exact integers on integer tuples.  Every constraint is
+satisfied iff its value is >= 0, except that the report gives ``B2`` as
+delta mod 2, which is satisfied iff it is 0.
+
+One private kernel, ``_values``, computes every value as a plain tuple of
+ints in report order, from the closed forms of :mod:`p6fold.invariants`.
+It stores B2 as -(delta mod 2), so that "holds" means ">= 0" for every
+entry.  :func:`is_feasible`, :func:`feasible_u` and :func:`feasible_v` read
+only that tuple; :func:`evaluate` alone turns it into
+:class:`ConstraintValue` records, giving B2 back its sign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from functools import cached_property
+from typing import Optional
 
 from .formatting import rat_str
 from .invariants import (InvariantTuple, hodge_numbers, require_ints,
@@ -27,6 +40,14 @@ from .invariants import (InvariantTuple, hodge_numbers, require_ints,
 COVER_FLAGS = frozenset(
     {"covered_by_lines", "section_not_general_type", "kx_plus_h_empty"}
 )
+
+_BASIC_IDS = ("B1", "B2", "B3", "B4", "B5")
+_SCHUR_IDS = ("S1", "S2", "S3", "S4", "S5", "S6")
+_HODGE_IDS = ("H1", "H2")
+
+# The constraints whose closed forms contain no v and are affine in u.  H1
+# is left out: it has no v when 2d + delta = 0, but it is quadratic in u.
+U_CONSTRAINTS = frozenset("B1 B2 B3 B4 B5 S1 S2 S3 S4 H2 K".split())
 
 
 @dataclass(frozen=True)
@@ -56,6 +77,18 @@ class HypothesisConfig:
         if self.ks2_cap is not None:
             return self.ks2_cap
         return 9 if self.cover_flags else None
+
+    @cached_property
+    def constraint_ids(self) -> tuple:
+        """The ids of the enforced constraints, in report order."""
+        return ((_BASIC_IDS if self.geometric_mode else ()) + _SCHUR_IDS
+                + _HODGE_IDS + (() if self.effective_cap is None else ("K",)))
+
+    @cached_property
+    def _u_positions(self) -> tuple:
+        """Where the ``U_CONSTRAINTS`` sit in :attr:`constraint_ids`."""
+        return tuple(i for i, cid in enumerate(self.constraint_ids)
+                     if cid in U_CONSTRAINTS)
 
 
 @dataclass(frozen=True)
@@ -89,55 +122,39 @@ class ConstraintReport:
         }
 
 
-_SCHUR_IDS = ("S1", "S2", "S3", "S4", "S5", "S6")
-_HODGE_IDS = ("H1", "H2")
-
-
-def _iter_constraints(t: InvariantTuple,
-                      cfg: HypothesisConfig) -> Iterator[ConstraintValue]:
-    d, delta, chi, u, v = t
-
+def _values(d: int, delta: int, chi: int, u: int, v: int,
+            cfg: HypothesisConfig) -> tuple:
+    """The kernel: every constraint value of ``cfg.constraint_ids``, in that
+    order, as a tuple of ints.  Each constraint holds iff its value is
+    >= 0; B2 is stored as -(delta mod 2) for that reason."""
+    values = (schur_numbers(d, delta, chi, u, v)
+              + hodge_numbers(d, delta, chi, u, v))
     if cfg.geometric_mode:
-        yield ConstraintValue("B1", d - cfg.min_degree, d >= cfg.min_degree)
-        parity = delta % 2
-        yield ConstraintValue("B2", parity, parity == 0)
-        yield ConstraintValue("B3", delta + 2, delta >= -2)
-        yield ConstraintValue("B4", chi - 1, chi >= 1)
-        yield ConstraintValue("B5", u - 1, u >= 1)
-
-    for cid, value in zip(_SCHUR_IDS, schur_numbers(d, delta, chi, u, v)):
-        yield ConstraintValue(cid, value, value >= 0)
-    for cid, value in zip(_HODGE_IDS, hodge_numbers(d, delta, chi, u, v)):
-        yield ConstraintValue(cid, value, value >= 0)
-
+        values = (d - cfg.min_degree, -(delta % 2), delta + 2, chi - 1,
+                  u - 1) + values
     cap = cfg.effective_cap
     if cap is not None:
-        slack = cap - (10 * chi - u)
-        yield ConstraintValue("K", slack, slack >= 0)
+        values += (cap - (10 * chi - u),)
+    return values
 
 
 def evaluate(t: InvariantTuple, cfg: HypothesisConfig) -> ConstraintReport:
     """Evaluate every constraint; the report keeps all exact slacks."""
     t = InvariantTuple(*t)
     require_ints("evaluate needs five integers", *t)
-    entries = tuple(_iter_constraints(t, cfg))
-    return ConstraintReport(
-        tuple=t,
-        entries=entries,
-        feasible=all(e.satisfied for e in entries),
-    )
+    values = _values(*t, cfg)
+    entries = tuple(
+        ConstraintValue(cid, -value if cid == "B2" else value, value >= 0)
+        for cid, value in zip(cfg.constraint_ids, values))
+    return ConstraintReport(tuple=t, entries=entries,
+                            feasible=min(values) >= 0)
 
 
 def is_feasible(t: InvariantTuple, cfg: HypothesisConfig) -> bool:
-    """Conjunction shortcut: stops at the first violated constraint."""
-    t = InvariantTuple(*t)
-    require_ints("is_feasible needs five integers", *t)
-    return all(e.satisfied for e in _iter_constraints(t, cfg))
-
-
-# The constraints whose closed forms contain no v and are affine in u.  H1
-# is left out: it has no v when 2d + delta = 0, but it is quadratic in u.
-U_CONSTRAINTS = frozenset("B1 B2 B3 B4 B5 S1 S2 S3 S4 H2 K".split())
+    """True iff every constraint holds at ``t``."""
+    d, delta, chi, u, v = t
+    require_ints("is_feasible needs five integers", d, delta, chi, u, v)
+    return min(_values(d, delta, chi, u, v, cfg)) >= 0
 
 
 def _affine_interval(pairs, lo: int, hi: int) -> range:
@@ -147,12 +164,12 @@ def _affine_interval(pairs, lo: int, hi: int) -> range:
     for every x or empties the interval."""
     lower, upper = lo, hi
     for e0, e1 in pairs:
-        slope = e1.value - e0.value
+        slope = e1 - e0
         if slope > 0:
-            lower = max(lower, -(e0.value // slope))  # ceil(-value / slope)
+            lower = max(lower, -(e0 // slope))  # ceil(-e0 / slope)
         elif slope < 0:
-            upper = min(upper, e0.value // -slope)
-        elif not e0.satisfied:
+            upper = min(upper, e0 // -slope)
+        elif e0 < 0:
             return range(0)
     return range(lower, upper + 1)
 
@@ -163,10 +180,10 @@ def feasible_u(d: int, delta: int, chi: int, cfg: HypothesisConfig,
     holds for ``(d, delta, chi, u)``; outside it no v is feasible.  Raises
     :class:`ValueError` unless all five numbers are integers."""
     require_ints("feasible_u needs five integers", d, delta, chi, lo, hi)
-    at0 = _iter_constraints(InvariantTuple(d, delta, chi, 0, 0), cfg)
-    at1 = _iter_constraints(InvariantTuple(d, delta, chi, 1, 0), cfg)
-    return _affine_interval(((e0, e1) for e0, e1 in zip(at0, at1)
-                             if e0.id in U_CONSTRAINTS), lo, hi)
+    at0 = _values(d, delta, chi, 0, 0, cfg)
+    at1 = _values(d, delta, chi, 1, 0, cfg)
+    return _affine_interval(
+        [(at0[i], at1[i]) for i in cfg._u_positions], lo, hi)
 
 
 def feasible_v(d: int, delta: int, chi: int, u: int, cfg: HypothesisConfig,
@@ -179,6 +196,5 @@ def feasible_v(d: int, delta: int, chi: int, u: int, cfg: HypothesisConfig,
     numbers are integers.
     """
     require_ints("feasible_v needs six integers", d, delta, chi, u, lo, hi)
-    at0 = _iter_constraints(InvariantTuple(d, delta, chi, u, 0), cfg)
-    at1 = _iter_constraints(InvariantTuple(d, delta, chi, u, 1), cfg)
-    return _affine_interval(zip(at0, at1), lo, hi)
+    return _affine_interval(zip(_values(d, delta, chi, u, 0, cfg),
+                                _values(d, delta, chi, u, 1, cfg)), lo, hi)

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 def rat_str(x) -> str:
     """Render an exact rational: ``"p/q"``, or just ``"p"`` when integral."""
+    if type(x) is int:
+        return str(x)
     x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)

@@ -3,13 +3,16 @@
 Nothing in here calls into ``p6fold``'s substitution tables or identity
 machinery: the split-bundle oracle works from the total Chern class of a
 direct sum of line bundles with its own 4-term polynomial arithmetic, and
-the sympy helpers expand products symbolically.  Tests freeze or recompute
-expectations from these and diff the package against them.
+``constraint_values`` derives every constraint from its definition in a
+graded ring of its own.  Tests freeze or recompute expectations from these
+and diff the package against them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
+from math import comb
 
 
 def _pmul(p, q):
@@ -90,6 +93,160 @@ FIXTURES = {
     "quadric": (2, -3, (2, 1, 1)),
     "ci_22": (4, -2, (2, 2, 1)),
 }
+
+
+# The constraint oracle works in the ring generated by h (hyperplane), k
+# (canonical class), c2 and c3 (Chern classes of T_X) of a threefold X in
+# P^6, truncated above degree 3.  A class is a dict from exponent tuples
+# (h, k, c2, c3) to integer coefficients.
+_WEIGHTS = (1, 1, 2, 3)
+
+
+def _degree(exponents):
+    return sum(w * e for w, e in zip(_WEIGHTS, exponents))
+
+
+def _clean(p):
+    return {e: c for e, c in p.items() if c and _degree(e) <= 3}
+
+
+def _add(*classes):
+    r = {}
+    for p in classes:
+        for e, c in p.items():
+            r[e] = r.get(e, 0) + c
+    return _clean(r)
+
+
+def _mul(*classes):
+    r = {(0, 0, 0, 0): 1}
+    for p in classes:
+        q = {}
+        for ea, ca in r.items():
+            for eb, cb in p.items():
+                e = tuple(a + b for a, b in zip(ea, eb))
+                q[e] = q.get(e, 0) + ca * cb
+        r = _clean(q)
+    return r
+
+
+def _scale(s, p):
+    return _clean({e: s * c for e, c in p.items()})
+
+
+def _part(p, degree):
+    return {e: c for e, c in p.items() if _degree(e) == degree}
+
+
+_ONE, _H, _K, _C2, _C3 = ({e: 1} for e in ((0, 0, 0, 0), (1, 0, 0, 0),
+                                          (0, 1, 0, 0), (0, 0, 1, 0),
+                                          (0, 0, 0, 1)))
+
+
+def _twisted_normal_chern():
+    """c0..c3 of N(-1), N the normal bundle: c(N) = (1 + h)^7 / c(T_X)."""
+    a = _add(_scale(-1, _K), _C2, _C3)  # c(T_X) - 1, with c1(T_X) = -k
+    inverse = _add(_ONE, _scale(-1, a), _mul(a, a), _scale(-1, _mul(a, a, a)))
+    total = _mul(*[_add(_ONE, _H)] * 7, inverse)
+    n = [_part(total, i) for i in range(4)]
+    # Twisting a rank-3 bundle by l = -h:
+    # c_j(E(l)) = sum over i <= j of binomial(3 - i, j - i) c_i(E) l^(j - i).
+    minus_h = _scale(-1, _H)
+    twisted = [_add(*(_scale(comb(3 - i, j - i),
+                                 _mul(n[i], *[minus_h] * (j - i)))
+                      for i in range(j + 1)))
+               for j in range(4)]
+    return n, twisted
+
+
+def _schur(c, partition):
+    """det(c_{lambda_i + j - i}), with c_0 = 1 and c_m = 0 off 0..3."""
+    size = len(partition)
+
+    def entry(i, j):
+        m = partition[i] + j - i
+        return c[m] if 0 <= m <= 3 else {}
+
+    total = {}
+    for perm in permutations(range(size)):
+        inversions = sum(perm[a] > perm[b] for a in range(size)
+                         for b in range(a + 1, size))
+        term = _mul(*(entry(i, perm[i]) for i in range(size)))
+        total = _add(total, _scale((-1) ** inversions, term))
+    return total
+
+
+_NORMAL, _TWISTED = _twisted_normal_chern()
+_D = _TWISTED[1]  # c1(N(-1)) = det N(-1), which is 4h + k
+_HHD, _HDD, _DDD = _mul(_H, _H, _D), _mul(_H, _D, _D), _mul(_D, _D, _D)
+_SCHUR_CLASSES = [
+    _mul(_schur(_TWISTED, partition), *[_H] * (3 - sum(partition)))
+    for partition in ((1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1))]
+
+
+def _integrate(p, numbers):
+    return sum(c * numbers[e] for e, c in p.items())
+
+
+def _solve(p, target, numbers, unknown):
+    """Set the one unknown intersection number that makes ``p`` equal
+    ``target``."""
+    numbers[unknown] = 0
+    rest = target - _integrate(p, numbers)
+    value, remainder = divmod(rest, p[unknown])
+    if remainder:
+        raise ArithmeticError(f"no integer {unknown} solves {p} = {target}")
+    numbers[unknown] = value
+
+
+def _intersection_numbers(d, delta, chi, u, v):
+    """The degree-3 intersection numbers of X, from the definitions of the
+    five invariants."""
+    h3, h2k, hk2, k3 = (3, 0, 0, 0), (2, 1, 0, 0), (1, 2, 0, 0), (0, 3, 0, 0)
+    hc2, kc2, c3 = (1, 0, 1, 0), (0, 1, 1, 0), (0, 0, 0, 1)
+    numbers = {h3: d}
+    # Adjunction on the sectional curve: delta = 2g - 2 = (k + 2h) h^2.
+    numbers[h2k] = delta - 2 * d
+    # On the hyperplane surface S: K_S = (k + h)|S, c(T_S) = c(T_X)|S/(1 + h),
+    # and Noether's formula with q = 0: K_S^2 + c2(S) = 12 chi, c2(S) =
+    # 2 - 4q + 2 p_g + h^{1,1} = 2 chi + u.
+    numbers[hk2] = 10 * chi - u - 2 * numbers[h2k] - d
+    numbers[hc2] = 2 * chi + u - numbers[h2k] - d
+    # Riemann-Roch: chi(O_X) = c1 c2 / 24 = 1 for X rationally connected.
+    numbers[kc2] = -24
+    # v is the cube of the twisted normal determinant.
+    _solve(_DDD, v, numbers, k3)
+    # Self-intersection of X in P^6: c3(N) = X.X = d^2.
+    _solve(_NORMAL[3], d * d, numbers, c3)
+    return numbers
+
+
+def constraint_values(t, cfg):
+    """``[(id, value, ok), ...]`` for every constraint of ``cfg``, in
+    report order, from the definitions in the ``p6fold.constraints``
+    docstring.  Reads only the four fields of ``cfg``."""
+    d, delta, chi, u, v = t
+    numbers = _intersection_numbers(d, delta, chi, u, v)
+    rows = []
+    if cfg.geometric_mode:
+        rows += [("B1", d - cfg.min_degree, d >= cfg.min_degree),
+                 ("B2", delta % 2, delta % 2 == 0),
+                 ("B3", delta + 2, delta >= -2),
+                 ("B4", chi - 1, chi >= 1),
+                 ("B5", u - 1, u >= 1)]
+    for i, cls in enumerate(_SCHUR_CLASSES, 1):
+        value = _integrate(cls, numbers)
+        rows.append((f"S{i}", value, value >= 0))
+    hd2, h2d, d3 = (_integrate(p, numbers) for p in (_HDD, _HHD, _DDD))
+    for cid, value in (("H1", hd2 * hd2 - h2d * d3),
+                       ("H2", h2d * h2d - d * hd2)):
+        rows.append((cid, value, value >= 0))
+    cap = cfg.ks2_cap
+    if cap is None and cfg.cover_flags:
+        cap = 9
+    if cap is not None:
+        rows.append(("K", cap - (10 * chi - u), 10 * chi - u <= cap))
+    return rows
 
 
 def naive_feasible_rows(box, cfg):

@@ -268,6 +268,35 @@ def test_scan_redirected_to_full_device_exits_cleanly():
         f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}")
 
 
+# Each of these used to end in an OSError traceback and exit 1, the
+# "infeasible" code, when stdout could not be written.
+OTHER_COMMANDS = (["verify"], ["bound", "--s", "34"],
+                  ["profile", "--tuple", "4,0,1,6,32"],
+                  ["check", "--tuple", "4,0,1,6,32"])
+
+
+@pytest.mark.parametrize("argv", OTHER_COMMANDS, ids=lambda a: a[0])
+def test_failed_stdout_write_is_usage_error(argv, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.endswith(
+        f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
+
+
+@needs_dev_full
+def test_every_command_redirected_to_full_device_exits_cleanly():
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for argv in OTHER_COMMANDS:
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "p6fold.cli", *argv],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+        assert (argv, proc.returncode, proc.stderr) == (
+            argv, 2,
+            f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
+
+
 def test_console_script_end_to_end():
     proc = subprocess.run(
         [sys.executable, "-m", "p6fold.cli", "bound", "--s", "34",

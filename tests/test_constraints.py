@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from oracles import constraint_values
 from p6fold.constraints import (
     COVER_FLAGS,
     U_CONSTRAINTS,
@@ -15,6 +17,7 @@ from p6fold.constraints import (
     feasible_v,
     is_feasible,
 )
+from p6fold.formatting import rat_str
 from p6fold.invariants import InvariantTuple, profile
 
 GEOMETRIC = HypothesisConfig()
@@ -160,6 +163,15 @@ def test_report_json_schema():
     assert all(isinstance(c["value"], str) for c in data["constraints"])
 
 
+@pytest.mark.parametrize("value, text", [
+    (0, "0"), (7, "7"), (-7, "-7"), (10 ** 30, "1" + "0" * 30),
+    (True, "1"), (False, "0"),  # not "True": bools take the Fraction path
+    (Fraction(3, 2), "3/2"), (Fraction(-3, 2), "-3/2"), (Fraction(4, 2), "2"),
+])
+def test_rat_str_renders_as_before_its_int_fast_path(value, text):
+    assert rat_str(value) == text
+
+
 def test_evaluate_is_deterministic():
     t = InvariantTuple(4, 0, 1, 6, 32)
     assert evaluate(t, GEOMETRIC) == evaluate(t, GEOMETRIC)
@@ -207,3 +219,53 @@ def test_feasible_v_is_exactly_the_feasible_v(cfg):
 def test_intervals_reject_non_integer_arguments(call):
     with pytest.raises(ValueError, match="needs (five|six) integers"):
         call(HypothesisConfig(geometric_mode=False))
+
+
+ORACLE_CONFIGS = (
+    GEOMETRIC,
+    HypothesisConfig(geometric_mode=False),
+    HypothesisConfig(ks2_cap=9),
+    HypothesisConfig(min_degree=3, cover_flags=frozenset({"covered_by_lines"})),
+)
+# Feasible under every config above; a quarter of the draws land near one.
+ORACLE_ANCHORS = ((3, 0, 1, 7, 24), (4, 0, 1, 6, 32), (4, 2, 1, 11, 45),
+                  (5, -2, 1, 1, 10), (8, 8, 2, 20, 216))
+
+
+def oracle_draw(rng, i):
+    """Broad draws (odd delta, negative u and v included), draws on
+    2d + delta = 0, and draws near a feasible anchor."""
+    if i % 4 == 3:
+        return tuple(x + rng.randint(-2, 2) for x in rng.choice(ORACLE_ANCHORS))
+    d = rng.randint(-6, 40)
+    delta = -2 * d if i % 4 == 1 else rng.randint(-12, 120)
+    return (d, delta, rng.randint(-3, 12), rng.randint(-40, 90),
+            rng.randint(-2000, 4000))
+
+
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS)
+def test_evaluate_matches_the_constraint_oracle(cfg):
+    # The oracle derives every constraint from its definition, so this
+    # catches a wrong kernel entry (a B2 sign, a K off by one) that the
+    # scan-against-naive tests, which call is_feasible, cannot.
+    rng = random.Random(2718)
+    seen = set()
+    for i in range(2000):
+        t = InvariantTuple(*oracle_draw(rng, i))
+        expected = constraint_values(t, cfg)
+        report = evaluate(t, cfg)
+        assert [(e.id, e.value, e.satisfied)
+                for e in report.entries] == expected, t
+        feasible = all(ok for _, _, ok in expected)
+        assert report.feasible == is_feasible(t, cfg) == feasible, t
+        seen.update((cid, ok) for cid, _, ok in expected)
+        seen.add(("feasible", feasible))
+        seen.update(k for k, hit in (("odd delta", t.delta % 2),
+                                     ("u < 0", t.u < 0), ("v < 0", t.v < 0),
+                                     ("2d + delta = 0", 2 * t.d + t.delta == 0))
+                    if hit)
+    # Every constraint both held and failed, and every kind of draw occurred.
+    assert seen >= {(cid, ok) for cid in cfg.constraint_ids
+                    for ok in (True, False)}
+    assert seen >= {("feasible", True), ("feasible", False), "odd delta",
+                    "u < 0", "v < 0", "2d + delta = 0"}

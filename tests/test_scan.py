@@ -11,12 +11,14 @@ from itertools import product
 import pytest
 
 from oracles import naive_feasible_rows
-from p6fold.constraints import U_CONSTRAINTS, HypothesisConfig, evaluate
+from p6fold.constraints import (U_CONSTRAINTS, HypothesisConfig, evaluate,
+                                feasible_u, feasible_v, is_feasible)
 from p6fold.invariants import InvariantTuple
 from p6fold.scan import ScanBox, iter_feasible, scan
 
 # The attribute p6fold.scan is the scan function, not the module.
 scan_module = importlib.import_module("p6fold.scan")
+constraints_module = importlib.import_module("p6fold.constraints")
 
 GEOMETRIC = HypothesisConfig()
 
@@ -111,10 +113,14 @@ def test_matches_naive_filter_on_random_boxes():
         assert result.feasible == len(expected)
 
 
+# The first scan-sparse benchmark box.
+SPARSE_BOX = "d=1..10,delta=-2..28,chi=1..3,u=4..15,v=-4..36"
+
+
 def test_scan_skips_cells_outside_the_u_interval(monkeypatch):
-    # The first scan-sparse benchmark box: feasible_v runs only on the cells
-    # whose constraints without v hold, not on all 11,160 cells.
-    box = ScanBox.parse("d=1..10,delta=-2..28,chi=1..3,u=4..15,v=-4..36")
+    # feasible_v runs only on the cells whose constraints without v hold,
+    # not on all 11,160 cells.
+    box = ScanBox.parse(SPARSE_BOX)
     calls = []
     real = scan_module.feasible_v
 
@@ -133,6 +139,30 @@ def test_scan_skips_cells_outside_the_u_interval(monkeypatch):
     assert calls == cells
     assert len(cells) == 283
     assert result.scanned == box.volume()
+
+
+def test_hot_path_builds_no_constraint_records(monkeypatch):
+    # Only evaluate turns the kernel's tuple of ints into ConstraintValue
+    # records; the scan, is_feasible and the u/v intervals never do.
+    built = []
+    real = constraints_module.ConstraintValue
+
+    def counting_constraint_value(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(constraints_module, "ConstraintValue",
+                        counting_constraint_value)
+    result, _ = run_scan(ScanBox.parse(SPARSE_BOX))
+    assert result.feasible > 0
+    for cfg in (GEOMETRIC,) + WIDE_V_CONFIGS:
+        for d, delta, chi, u, v in ANCHORS:
+            feasible_u(d, delta, chi, cfg, -10, 40)
+            feasible_v(d, delta, chi, u, cfg, -10, 60)
+            assert is_feasible((d, delta, chi, u, v), cfg)
+    assert built == []
+    evaluate(ANCHORS[0], GEOMETRIC)  # the count sees what evaluate builds
+    assert len(built) == 13
 
 
 def test_worker_counts_produce_identical_bytes():
