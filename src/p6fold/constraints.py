@@ -139,8 +139,12 @@ def _values(d: int, delta: int, chi: int, u: int, v: int,
 
 
 def evaluate(t: InvariantTuple, cfg: HypothesisConfig) -> ConstraintReport:
-    """Evaluate every constraint; the report keeps all exact slacks."""
-    t = InvariantTuple(*t)
+    """Evaluate every constraint; the report keeps all exact slacks.
+    Raises :class:`ValueError` unless ``t`` is five integers."""
+    try:
+        t = InvariantTuple(*t)
+    except TypeError:
+        raise ValueError(f"evaluate needs five integers, got {t!r}") from None
     require_ints("evaluate needs five integers", *t)
     values = _values(*t, cfg)
     entries = tuple(
@@ -151,8 +155,13 @@ def evaluate(t: InvariantTuple, cfg: HypothesisConfig) -> ConstraintReport:
 
 
 def is_feasible(t: InvariantTuple, cfg: HypothesisConfig) -> bool:
-    """True iff every constraint holds at ``t``."""
-    d, delta, chi, u, v = t
+    """True iff every constraint holds at ``t``.  Raises
+    :class:`ValueError` unless ``t`` is five integers."""
+    try:
+        d, delta, chi, u, v = t
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"is_feasible needs five integers, got {t!r}") from None
     require_ints("is_feasible needs five integers", d, delta, chi, u, v)
     return min(_values(d, delta, chi, u, v, cfg)) >= 0
 

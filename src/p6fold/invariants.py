@@ -8,8 +8,11 @@ closed forms.  They are plain arithmetic, so the same function runs on ints
 ``ParamExpr`` generators (in the substitution table and the identity
 registry, which proves them).
 
-``profile`` is total on raw integer tuples; geometric plausibility (parity,
-positivity) is the constraints module's business.
+:data:`PROFILE_KEYS` and :func:`profile_numbers` are the only copy of the
+profile's key order and of its derived numbers; :class:`Profile`, its JSON
+form and the scanner's row templates all read them.  ``profile`` is total
+on raw integer tuples; geometric plausibility (parity, positivity) is the
+constraints module's business.
 """
 
 from __future__ import annotations
@@ -44,6 +47,13 @@ class SchurNumbers(NamedTuple):
     s111: int
 
 
+# The profile's keys, in the order of Profile.to_json_dict, JSONL scan rows
+# and profile_numbers.
+PROFILE_KEYS = ("h3", "h2k", "hk2", "k3", "hc2", "kc2", "c3", "n3",
+                "KS2", "c2S", "pg", "g",
+                "s1h2", "s20h", "s11h", "s300", "s210", "s111")
+
+
 @dataclass(frozen=True)
 class Profile:
     """All derived numbers of one invariant tuple.
@@ -67,15 +77,12 @@ class Profile:
     schur: SchurNumbers
 
     def to_json_dict(self) -> dict:
+        """``PROFILE_KEYS`` mapped to the fields, with ``g`` as ``"p/2"``
+        text when it is a half-integer."""
         g = self.g if isinstance(self.g, int) else rat_str(self.g)
-        return {
-            "h3": self.h3, "h2k": self.h2k, "hk2": self.hk2, "k3": self.k3,
-            "hc2": self.hc2, "kc2": self.kc2, "c3": self.c3top, "n3": self.n3,
-            "KS2": self.KS2, "c2S": self.c2S, "pg": self.pg, "g": g,
-            "s1h2": self.schur.s1h2, "s20h": self.schur.s20h,
-            "s11h": self.schur.s11h, "s300": self.schur.s300,
-            "s210": self.schur.s210, "s111": self.schur.s111,
-        }
+        return dict(zip(PROFILE_KEYS, (
+            self.h3, self.h2k, self.hk2, self.k3, self.hc2, self.kc2,
+            self.c3top, self.n3, self.KS2, self.c2S, self.pg, g) + self.schur))
 
 
 # The k*c2 number is pinned by Riemann-Roch: chi(O_X) = (c1*c2)/24 = 1 for a
@@ -135,26 +142,36 @@ def from_geometry(d: int, g: int, chi: int, u: int, v: int) -> InvariantTuple:
 def require_ints(what: str, *values) -> None:
     """Raise ``ValueError("<what>, got <values>")`` unless every value is an
     int, so that no float or fraction reaches a closed form or a decision."""
-    if not all(isinstance(x, int) for x in values):
-        got = values[0] if len(values) == 1 else values
-        raise ValueError(f"{what}, got {got!r}")
+    for x in values:
+        if not isinstance(x, int):
+            got = values[0] if len(values) == 1 else values
+            raise ValueError(f"{what}, got {got!r}")
+
+
+def profile_numbers(d, delta, chi, u, v) -> tuple:
+    """The 18 numbers of :data:`PROFILE_KEYS`, in that order, by the closed
+    forms above.  ``g`` is an int, or the text ``"p/2"`` when delta is odd
+    (raw mode only); every other number is an int.  Checks nothing: callers
+    pass five ints."""
+    pg = chi - 1
+    g = (delta + 2) // 2 if delta % 2 == 0 else f"{delta + 2}/2"
+    return (degree3_numbers(d, delta, chi, u, v)
+            + (d * d,  # n3, by the double-point identity (registry id DP)
+               10 * chi - u, 2 * chi + u, pg, g)
+            + schur_numbers(d, delta, chi, u, v))
 
 
 def profile(t: InvariantTuple) -> Profile:
-    """Every derived number of ``t``, by the closed forms above.
+    """Every derived number of ``t``, as :func:`profile_numbers` gives them.
 
-    Raises :class:`ValueError` unless all five invariants are integers.
+    Raises :class:`ValueError` unless ``t`` is five integers.
     """
-    require_ints("profile needs five integers", *t)
-    d, delta, chi, u, v = t
-    h3, h2k, hk2, k3, hc2, kc2, c3top = degree3_numbers(d, delta, chi, u, v)
-    pg = chi - 1
-    return Profile(
-        h3=h3, h2k=h2k, hk2=hk2, k3=k3, hc2=hc2, kc2=kc2, c3top=c3top,
-        n3=d * d,  # the double-point identity (registry id DP)
-        KS2=10 * chi - u,
-        c2S=2 * chi + u,
-        pg=pg,
-        g=(delta + 2) // 2 if delta % 2 == 0 else Fraction(delta + 2, 2),
-        schur=SchurNumbers(*schur_numbers(d, delta, chi, u, v)),
-    )
+    try:
+        d, delta, chi, u, v = t
+    except (TypeError, ValueError):
+        raise ValueError(f"profile needs five integers, got {t!r}") from None
+    require_ints("profile needs five integers", d, delta, chi, u, v)
+    numbers = profile_numbers(d, delta, chi, u, v)
+    g = numbers[11]
+    return Profile(*numbers[:11], g if type(g) is int else Fraction(g),
+                   SchurNumbers(*numbers[12:]))

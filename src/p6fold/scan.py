@@ -5,27 +5,51 @@ order; in each, only the u that :func:`constraints.feasible_u` leaves; and
 in each such cell, only the v that :func:`constraints.feasible_v` leaves.
 So its cost grows with the number of triples, plus the cells left by the
 u-interval, plus the feasible rows, not with the box volume.  Output is
-always lexicographic in
-(d, delta, chi, u, v).  Rows are buffered and written to the sink in one
-call, so a failed write leaves no partial output behind.
+always lexicographic in (d, delta, chi, u, v).
+
+Each row is rendered from the closed forms through its format's row
+template, built once at import from :data:`invariants.PROFILE_KEYS`: the
+tuple's five ints and :func:`invariants.profile_numbers` fill its ``%s``
+slots, with no ``Profile``, dict or JSON encoder per row.  Rows are
+buffered and written to the sink in one call, so a failed write leaves no
+partial output behind.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 from typing import Iterator, Tuple
 
 from .constraints import (HypothesisConfig, feasible_u, feasible_v,
                           is_feasible)
-from .invariants import InvariantTuple, Profile, profile
+from .invariants import (PROFILE_KEYS, InvariantTuple, Profile, profile,
+                         profile_numbers)
+
+_AXES = ("d", "delta", "chi", "u", "v")
 
 CSV_HEADER = "d,delta,chi,u,v"
 CSV_PROFILE_COLUMNS = ("h2k", "hk2", "k3", "hc2", "c3", "KS2", "g",
                        "s1h2", "s20h", "s11h", "s300", "s210", "s111")
 
-_AXES = ("d", "delta", "chi", "u", "v")
+# Row templates, filled by "%" from the tuple's five ints and, after them,
+# the profile_numbers of CSV_PROFILE_COLUMNS (CSV) or of PROFILE_KEYS
+# (JSONL).  A JSONL row is what json.dumps gives for the dict of those keys:
+# g is the text "p/2", a JSON string, when delta is odd, so that case has
+# its own template.
+_CSV_ROW = ",".join(["%s"] * len(_AXES))
+_CSV_PROFILE_ROW = ",".join(["%s"] * (len(_AXES) + len(CSV_PROFILE_COLUMNS)))
+_csv_profile_numbers = itemgetter(*map(PROFILE_KEYS.index,
+                                       CSV_PROFILE_COLUMNS))
+
+
+def _jsonl_row(g_slot: str) -> str:
+    return "{" + ", ".join(f'"{key}": ' + (g_slot if key == "g" else "%s")
+                           for key in _AXES + PROFILE_KEYS) + "}"
+
+
+_JSONL_ROWS = (_jsonl_row("%s"), _jsonl_row('"%s"'))  # by delta % 2
 
 
 def _parse_range(axis: str, value) -> Tuple[int, int]:
@@ -124,19 +148,6 @@ def iter_feasible(box: ScanBox, cfg: HypothesisConfig
         yield t, profile(t)
 
 
-def _format_row(t: InvariantTuple, fmt: str, with_profile: bool) -> str:
-    if fmt == "csv":
-        cells = [str(x) for x in t]
-        if with_profile:
-            p = profile(t).to_json_dict()
-            cells += [str(p[col]) for col in CSV_PROFILE_COLUMNS]
-        return ",".join(cells)
-    d, delta, chi, u, v = t
-    record = {"d": d, "delta": delta, "chi": chi, "u": u, "v": v}
-    record.update(profile(t).to_json_dict())
-    return json.dumps(record)
-
-
 def scan(box: ScanBox, cfg: HypothesisConfig, sink,
          workers: int = 1, fmt: str = "csv",
          with_profile: bool = False,
@@ -155,8 +166,16 @@ def scan(box: ScanBox, cfg: HypothesisConfig, sink,
         if with_profile:
             cols += "," + ",".join(CSV_PROFILE_COLUMNS)
         lines.append(cols)
-    rows = [_format_row(t, fmt, with_profile)
-            for t in _feasible_points(box, cfg)]
+    points = _feasible_points(box, cfg)
+    if fmt == "jsonl":
+        rows = [_JSONL_ROWS[t[1] % 2] % (t + profile_numbers(*t))
+                for t in points]
+    elif with_profile:
+        rows = [_CSV_PROFILE_ROW % (t + _csv_profile_numbers(
+            profile_numbers(*t))) for t in points]
+    else:
+        rows = [_CSV_ROW % t for t in points]
     lines.extend(rows)
-    sink.write("".join(line + "\n" for line in lines))
+    lines.append("")  # the join ends each line in "\n"; no lines give ""
+    sink.write("\n".join(lines))
     return ScanResult(scanned=box.volume(), feasible=len(rows))

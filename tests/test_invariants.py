@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -106,6 +107,18 @@ def test_profile_rejects_non_integers(bad):
     # float slacks and is_feasible to decide on them.
     for check in (evaluate, is_feasible):
         with pytest.raises(ValueError, match="five integers"):
+            check(bad, HypothesisConfig())
+
+
+@pytest.mark.parametrize("bad", [(1, 2, 3), (1, -2, 1, 1, 0, 0), 5, None])
+def test_wrong_arity_is_a_value_error_naming_the_input(bad):
+    # A short tuple or a non-iterable used to raise a bare TypeError, and a
+    # long or short one a ValueError that named nothing.
+    message = f"needs five integers, got {bad!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        profile(bad)
+    for check in (evaluate, is_feasible):
+        with pytest.raises(ValueError, match=re.escape(message)):
             check(bad, HypothesisConfig())
 
 

@@ -14,7 +14,8 @@ from oracles import naive_feasible_rows
 from p6fold.constraints import (U_CONSTRAINTS, HypothesisConfig, evaluate,
                                 feasible_u, feasible_v, is_feasible)
 from p6fold.invariants import InvariantTuple
-from p6fold.scan import ScanBox, iter_feasible, scan
+from p6fold.scan import (CSV_HEADER, CSV_PROFILE_COLUMNS, ScanBox,
+                         iter_feasible, scan)
 
 # The attribute p6fold.scan is the scan function, not the module.
 scan_module = importlib.import_module("p6fold.scan")
@@ -208,6 +209,46 @@ def test_jsonl_format():
     assert [r["d"] for r in records] == [1, 2]
     assert records[0]["KS2"] == 9
     assert records[1]["s111"] == 2
+
+
+# Raw-mode tuples with rows nearby: odd delta (g is "p/2" text), and
+# negative d, chi and u.  Each box around one also reaches negative v.
+RAW_ANCHORS = ((-6, 12, -1, -7, 30), (-2, 5, 0, 7, 26), (4, 3, 0, 10, 25))
+# The first scan-dense benchmark box.
+DENSE_BOX = "d=20..20,delta=40..60,chi=1..3,u=13..33,v=641..661"
+
+
+def raw_box(rng):
+    *rest, v = rng.choice(RAW_ANCHORS)
+    spans = [(x - rng.randint(1, 3), x + rng.randint(1, 3)) for x in rest]
+    spans.append((-rng.randint(1, 5), v + rng.randint(0, 10)))
+    return ScanBox(*spans)
+
+
+def test_rows_are_the_profile_dict_byte_for_byte():
+    # Each JSONL row is json.dumps of the tuple and Profile.to_json_dict, and
+    # each --with-profile CSV row is the str() of that dict's columns.
+    rng = random.Random(7)
+    cases = [(raw_box(rng), HypothesisConfig(geometric_mode=False))
+             for _ in range(12)]
+    cases.append((ScanBox.parse(DENSE_BOX), GEOMETRIC))
+    rows = []
+    for box, cfg in cases:
+        jsonl, csv = [], [CSV_HEADER + "," + ",".join(CSV_PROFILE_COLUMNS)]
+        for t, prof in iter_feasible(box, cfg):
+            rows.append(t)
+            record = {"d": t.d, "delta": t.delta, "chi": t.chi, "u": t.u,
+                      "v": t.v, **prof.to_json_dict()}
+            jsonl.append(json.dumps(record))
+            csv.append(",".join(str(x) for x in (
+                *t, *(record[col] for col in CSV_PROFILE_COLUMNS))))
+        assert run_scan(box, cfg, fmt="jsonl")[1].splitlines() == jsonl
+        assert run_scan(box, cfg, with_profile=True)[1].splitlines() == csv
+    assert any(t.delta % 2 for t in rows)
+    assert any(t.d < 0 for t in rows)
+    assert any(t.chi < 0 for t in rows)
+    assert any(t.u < 0 for t in rows)
+    assert len(rows) > 14346  # the dense box alone has 14,346
 
 
 def test_box_parse_round_trip():
