@@ -5,14 +5,19 @@ order; in each, only the u that :func:`constraints.feasible_u` leaves; and
 in each such cell, only the v that :func:`constraints.feasible_v` leaves.
 So its cost grows with the number of triples, plus the cells left by the
 u-interval, plus the feasible rows, not with the box volume.  Output is
-always lexicographic in (d, delta, chi, u, v).
+always lexicographic in (d, delta, chi, u, v), and every row is kept only
+if :func:`constraints.is_feasible` holds at it.
 
-Each row is rendered from the closed forms through its format's row
-template, built once at import from :data:`invariants.PROFILE_KEYS`: the
-tuple's five ints and :func:`invariants.profile_numbers` fill its ``%s``
-slots, with no ``Profile``, dict or JSON encoder per row.  Rows are
-buffered and written to the sink in one call, so a failed write leaves no
-partial output behind.
+Rows are rendered one cell ``(d, delta, chi, u)`` at a time.  Each format
+has a row template, built from :data:`invariants.PROFILE_KEYS`, whose
+``%s`` slots take the tuple's five ints and then (some of)
+:func:`invariants.profile_numbers`.  With the cell fixed
+every slot is affine in v, so the slots are computed at the first v of the
+cell's interval and the next: those that agree are baked into a cell
+template by one ``%``, and each that moves becomes a ``range`` column with
+that step.  A row is then one ``%`` of the cell template, with no
+``Profile``, dict or JSON encoder.  Rows are buffered and written to the
+sink in one call, so a failed write leaves no partial output behind.
 """
 
 from __future__ import annotations
@@ -33,26 +38,24 @@ CSV_HEADER = "d,delta,chi,u,v"
 CSV_PROFILE_COLUMNS = ("h2k", "hk2", "k3", "hc2", "c3", "KS2", "g",
                        "s1h2", "s20h", "s11h", "s300", "s210", "s111")
 
-# Row templates, filled by "%" from the tuple's five ints and, after them,
-# the profile_numbers of CSV_PROFILE_COLUMNS (CSV) or of PROFILE_KEYS
-# (JSONL).  A JSONL row is what json.dumps gives for the dict of those keys:
-# g is the text "p/2", a JSON string, when delta is odd, so that case has
-# its own template.
-_CSV_ROW = ",".join(["%s"] * len(_AXES))
-_CSV_PROFILE_ROW = ",".join(["%s"] * (len(_AXES) + len(CSV_PROFILE_COLUMNS)))
-_csv_profile_numbers = itemgetter(*map(PROFILE_KEYS.index,
-                                       CSV_PROFILE_COLUMNS))
+# A row's slots: the tuple's five ints, then its profile_numbers.  A JSONL
+# row fills every slot into the bytes json.dumps gives for the dict of
+# their keys: g is the text "p/2", a JSON string, when delta is odd, so
+# that case has its own template.
+_SLOTS = _AXES + PROFILE_KEYS
 
 
 def _jsonl_row(g_slot: str) -> str:
     return "{" + ", ".join(f'"{key}": ' + (g_slot if key == "g" else "%s")
-                           for key in _AXES + PROFILE_KEYS) + "}"
+                           for key in _SLOTS) + "}"
 
 
 _JSONL_ROWS = (_jsonl_row("%s"), _jsonl_row('"%s"'))  # by delta % 2
 
 
 def _parse_range(axis: str, value) -> Tuple[int, int]:
+    """``value`` as an inclusive ``(lo, hi)`` pair of ints, an int being
+    ``(value, value)``; :class:`ValueError` naming ``axis`` otherwise."""
     if isinstance(value, int):
         return value, value
     if not (isinstance(value, (tuple, list)) and len(value) == 2
@@ -75,6 +78,12 @@ class ScanBox:
     u: Tuple[int, int]
     v: Tuple[int, int]
 
+    def __post_init__(self):
+        # The same check as ScanBox.of, so a box built either way is valid.
+        for axis in _AXES:
+            object.__setattr__(self, axis,
+                               _parse_range(axis, getattr(self, axis)))
+
     @classmethod
     def of(cls, **axes) -> "ScanBox":
         """Build from ints or (lo, hi) pairs, e.g. ``ScanBox.of(d=(1, 2),
@@ -85,7 +94,7 @@ class ScanBox:
         extra = [a for a in axes if a not in _AXES]
         if extra:
             raise ValueError(f"unknown axes: {extra}")
-        return cls(**{a: _parse_range(a, axes[a]) for a in _AXES})
+        return cls(**axes)
 
     @classmethod
     def parse(cls, text: str) -> "ScanBox":
@@ -128,24 +137,28 @@ class ScanResult:
     feasible: int
 
 
-def _feasible_points(box: ScanBox, cfg: HypothesisConfig
-                     ) -> Iterator[InvariantTuple]:
-    # The u- and v-intervals only skip work: is_feasible decides every row.
+def _feasible_cells(box: ScanBox, cfg: HypothesisConfig
+                    ) -> Iterator[Tuple[int, int, int, int, range]]:
+    """Each cell ``(d, delta, chi, u)`` of the box left by the u-interval,
+    in lex order, with its v-interval.  The intervals only skip work:
+    callers keep a row only if ``is_feasible`` holds at it."""
     (d0, d1), (e0, e1), (c0, c1), (u0, u1), (v0, v1) = box.ranges()
     for d, delta, chi in product(range(d0, d1 + 1), range(e0, e1 + 1),
                                  range(c0, c1 + 1)):
         for u in feasible_u(d, delta, chi, cfg, u0, u1):
-            for v in feasible_v(d, delta, chi, u, cfg, v0, v1):
-                t = InvariantTuple(d, delta, chi, u, v)
-                if is_feasible(t, cfg):
-                    yield t
+            vs = feasible_v(d, delta, chi, u, cfg, v0, v1)
+            if vs:
+                yield d, delta, chi, u, vs
 
 
 def iter_feasible(box: ScanBox, cfg: HypothesisConfig
                   ) -> Iterator[Tuple[InvariantTuple, Profile]]:
     """Lazily yield each feasible tuple with its profile, in lex order."""
-    for t in _feasible_points(box, cfg):
-        yield t, profile(t)
+    for d, delta, chi, u, vs in _feasible_cells(box, cfg):
+        for v in vs:
+            t = InvariantTuple(d, delta, chi, u, v)
+            if is_feasible(t, cfg):
+                yield t, profile(t)
 
 
 def scan(box: ScanBox, cfg: HypothesisConfig, sink,
@@ -161,20 +174,27 @@ def scan(box: ScanBox, cfg: HypothesisConfig, sink,
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown scan format {fmt!r}")
     lines = []
-    if header and fmt == "csv":
-        cols = CSV_HEADER
-        if with_profile:
-            cols += "," + ",".join(CSV_PROFILE_COLUMNS)
-        lines.append(cols)
-    points = _feasible_points(box, cfg)
     if fmt == "jsonl":
-        rows = [_JSONL_ROWS[t[1] % 2] % (t + profile_numbers(*t))
-                for t in points]
-    elif with_profile:
-        rows = [_CSV_PROFILE_ROW % (t + _csv_profile_numbers(
-            profile_numbers(*t))) for t in points]
+        keys, templates = _SLOTS, _JSONL_ROWS
     else:
-        rows = [_CSV_ROW % t for t in points]
+        keys = _AXES + CSV_PROFILE_COLUMNS if with_profile else _AXES
+        templates = (",".join(["%s"] * len(keys)),) * 2
+        if header:
+            lines.append(",".join((CSV_HEADER,) + keys[len(_AXES):]))
+    pick = itemgetter(*map(_SLOTS.index, keys))
+    rows = []
+    for d, delta, chi, u, vs in _feasible_cells(box, cfg):
+        # Every slot is affine in v (tests/test_invariants.py checks it), so
+        # its values at two v give its value and its step along vs.
+        at0, at1 = (pick((d, delta, chi, u, v)
+                         + profile_numbers(d, delta, chi, u, v))
+                    for v in (vs[0], vs[0] + 1))
+        cell = templates[delta % 2] % tuple(
+            a if a == b else "%s" for a, b in zip(at0, at1))
+        columns = [range(a, a + (b - a) * len(vs), b - a)
+                   for a, b in zip(at0, at1) if a != b]
+        rows.extend(cell % row for v, row in zip(vs, zip(*columns))
+                    if is_feasible((d, delta, chi, u, v), cfg))
     lines.extend(rows)
     lines.append("")  # the join ends each line in "\n"; no lines give ""
     sink.write("\n".join(lines))

@@ -11,8 +11,11 @@ import pytest
 from oracles import FIXTURES, split_bundle_profile
 from p6fold.constraints import HypothesisConfig, evaluate, is_feasible
 from p6fold.errors import DomainError
-from p6fold.invariants import InvariantTuple, from_geometry, profile
-from p6fold.ring import h, normal_chern, reduce_to_params, schur_values, twist_rank3
+from p6fold.invariants import (PROFILE_KEYS, InvariantTuple, degree3_numbers,
+                               from_geometry, profile, profile_numbers,
+                               schur_numbers)
+from p6fold.ring import (ParamExpr, chi, d, delta, h, normal_chern,
+                         reduce_to_params, schur_values, twist_rank3, u, v)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -91,6 +94,27 @@ def test_profile_schur_matches_symbolic_route():
         t = InvariantTuple(*(rng.randint(-1000, 1000) for _ in range(5)))
         expected = tuple(expr.evaluate(*t) for expr in symbolic)
         assert tuple(profile(t).schur) == expected
+
+
+def test_profile_numbers_are_affine_in_v():
+    # The scanner renders a cell's rows from its slots at two values of v,
+    # which is exact only while no profile number has a v^2 (or higher) term.
+    forms = (degree3_numbers(d, delta, chi, u, v)
+             + schur_numbers(d, delta, chi, u, v))
+    for form in forms:
+        if isinstance(form, ParamExpr):  # k*c2 is the int -24
+            assert all(mono[4] <= 1 for mono in form.monomials()), form.text()
+    rng = random.Random(20261018)
+    for i in range(400):
+        t = [rng.randint(-10 ** 4, 10 ** 4) for _ in range(5)]
+        t[1] += i % 2 - t[1] % 2  # odd delta on every other tuple
+        *cell, v0 = t
+        at = [profile_numbers(*cell, v0 + step) for step in range(3)]
+        for key, a, b, c in zip(PROFILE_KEYS, *at):
+            if isinstance(a, str):  # g of an odd delta, free of v
+                assert key == "g" and a == b == c
+            else:
+                assert a - 2 * b + c == 0, (key, t)
 
 
 @pytest.mark.parametrize("bad", [

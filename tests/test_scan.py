@@ -225,13 +225,41 @@ def raw_box(rng):
     return ScanBox(*spans)
 
 
+RAW = HypothesisConfig(geometric_mode=False)
+CAPPED = HypothesisConfig(ks2_cap=9)
+
+
+def narrow_v_box(rng, anchor, v_lo, v_hi):
+    *rest, v = anchor
+    spans = [(x - rng.randint(1, 2), x + rng.randint(1, 2)) for x in rest]
+    return ScanBox(*spans, (v + v_lo, v + v_hi))
+
+
+def clipped_cells(box, cfg):
+    """The cells of ``box`` whose v-interval the box cuts at both ends."""
+    v0, v1 = box.v
+    return [cell for *cell, vs in scan_module._feasible_cells(box, cfg)
+            if len(feasible_v(*cell, cfg, v0 - 1, v1 + 1)) == len(vs) + 2]
+
+
 def test_rows_are_the_profile_dict_byte_for_byte():
     # Each JSONL row is json.dumps of the tuple and Profile.to_json_dict, and
-    # each --with-profile CSV row is the str() of that dict's columns.
+    # each --with-profile CSV row is the str() of that dict's columns.  The
+    # narrow boxes have a v-axis of one value, or one that the v-interval of
+    # the anchor's cell overhangs at both ends.
     rng = random.Random(7)
-    cases = [(raw_box(rng), HypothesisConfig(geometric_mode=False))
-             for _ in range(12)]
+    cases = [(raw_box(rng), RAW) for _ in range(12)]
     cases.append((ScanBox.parse(DENSE_BOX), GEOMETRIC))
+    narrow = [(narrow_v_box(rng, anchor, *v_span), cfg)
+              for cfg, anchors in ((RAW, RAW_ANCHORS), (CAPPED, ANCHORS[1:2]))
+              for anchor in anchors for v_span in ((0, 0), (-1, 1))]
+    cases += narrow
+    assert any(box.v[0] == box.v[1] and any(iter_feasible(box, cfg))
+               for box, cfg in narrow)
+    clipped = [(cell, cfg) for box, cfg in narrow
+               for cell in clipped_cells(box, cfg)]
+    assert any(cfg is RAW and cell[1] % 2 for cell, cfg in clipped)
+    assert any(cfg is CAPPED for _, cfg in clipped)
     rows = []
     for box, cfg in cases:
         jsonl, csv = [], [CSV_HEADER + "," + ",".join(CSV_PROFILE_COLUMNS)]
@@ -249,6 +277,31 @@ def test_rows_are_the_profile_dict_byte_for_byte():
     assert any(t.chi < 0 for t in rows)
     assert any(t.u < 0 for t in rows)
     assert len(rows) > 14346  # the dense box alone has 14,346
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"with_profile": True},
+                                    {"fmt": "jsonl"}])
+@pytest.mark.parametrize("spec", [SPARSE_BOX, DENSE_BOX])
+def test_every_row_goes_through_is_feasible(monkeypatch, spec, kwargs):
+    # The benchmark's tracer counts rows by patching this name.
+    checked = []
+    real = scan_module.is_feasible
+
+    def counting_is_feasible(t, cfg):
+        checked.append(tuple(t))
+        return real(t, cfg)
+
+    monkeypatch.setattr(scan_module, "is_feasible", counting_is_feasible)
+    result, out = run_scan(ScanBox.parse(spec), **kwargs)
+    assert len(checked) == result.feasible > 0
+    if kwargs.get("fmt") == "jsonl":
+        records = [json.loads(line) for line in out.splitlines()]
+        rows = [tuple(r[axis] for axis in ("d", "delta", "chi", "u", "v"))
+                for r in records]
+    else:
+        rows = [tuple(map(int, line.split(",")[:5]))
+                for line in out.splitlines()[1:]]
+    assert rows == checked
 
 
 def test_box_parse_round_trip():
@@ -273,6 +326,31 @@ def test_box_of_rejects_non_integer_ranges(d):
     # (1.7, 2) used to become (1, 2) and 1.5 to raise TypeError.
     with pytest.raises(ValueError, match="d must be an integer or a pair"):
         ScanBox.of(d=d, delta=-2, chi=1, u=1, v=0)
+
+
+@pytest.mark.parametrize("axis, value, message", [
+    ("d", (3, 1), "empty range for d: 3..1"),
+    ("u", (1.0, 3), r"u must be an integer or a pair of integers, got \(1.0"),
+    ("chi", (1, 2, 3), "chi must be an integer or a pair"),
+    ("v", None, "v must be an integer or a pair"),
+])
+def test_box_built_directly_is_checked_like_box_of(axis, value, message):
+    # ScanBox(d=(3, 1), ...) used to give volume() == -2 and a scan result
+    # with scanned=-2; u=(1.0, 3) failed inside feasible_u.
+    axes = {**dict(d=(1, 2), delta=-2, chi=1, u=(1, 2), v=(0, 2)),
+            axis: value}
+    for build in (ScanBox, ScanBox.of):
+        with pytest.raises(ValueError, match=message):
+            build(**axes)
+
+
+def test_box_built_directly_equals_box_of():
+    # delta=0 used to raise a bare TypeError from volume() and scan().
+    axes = dict(d=(1, 2), delta=0, chi=1, u=[1, 2], v=(0, 2))
+    box = ScanBox(**axes)
+    assert box == ScanBox.of(**axes)
+    assert (box.delta, box.u) == ((0, 0), (1, 2))
+    assert run_scan(box)[0].scanned == box.volume() == 12
 
 
 @pytest.mark.parametrize("box", [
