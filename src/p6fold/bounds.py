@@ -187,18 +187,12 @@ def _crossing_paper(s_eff: int, kappa: int) -> int:
 
 def _crossing_sharp(s_eff: int, kappa: int, hi: int) -> int:
     # Least d for which the *true* positive root of the delta-quadratic
-    # exceeds the genus bound.  root > t  <=>  sqrt(disc) > 2*A*t + B,
-    # which is exact to decide over the rationals.
+    # exceeds the genus bound t.  A = 33 > 0, and C < 0 puts the other root
+    # below 0 < t, so the root exceeds t iff the quadratic is negative at t.
     def exceeds(dd: int) -> bool:
         a, b, c = section5_quadratic(dd, kappa)
-        if c >= 0:
-            return False
         t = _genus_upper_delta_raw(dd, s_eff)
-        rhs = 2 * a * t + b
-        if rhs < 0:
-            return True
-        disc = b * b - 4 * a * c
-        return disc > rhs * rhs
+        return c < 0 and (a * t + b) * t + c < 0
 
     # exceeds(hi) holds: C(hi) < 0 puts the true root above -B/A, which
     # exceeds the genus bound at the paper crossing hi.

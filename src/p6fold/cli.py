@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -19,18 +20,21 @@ from .errors import DomainError, UnknownIdentityError
 from .invariants import InvariantTuple, profile
 from .scan import ScanBox, scan as run_scan
 
-TUPLE_FIELDS = ("d", "delta", "chi", "u", "v")
+_AXES = InvariantTuple._fields
+_TUPLE_METAVAR = ",".join(_AXES)
+_BOX_METAVAR = ",".join([f"{_AXES[0]}=LO..HI"]
+                        + [f"{axis}=.." for axis in _AXES[1:]])
 
 
 def parse_tuple(text: str) -> InvariantTuple:
     parts = text.split(",")
     if len(parts) != 5:
         raise argparse.ArgumentTypeError(
-            f"expected 5 comma-separated integers d,delta,chi,u,v, "
+            f"expected 5 comma-separated integers {_TUPLE_METAVAR}, "
             f"got {len(parts)} field(s) in {text!r}"
         )
     values = []
-    for name, part in zip(TUPLE_FIELDS, parts):
+    for name, part in zip(_AXES, parts):
         try:
             values.append(int(part.strip()))
         except ValueError:
@@ -106,13 +110,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile = sub.add_parser(
         "profile", help="derived numbers of one invariant tuple")
     p_profile.add_argument("--tuple", type=parse_tuple, required=True,
-                           metavar="d,delta,chi,u,v", dest="invariants")
+                           metavar=_TUPLE_METAVAR, dest="invariants")
     _add_format_flags(p_profile, ("human", "json"), "human")
 
     p_check = sub.add_parser(
         "check", help="evaluate the constraint system on a tuple")
     p_check.add_argument("--tuple", type=parse_tuple, required=True,
-                         metavar="d,delta,chi,u,v", dest="invariants")
+                         metavar=_TUPLE_METAVAR, dest="invariants")
     _add_hypothesis_flags(p_check)
     _add_format_flags(p_check, ("human", "json"), "human")
 
@@ -132,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser(
         "scan", help="stream the feasible tuples of an integer box")
     p_scan.add_argument("--box", type=parse_box, required=True,
-                        metavar="d=LO..HI,delta=..,chi=..,u=..,v=..")
+                        metavar=_BOX_METAVAR)
     _add_hypothesis_flags(p_scan)
     p_scan.add_argument("--with-profile", action="store_true",
                         help="append profile columns to each row")
@@ -162,11 +166,7 @@ def _cmd_verify(args) -> int:
                 "id": r.id,
                 "description": r.description,
                 "pass": r.passed,
-                "comparisons": [
-                    {"label": c.label, "lhs": c.lhs, "rhs": c.rhs,
-                     "diff": c.diff, "equal": c.equal}
-                    for c in r.comparisons
-                ],
+                "comparisons": [dataclasses.asdict(c) for c in r.comparisons],
             }
             for r in results
         ])
@@ -191,8 +191,8 @@ def _cmd_profile(args) -> int:
     if args.fmt == "json":
         _emit_json(data)
     else:
-        t = args.invariants
-        print(f"tuple: d={t.d} delta={t.delta} chi={t.chi} u={t.u} v={t.v}")
+        print("tuple: " + " ".join(
+            f"{axis}={x}" for axis, x in zip(_AXES, args.invariants)))
         for key, value in data.items():
             print(f"  {key:5s} = {value}")
     return 0

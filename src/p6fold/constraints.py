@@ -25,6 +25,9 @@ It stores B2 as -(delta mod 2), so that "holds" means ">= 0" for every
 entry.  :func:`is_feasible`, :func:`feasible_u` and :func:`feasible_v` read
 only that tuple; :func:`evaluate` alone turns it into
 :class:`ConstraintValue` records, giving B2 back its sign.
+
+:func:`evaluate` and :func:`is_feasible` read their tuple through the gate
+``invariants.five_ints``; every other number passes ``require_ints``.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from functools import cached_property
 from typing import Optional
 
 from .formatting import rat_str
-from .invariants import (InvariantTuple, hodge_numbers, require_ints,
-                         schur_numbers)
+from .invariants import (InvariantTuple, five_ints, hodge_numbers,
+                         require_ints, schur_numbers)
 
 COVER_FLAGS = frozenset(
     {"covered_by_lines", "section_not_general_type", "kx_plus_h_empty"}
@@ -56,7 +59,7 @@ class HypothesisConfig:
 
     Any cover flag expresses a geometric condition that forces
     K_S^2 <= 9, so setting one implies a cap of 9 unless an explicit
-    ``ks2_cap`` overrides it.
+    ``ks2_cap`` overrides it.  The flags are stored as a frozenset.
     """
 
     geometric_mode: bool = True
@@ -65,10 +68,14 @@ class HypothesisConfig:
     min_degree: int = 1
 
     def __post_init__(self):
+        if type(self.geometric_mode) is not bool:
+            raise ValueError("geometric_mode must be a bool, got "
+                             f"{self.geometric_mode!r}")
+        object.__setattr__(self, "cover_flags", frozenset(self.cover_flags))
         require_ints("min_degree must be an integer", self.min_degree)
         if self.ks2_cap is not None:
             require_ints("ks2_cap must be an integer or None", self.ks2_cap)
-        unknown = set(self.cover_flags) - COVER_FLAGS
+        unknown = self.cover_flags - COVER_FLAGS
         if unknown:
             raise ValueError(f"unknown cover flags: {sorted(unknown)}")
 
@@ -111,9 +118,8 @@ class ConstraintReport:
         raise KeyError(constraint_id)
 
     def to_json_dict(self) -> dict:
-        d, delta, chi, u, v = self.tuple
         return {
-            "tuple": {"d": d, "delta": delta, "chi": chi, "u": u, "v": v},
+            "tuple": dict(zip(InvariantTuple._fields, self.tuple)),
             "constraints": [
                 {"id": e.id, "value": rat_str(e.value), "ok": e.satisfied}
                 for e in self.entries
@@ -141,11 +147,7 @@ def _values(d: int, delta: int, chi: int, u: int, v: int,
 def evaluate(t: InvariantTuple, cfg: HypothesisConfig) -> ConstraintReport:
     """Evaluate every constraint; the report keeps all exact slacks.
     Raises :class:`ValueError` unless ``t`` is five integers."""
-    try:
-        t = InvariantTuple(*t)
-    except TypeError:
-        raise ValueError(f"evaluate needs five integers, got {t!r}") from None
-    require_ints("evaluate needs five integers", *t)
+    t = InvariantTuple(*five_ints("evaluate", t))
     values = _values(*t, cfg)
     entries = tuple(
         ConstraintValue(cid, -value if cid == "B2" else value, value >= 0)
@@ -157,12 +159,7 @@ def evaluate(t: InvariantTuple, cfg: HypothesisConfig) -> ConstraintReport:
 def is_feasible(t: InvariantTuple, cfg: HypothesisConfig) -> bool:
     """True iff every constraint holds at ``t``.  Raises
     :class:`ValueError` unless ``t`` is five integers."""
-    try:
-        d, delta, chi, u, v = t
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"is_feasible needs five integers, got {t!r}") from None
-    require_ints("is_feasible needs five integers", d, delta, chi, u, v)
+    d, delta, chi, u, v = five_ints("is_feasible", t)
     return min(_values(d, delta, chi, u, v, cfg)) >= 0
 
 

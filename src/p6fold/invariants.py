@@ -13,6 +13,10 @@ profile's key order and of its derived numbers; :class:`Profile`, its JSON
 form and the scanner's row templates all read them.  ``profile`` is total
 on raw integer tuples; geometric plausibility (parity, positivity) is the
 constraints module's business.
+
+``InvariantTuple._fields`` is the only spelling of the five axis names, and
+:func:`five_ints` the one gate that reads a tuple argument.  It and
+:func:`require_ints` accept ``int`` proper only, refusing a float or a bool.
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ class Profile:
     def to_json_dict(self) -> dict:
         """``PROFILE_KEYS`` mapped to the fields, with ``g`` as ``"p/2"``
         text when it is a half-integer."""
-        g = self.g if isinstance(self.g, int) else rat_str(self.g)
+        g = self.g if type(self.g) is int else rat_str(self.g)
         return dict(zip(PROFILE_KEYS, (
             self.h3, self.h2k, self.hk2, self.k3, self.hc2, self.kc2,
             self.c3top, self.n3, self.KS2, self.c2S, self.pg, g) + self.schur))
@@ -134,6 +138,7 @@ def hodge_numbers(d, delta, chi, u, v):
 
 def from_geometry(d: int, g: int, chi: int, u: int, v: int) -> InvariantTuple:
     """Build a tuple from the sectional genus instead of delta = 2g - 2."""
+    require_ints("from_geometry needs five integers", d, g, chi, u, v)
     if g < 0:
         raise DomainError(f"sectional genus must be non-negative, got {g}")
     return InvariantTuple(d, 2 * g - 2, chi, u, v)
@@ -141,11 +146,25 @@ def from_geometry(d: int, g: int, chi: int, u: int, v: int) -> InvariantTuple:
 
 def require_ints(what: str, *values) -> None:
     """Raise ``ValueError("<what>, got <values>")`` unless every value is an
-    int, so that no float or fraction reaches a closed form or a decision."""
+    int, so that no float, fraction or bool reaches a decision."""
     for x in values:
-        if not isinstance(x, int):
+        if type(x) is not int:
             got = values[0] if len(values) == 1 else values
             raise ValueError(f"{what}, got {got!r}")
+
+
+def five_ints(fn: str, t) -> tuple:
+    """``t`` as a plain tuple of five ints, else ``ValueError("<fn> needs
+    five integers, got <t>")``.  It runs once per scan row, so it builds no
+    :class:`InvariantTuple`."""
+    try:
+        d, delta, chi, u, v = t
+    except (TypeError, ValueError):
+        raise ValueError(f"{fn} needs five integers, got {t!r}") from None
+    if type(d) is type(delta) is type(chi) is type(u) is type(v) is int:
+        return d, delta, chi, u, v
+    raise ValueError(
+        f"{fn} needs five integers, got {(d, delta, chi, u, v)!r}")
 
 
 def profile_numbers(d, delta, chi, u, v) -> tuple:
@@ -166,12 +185,7 @@ def profile(t: InvariantTuple) -> Profile:
 
     Raises :class:`ValueError` unless ``t`` is five integers.
     """
-    try:
-        d, delta, chi, u, v = t
-    except (TypeError, ValueError):
-        raise ValueError(f"profile needs five integers, got {t!r}") from None
-    require_ints("profile needs five integers", d, delta, chi, u, v)
-    numbers = profile_numbers(d, delta, chi, u, v)
+    numbers = profile_numbers(*five_ints("profile", t))
     g = numbers[11]
     return Profile(*numbers[:11], g if type(g) is int else Fraction(g),
                    SchurNumbers(*numbers[12:]))

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .errors import DomainError
 from .formatting import terms_str
-from .invariants import KC2_VALUE, degree3_numbers
+from .invariants import KC2_VALUE, InvariantTuple, degree3_numbers
 
 
 class _Poly:
@@ -195,9 +195,6 @@ class Basis3(NamedTuple):
     c3: Fraction
 
 
-_PARAM_NAMES = ("d", "delta", "chi", "u", "v")
-
-
 class ParamExpr(_Poly):
     """Polynomial in the five parameters ``(d, delta, chi, u, v)``, with no
     truncation: squares of reduced numbers (Hodge-index expressions) live
@@ -218,7 +215,7 @@ class ParamExpr(_Poly):
         >>> quad.substitute(d=7).text()
         '33*δ^2'
         """
-        idx = {name: i for i, name in enumerate(_PARAM_NAMES)}
+        idx = {name: i for i, name in enumerate(InvariantTuple._fields)}
         for name in values:
             if name not in idx:
                 raise ValueError(f"unknown parameter {name!r}")

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from operator import itemgetter
 from typing import Iterator, Tuple
 
@@ -32,9 +33,9 @@ from .constraints import (HypothesisConfig, feasible_u, feasible_v,
 from .invariants import (PROFILE_KEYS, InvariantTuple, Profile, profile,
                          profile_numbers)
 
-_AXES = ("d", "delta", "chi", "u", "v")
+_AXES = InvariantTuple._fields
 
-CSV_HEADER = "d,delta,chi,u,v"
+CSV_HEADER = ",".join(_AXES)
 CSV_PROFILE_COLUMNS = ("h2k", "hk2", "k3", "hc2", "c3", "KS2", "g",
                        "s1h2", "s20h", "s11h", "s300", "s210", "s111")
 
@@ -56,10 +57,10 @@ _JSONL_ROWS = (_jsonl_row("%s"), _jsonl_row('"%s"'))  # by delta % 2
 def _parse_range(axis: str, value) -> Tuple[int, int]:
     """``value`` as an inclusive ``(lo, hi)`` pair of ints, an int being
     ``(value, value)``; :class:`ValueError` naming ``axis`` otherwise."""
-    if isinstance(value, int):
+    if type(value) is int:
         return value, value
     if not (isinstance(value, (tuple, list)) and len(value) == 2
-            and all(isinstance(x, int) for x in value)):
+            and all(type(x) is int for x in value)):
         raise ValueError(f"{axis} must be an integer or a pair of integers, "
                          f"got {value!r}")
     lo, hi = value
@@ -122,13 +123,10 @@ class ScanBox:
         return cls.of(**axes)
 
     def ranges(self):
-        return (self.d, self.delta, self.chi, self.u, self.v)
+        return tuple(getattr(self, axis) for axis in _AXES)
 
     def volume(self) -> int:
-        n = 1
-        for lo, hi in self.ranges():
-            n *= hi - lo + 1
-        return n
+        return prod(hi - lo + 1 for lo, hi in self.ranges())
 
 
 @dataclass(frozen=True)

@@ -147,6 +147,12 @@ def test_delta_lower_rejects_unknown_mode():
         delta_lower(100, 9, mode="loose")
 
 
+def test_degree_bound_rejects_unknown_mode():
+    with pytest.raises(ValueError,
+                       match="mode must be 'paper' or 'sharp', got 'x'"):
+        degree_bound(34, 9, mode="x")
+
+
 # -- degree bound -------------------------------------------------------------
 
 def test_headline_degree_bound():

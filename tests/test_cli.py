@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from p6fold import bounds, constraints, invariants
+from p6fold import bounds, constraints, identities, invariants, ring
 from p6fold.cli import main
 
 
@@ -52,6 +52,29 @@ def test_verify_json_round_trip(capsys):
     parsed = json.loads(out)
     assert len(parsed) == 17
     assert json.dumps(parsed, indent=2) == out.strip()
+
+
+def test_verify_prints_the_diff_of_a_failed_identity(monkeypatch, capsys):
+    # Misstate s(1)*h^2 by one d; L4.3.1 must fail and print lhs, rhs, diff.
+    forms = identities.SCHUR_PARAM_FORMS
+    monkeypatch.setattr(identities, "SCHUR_PARAM_FORMS",
+                        (forms[0] + ring.d,) + forms[1:])
+    code, out, _ = run_cli(["verify", "--id", "L4.3.1"], capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL  L4.3.1   Schur number s(1)*h^2 of the twisted normal bundle",
+        "        lhs: 2*d + 1*δ",
+        "        rhs: 3*d + 1*δ",
+        "        diff: -1*d",
+        "0/1 identities pass",
+    ]
+    code, out, _ = run_cli(["verify", "--id", "L4.3.1", "--json"], capsys)
+    assert code == 1
+    [record] = json.loads(out)
+    assert record["pass"] is False
+    assert record["comparisons"] == [{"label": "", "lhs": "2*d + 1*δ",
+                                      "rhs": "3*d + 1*δ", "diff": "-1*d",
+                                      "equal": False}]
 
 
 def test_profile_human(capsys):

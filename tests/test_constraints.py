@@ -145,6 +145,30 @@ def test_config_rejects_non_integer_numbers(kwargs, name):
         HypothesisConfig(**kwargs)
 
 
+def test_config_stores_cover_flags_as_a_frozenset():
+    # A list used to be stored as given, and hash(cfg) then raised TypeError.
+    cfg = HypothesisConfig(cover_flags=["covered_by_lines"])
+    assert cfg.cover_flags == frozenset({"covered_by_lines"})
+    assert type(cfg.cover_flags) is frozenset
+    assert cfg == HypothesisConfig(cover_flags=frozenset({"covered_by_lines"}))
+    assert hash(cfg) == hash(
+        HypothesisConfig(cover_flags=frozenset({"covered_by_lines"})))
+
+
+@pytest.mark.parametrize("mode", ["no", 0, 1, None])
+def test_config_rejects_a_geometric_mode_that_is_not_a_bool(mode):
+    # geometric_mode="no" used to select geometric mode: the string is truthy.
+    with pytest.raises(ValueError,
+                       match=f"geometric_mode must be a bool, got {mode!r}"):
+        HypothesisConfig(geometric_mode=mode)
+
+
+def test_value_of_an_unknown_constraint_is_a_key_error():
+    report = evaluate(InvariantTuple(4, 0, 1, 6, 32), GEOMETRIC)
+    with pytest.raises(KeyError, match="Z9"):
+        report.value_of("Z9")
+
+
 def test_min_degree_strictness():
     t = InvariantTuple(2, -2, 1, 2, 2)
     assert is_feasible(t, HypothesisConfig(min_degree=2))

@@ -9,13 +9,16 @@ from fractions import Fraction
 import pytest
 
 from oracles import FIXTURES, split_bundle_profile
-from p6fold.constraints import HypothesisConfig, evaluate, is_feasible
+from p6fold.bounds import degree_bound
+from p6fold.constraints import (HypothesisConfig, evaluate, feasible_u,
+                                feasible_v, is_feasible)
 from p6fold.errors import DomainError
 from p6fold.invariants import (PROFILE_KEYS, InvariantTuple, degree3_numbers,
                                from_geometry, profile, profile_numbers,
                                schur_numbers)
 from p6fold.ring import (ParamExpr, chi, d, delta, h, normal_chern,
                          reduce_to_params, schur_values, twist_rank3, u, v)
+from p6fold.scan import ScanBox
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -144,6 +147,47 @@ def test_wrong_arity_is_a_value_error_naming_the_input(bad):
     for check in (evaluate, is_feasible):
         with pytest.raises(ValueError, match=re.escape(message)):
             check(bad, HypothesisConfig())
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: profile((True, 0, 1, 6, 32)),
+                 "profile needs five integers, got (True, 0, 1, 6, 32)",
+                 id="profile"),
+    pytest.param(lambda: evaluate((4, 0, 1, 6, True), HypothesisConfig()),
+                 "evaluate needs five integers, got (4, 0, 1, 6, True)",
+                 id="evaluate"),
+    pytest.param(lambda: is_feasible(InvariantTuple(4, False, 1, 6, 32),
+                                     HypothesisConfig()),
+                 "is_feasible needs five integers, got (4, False, 1, 6, 32)",
+                 id="is_feasible"),
+    pytest.param(lambda: from_geometry(4, True, 1, 6, 32),
+                 "from_geometry needs five integers, got (4, True, 1, 6, 32)",
+                 id="from_geometry"),
+    pytest.param(lambda: feasible_u(4, 0, True, HypothesisConfig(), 1, 9),
+                 "feasible_u needs five integers", id="feasible_u"),
+    pytest.param(lambda: feasible_v(4, 0, 1, 6, HypothesisConfig(), 0, True),
+                 "feasible_v needs six integers", id="feasible_v"),
+    pytest.param(lambda: degree_bound(34, True),
+                 "s and kappa must be integers, got (34, True)",
+                 id="degree_bound"),
+    pytest.param(lambda: ScanBox.of(d=True, delta=0, chi=1, u=6, v=32),
+                 "d must be an integer or a pair of integers, got True",
+                 id="ScanBox.of"),
+    pytest.param(lambda: ScanBox.of(d=1, delta=0, chi=1, u=6, v=(0, True)),
+                 "v must be an integer or a pair of integers",
+                 id="ScanBox.of-pair"),
+    pytest.param(lambda: HypothesisConfig(min_degree=True),
+                 "min_degree must be an integer, got True",
+                 id="HypothesisConfig.min_degree"),
+    pytest.param(lambda: HypothesisConfig(ks2_cap=False),
+                 "ks2_cap must be an integer or None, got False",
+                 id="HypothesisConfig.ks2_cap"),
+])
+def test_a_bool_is_not_an_integer(call, message):
+    # bool is a subclass of int: profile((True, 0, 1, 6, 32)) used to
+    # report "h3": true, and degree_bound(34, True) "kappa": true.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_raw_mode_odd_delta_has_half_integral_genus():

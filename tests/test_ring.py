@@ -281,6 +281,23 @@ def test_param_evaluate_and_substitute():
     assert partial.substitute(delta=0) == ParamExpr()
 
 
+def test_substitute_rejects_an_unknown_parameter():
+    with pytest.raises(ValueError, match="unknown parameter 'w'"):
+        (d + v).substitute(w=1)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GradedPoly({(1, 0, 0): 1}), "bad GradedPoly monomial"),
+    (lambda: GradedPoly({(-1, 1, 0, 0): 1}), "bad GradedPoly monomial"),
+    (lambda: ParamExpr({(1, 0, 0, 0): 1}), "bad ParamExpr monomial"),
+    (lambda: h ** -1, "exponent must be a non-negative integer"),
+    (lambda: d ** Fraction(1, 2), "exponent must be a non-negative integer"),
+])
+def test_malformed_polynomials_are_value_errors(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_param_power_and_equality_with_scalars():
     assert (d - d) == 0
     assert ParamExpr.constant(Fraction(3, 2)) == Fraction(3, 2)

@@ -315,10 +315,16 @@ def test_box_parse_round_trip():
     "d=1,delta=0,chi=1,u=1,v=0,q=3",          # unknown axis
     "d=1,d=2,delta=0,chi=1,u=1,v=0",          # duplicate axis
     "d=x,delta=0,chi=1,u=1,v=0",              # non-integer
+    "d=1,,delta=0,chi=1,u=1,v=0",             # empty component
 ])
 def test_box_parse_rejects(spec):
     with pytest.raises(ValueError):
         ScanBox.parse(spec)
+
+
+def test_box_of_rejects_unknown_axes():
+    with pytest.raises(ValueError, match=r"unknown axes: \['w'\]"):
+        ScanBox.of(d=1, delta=0, chi=1, u=1, v=0, w=1)
 
 
 @pytest.mark.parametrize("d", [(1.7, 2), 1.5, (1, "2"), (1, 2, 3), None])

@@ -3,24 +3,69 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import p6fold
+from p6fold.invariants import InvariantTuple
+from p6fold.scan import ScanBox
 
 PACKAGE = Path(p6fold.__file__).resolve().parent
 
 
+def _trees():
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path, ast.parse(path.read_text(encoding="utf-8"),
+                              filename=str(path))
+
+
 def test_no_assert_statements_in_the_package():
     # python -O strips assert statements, so no runtime check may be one.
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
+    found = [f"{path.name}:{node.lineno}" for path, tree in _trees()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_integer_checks_do_not_use_isinstance():
+    # isinstance(x, int) admits True and False; the modules that decide
+    # whether an argument is an integer test type(x) is int.
+    gated = ("invariants.py", "constraints.py", "scan.py", "bounds.py")
+    found = [
+        f"{path.name}:{node.lineno}" for path, tree in _trees()
+        if path.name in gated for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance" and len(node.args) == 2
+        and any(isinstance(n, ast.Name) and n.id == "int"
+                for n in ast.walk(node.args[1]))]
+    assert found == []
+
+
+def test_the_axis_names_are_spelled_once():
+    # InvariantTuple's fields are the one list of the five axis names; a
+    # tuple, list or text that spells them again would drift from it.
+    axes = InvariantTuple._fields
+    text = ",".join(axes)
+    found = []
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            spelled = (
+                isinstance(node, (ast.Tuple, ast.List))
+                and tuple(getattr(e, "value", None) for e in node.elts) == axes
+                or isinstance(node, ast.Constant)
+                and isinstance(node.value, str) and text in node.value)
+            if spelled:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_scan_box_fields_are_the_invariant_axes():
+    # ScanBox declares the axes as its own fields; they must stay
+    # InvariantTuple's, in its order.
+    fields = tuple(f.name for f in dataclasses.fields(ScanBox))
+    assert fields == InvariantTuple._fields
 
 
 def test_import_leaves_out_concurrent_futures():
