@@ -13,7 +13,10 @@ that is 34^3 = 39304, driven by the clamp rather than the crossing.
 Every step runs the one forced quadratic :func:`section5_quadratic`, which
 registry id S5.QUAD proves.  Everything is exact, no floats: integer sign
 analysis, one ``isqrt`` for sharp :func:`delta_lower`, and bisection over
-integer degrees for the sharp crossing.
+integer degrees for the sharp crossing.  The crossing arithmetic is integer:
+both crossings compare the bounds scaled by a positive multiple of s, so
+``Fraction`` appears only in reported values (the lifting threshold, the
+genus bound and :func:`delta_lower`).
 """
 
 from __future__ import annotations
@@ -70,11 +73,11 @@ def lifting_threshold(s: int) -> Fraction:
     return Fraction((s - 1) * (s - 3), 2) + 8 * s - 3
 
 
-def _genus_upper_delta_raw(d, s_eff: int) -> Fraction:
-    # delta = 2g - 2 form of the genus bound, without applicability guards.
-    return (Fraction(d * d, s_eff)
-            + d * (Fraction(s_eff, 2) - 3)
-            + Fraction(3 * s_eff * s_eff - 28, 4))
+def _genus_bound_times_4s(d: int, s_eff: int) -> int:
+    # 4*s_eff*t for the delta = 2g - 2 form of the genus bound,
+    # t = d^2/s + (s/2 - 3)d + (3s^2 - 28)/4, without applicability guards.
+    return 4 * d * d + (2 * s_eff - 12) * s_eff * d \
+        + (3 * s_eff * s_eff - 28) * s_eff
 
 
 def genus_upper_delta(d: int, s: int) -> Fraction:
@@ -90,7 +93,7 @@ def genus_upper_delta(d: int, s: int) -> Fraction:
         raise DomainError(
             f"genus bound applies only for d > s^3 = {s_eff ** 3}, got {d}"
         )
-    return _genus_upper_delta_raw(d, s_eff)
+    return Fraction(_genus_bound_times_4s(d, s_eff), 4 * s_eff)
 
 
 def section5_quadratic(d, kappa):
@@ -134,24 +137,25 @@ def delta_lower(d: int, kappa: int, mode: str = "paper") -> Fraction:
 
 
 def _crossing_paper(s_eff: int, kappa: int) -> int:
-    # The gap between -B/A and the genus bound is a quadratic in d with
-    # positive leading coefficient 1/33 - 1/s_eff.  Read it off its values
-    # at d = 0, 1, 2, clear denominators and bracket its upper root with
+    # The gap between -B/A and the genus bound t is a quadratic in d with
+    # positive leading coefficient 1/33 - 1/s_eff.  Scaled by 132*s_eff it
+    # is an integer; read it off its values at d = 0, 1, 2 (times 2, which
+    # keeps every coefficient an integer) and bracket its upper root with
     # isqrt.
-    def gap(dd: int, k: int = kappa) -> Fraction:
-        a, b, _ = section5_quadratic(dd, k)
-        return Fraction(-b, a) - _genus_upper_delta_raw(dd, s_eff)
+    m = 4 * s_eff
+
+    def gap(dd: int, k: int = kappa) -> int:
+        # 132*s_eff*(-B/A - t), with A = 33
+        b = section5_quadratic(dd, k)[1]
+        return -m * b - 33 * _genus_bound_times_4s(dd, s_eff)
 
     g0, g1, g2 = gap(0), gap(1), gap(2)
-    qa = (g2 - 2 * g1 + g0) / 2  # > 0 because s_eff >= 34
-    qb = g1 - g0 - qa
-    qc = g0
-
-    lcm = math.lcm(qa.denominator, qb.denominator, qc.denominator)
-    ia, ib, ic = (q.numerator * (lcm // q.denominator) for q in (qa, qb, qc))
+    ia = g2 - 2 * g1 + g0  # > 0 because s_eff >= 34
+    ib = 2 * (g1 - g0) - ia
+    ic = 2 * g0
     if ic >= 0:
-        # qc = gap(0) falls linearly in kappa; name the least kappa past 0.
-        least = math.floor(kappa - qc / (gap(0, kappa + 1) - qc)) + 1
+        # gap(0) falls linearly in kappa; name the least kappa past 0.
+        least = kappa + g0 // (g0 - gap(0, kappa + 1)) + 1
         raise DomainError(
             f"kappa = {kappa} is out of range for effective degree "
             f"{s_eff}: the crossing argument needs kappa >= {least}"
@@ -189,10 +193,14 @@ def _crossing_sharp(s_eff: int, kappa: int, hi: int) -> int:
     # Least d for which the *true* positive root of the delta-quadratic
     # exceeds the genus bound t.  A = 33 > 0, and C < 0 puts the other root
     # below 0 < t, so the root exceeds t iff the quadratic is negative at t.
+    # With t = n/m, m = 4*s_eff > 0, the test (a*t + b)*t + c < 0 is
+    # (a*n + b*m)*n + c*m^2 < 0, all in integers.
+    m = 4 * s_eff
+
     def exceeds(dd: int) -> bool:
         a, b, c = section5_quadratic(dd, kappa)
-        t = _genus_upper_delta_raw(dd, s_eff)
-        return c < 0 and (a * t + b) * t + c < 0
+        n = _genus_bound_times_4s(dd, s_eff)
+        return c < 0 and (a * n + b * m) * n + c * m * m < 0
 
     # exceeds(hi) holds: C(hi) < 0 puts the true root above -B/A, which
     # exceeds the genus bound at the paper crossing hi.

@@ -32,6 +32,7 @@ only that tuple; :func:`evaluate` alone turns it into
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -71,7 +72,12 @@ class HypothesisConfig:
         if type(self.geometric_mode) is not bool:
             raise ValueError("geometric_mode must be a bool, got "
                              f"{self.geometric_mode!r}")
-        object.__setattr__(self, "cover_flags", frozenset(self.cover_flags))
+        flags = self.cover_flags
+        # A string is one flag name, not a collection of them.
+        if isinstance(flags, str) or not isinstance(flags, Iterable):
+            raise ValueError("cover_flags must be a collection of flag "
+                             f"names, got {flags!r}")
+        object.__setattr__(self, "cover_flags", frozenset(flags))
         require_ints("min_degree must be an integer", self.min_degree)
         if self.ks2_cap is not None:
             require_ints("ks2_cap must be an integer or None", self.ks2_cap)

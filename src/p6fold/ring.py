@@ -17,7 +17,10 @@ Both share one implementation of the arithmetic, equality and rendering.
 :func:`reduce_to_params` is the bridge: it sends each degree-3 monomial to
 its closed-form value in the five parameters, which is
 :func:`p6fold.invariants.degree3_numbers` run on the parameter generators.
-All arithmetic is exact (``fractions.Fraction``); nothing here ever rounds.
+All arithmetic is exact and nothing here ever rounds.  Coefficients are
+ints, and become ``fractions.Fraction`` only when a true rational enters (a
+``Fraction`` coefficient or parameter value); the public accessors return
+``Fraction`` either way.
 
 Everything is immutable and safe to share across threads.
 """
@@ -25,6 +28,7 @@ Everything is immutable and safe to share across threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, mul
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -32,9 +36,21 @@ from .formatting import terms_str
 from .invariants import KC2_VALUE, InvariantTuple, degree3_numbers
 
 
-class _Poly:
-    """Immutable sparse polynomial: mapping exponent tuple -> Fraction.
+def _exact(value, what: str):
+    """An int, or a Fraction (made an int when integral); else ValueError."""
+    if type(value) is int:
+        return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    raise ValueError(f"{what} must be an int or a Fraction, got {value!r}")
 
+
+class _Poly:
+    """Immutable sparse polynomial: mapping exponent tuple -> coefficient.
+
+    A coefficient is stored as an ``int``, or as a ``Fraction`` once a true
+    rational enters; the accessors return ``Fraction`` either way, and
+    equality and hash agree between the two (``hash(3) == hash(Fraction(3))``).
     Supports ``+ - *`` (with the same kind, ints, or Fractions), integer
     powers, ``==`` and ``hash``.  A subclass declares its variable names
     and, optionally, grading weights and a truncation degree: products of
@@ -57,24 +73,31 @@ class _Poly:
             if self._TOP is not None and self._degree(mono) > self._TOP:
                 raise ValueError(f"monomial {mono!r} exceeds total degree "
                                  f"{self._TOP}")
-            c = Fraction(coeff)
+            c = _exact(coeff, "coefficient")
             if c:
                 clean[mono] = c
         self._terms = clean
 
     @classmethod
+    def _make(cls, terms):
+        # Arithmetic on valid monomials builds valid ones: drop zeros only.
+        poly = object.__new__(cls)
+        poly._terms = {m: c for m, c in terms.items() if c}
+        return poly
+
+    @classmethod
     def _degree(cls, mono) -> int:
-        return sum(e * w for e, w in zip(mono, cls._WEIGHTS))
+        return sum(map(mul, mono, cls._WEIGHTS))
 
     @classmethod
     def constant(cls, value):
-        return cls({(0,) * len(cls._NAMES): Fraction(value)})
+        return cls({(0,) * len(cls._NAMES): value})
 
     @classmethod
     def _coerce(cls, other):
         if isinstance(other, cls):
             return other
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int or isinstance(other, Fraction):
             return cls.constant(other)
         return NotImplemented
 
@@ -87,12 +110,12 @@ class _Poly:
         terms = dict(self._terms)
         for mono, c in other._terms.items():
             terms[mono] = terms.get(mono, 0) + c
-        return type(self)(terms)
+        return self._make(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)({m: -c for m, c in self._terms.items()})
+        return self._make({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -107,20 +130,27 @@ class _Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # Weigh each factor's monomials once and skip a pair above the
+        # truncation degree (dim X = 3) before building its monomial.
         top = self._TOP
+        if top is None:
+            right = [(m, c, 0) for m, c in other._terms.items()]
+        else:
+            right = [(m, c, self._degree(m)) for m, c in other._terms.items()]
         terms = {}
         for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                if top is not None and self._degree(mono) > top:
-                    continue  # truncated: e.g. dim X = 3 for GradedPoly
+            room = 0 if top is None else top - self._degree(m1)
+            for m2, c2, w2 in right:
+                if w2 > room:
+                    continue
+                mono = tuple(map(add, m1, m2))
                 terms[mono] = terms.get(mono, 0) + c1 * c2
-        return type(self)(terms)
+        return self._make(terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError("exponent must be a non-negative integer")
         result = self.constant(1)
         for _ in range(n):
@@ -130,10 +160,10 @@ class _Poly:
     # -- structure, equality, rendering --------------------------------------
 
     def coefficient(self, mono) -> Fraction:
-        return self._terms.get(tuple(mono), Fraction(0))
+        return Fraction(self._terms.get(tuple(mono), 0))
 
     def monomials(self):
-        return dict(self._terms)
+        return {m: Fraction(c) for m, c in self._terms.items()}
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -167,11 +197,11 @@ class GradedPoly(_Poly):
     _TOP = 3
 
     def constant_term(self) -> Fraction:
-        return self._terms.get((0, 0, 0, 0), Fraction(0))
+        return Fraction(self._terms.get((0, 0, 0, 0), 0))
 
     def degree_part(self, degree: int) -> "GradedPoly":
-        return GradedPoly({m: c for m, c in self._terms.items()
-                           if self._degree(m) == degree})
+        return GradedPoly._make({m: c for m, c in self._terms.items()
+                                 if self._degree(m) == degree})
 
     def degree3_basis(self) -> "Basis3":
         """The seven coordinates of the degree-3 component."""
@@ -219,18 +249,19 @@ class ParamExpr(_Poly):
         for name in values:
             if name not in idx:
                 raise ValueError(f"unknown parameter {name!r}")
+        at = [(idx[name], _exact(val, f"the value of {name}"))
+              for name, val in values.items()]
         terms = {}
         for mono, c in self._terms.items():
             coeff = c
             rest = list(mono)
-            for name, val in values.items():
-                i = idx[name]
+            for i, val in at:
                 if mono[i]:
-                    coeff *= Fraction(val) ** mono[i]
+                    coeff *= val ** mono[i]
                 rest[i] = 0
             key = tuple(rest)
             terms[key] = terms.get(key, 0) + coeff
-        return ParamExpr(terms)
+        return ParamExpr._make(terms)
 
 
 # Ring generators.
@@ -286,14 +317,14 @@ def normal_chern() -> tuple[GradedPoly, GradedPoly, GradedPoly]:
     n1 = cn.degree_part(1)
     n2 = cn.degree_part(2)
     n3 = cn.degree_part(3)
-    gamma = n3.coefficient((0, 1, 1, 0))
+    gamma = n3._terms.get((0, 1, 1, 0), 0)
     n3 = n3 - gamma * k * c2 + gamma * KC2_VALUE
     return n1, n2, n3
 
 
 def _require_degree(poly: GradedPoly, degree: int, what: str,
                     allow_constant: bool = False):
-    for mono in poly.monomials():
+    for mono in poly._terms:
         deg = GradedPoly._degree(mono)
         if deg == degree:
             continue
@@ -349,16 +380,18 @@ def reduce_to_params(p: GradedPoly) -> ParamExpr:
     degree-1 or degree-2 components have no parameter value and raise
     :class:`DomainError`.
     """
-    result = ParamExpr()
-    for mono, coeff in p.monomials().items():
+    terms = {}
+    for mono, coeff in p._terms.items():
         deg = GradedPoly._degree(mono)
         if deg == 0:
-            result = result + coeff
+            image = {(0, 0, 0, 0, 0): 1}
         elif deg == 3:
-            result = result + coeff * SUBSTITUTIONS[mono]
+            image = SUBSTITUTIONS[mono]._terms
         else:
             raise DomainError(
                 "reduce_to_params needs a degree-3 class (plus optional "
                 f"constant); found a degree-{deg} term in {p.text()}"
             )
-    return result
+        for m, c in image.items():
+            terms[m] = terms.get(m, 0) + coeff * c
+    return ParamExpr._make(terms)

@@ -164,8 +164,9 @@ def test_headline_degree_bound():
 
 
 # (s, kappa) pairs whose crossings the tests check beyond the headline one.
-CROSSING_CASES = [(s, kappa) for s in (34, 35, 40, 60, 89)
-                  for kappa in (0, 9, 11)] + [(34, -2364)]
+CROSSING_CASES = [(s, kappa)
+                  for s in (34, 35, 36, 40, 50, 60, 89, 99, 200, 1001)
+                  for kappa in (0, 5, 9, 11, 39)] + [(34, -2364)]
 
 
 def test_first_contradiction_sign_change():
@@ -213,6 +214,20 @@ def test_degree_bound_rejects_kappa_below_the_crossing_range():
     assert c >= 0
     with pytest.raises(DomainError, match="kappa = 1000000000 .* C\\(d\\)"):
         degree_bound(34, 10 ** 9)
+
+
+# The least kappa for which the crossing argument runs, per surface degree.
+LEAST_KAPPA = {34: -2364, 35: -2364, 36: -2652, 50: -5136, 60: -7404,
+               99: -19788, 200: -82479, 1001: -2062479}
+
+
+@pytest.mark.parametrize("mode", ["paper", "sharp"])
+@pytest.mark.parametrize("s, least", sorted(LEAST_KAPPA.items()))
+def test_least_kappa_is_exact(s, least, mode):
+    assert degree_bound(s, least, mode=mode).first_contradictory_degree > 0
+    with pytest.raises(DomainError,
+                       match=f"kappa = {least - 1} .* needs kappa >= {least}$"):
+        degree_bound(s, least - 1, mode=mode)
 
 
 def test_sharp_mode_rejects_kappa_without_a_crossing():

@@ -155,6 +155,16 @@ def test_config_stores_cover_flags_as_a_frozenset():
         HypothesisConfig(cover_flags=frozenset({"covered_by_lines"})))
 
 
+@pytest.mark.parametrize("flags", [None, 5, "covered_by_lines"])
+def test_config_rejects_cover_flags_that_are_not_a_collection(flags):
+    # None and 5 used to raise a bare TypeError from frozenset, and a string
+    # was split into its characters and refused as unknown flags.
+    with pytest.raises(ValueError,
+                       match=f"cover_flags must be a collection of flag "
+                             f"names, got {flags!r}"):
+        HypothesisConfig(cover_flags=flags)
+
+
 @pytest.mark.parametrize("mode", ["no", 0, 1, None])
 def test_config_rejects_a_geometric_mode_that_is_not_a_bool(mode):
     # geometric_mode="no" used to select geometric mode: the string is truthy.

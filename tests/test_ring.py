@@ -9,7 +9,9 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from p6fold.errors import DomainError
+from p6fold.identities import SCHUR_PARAM_FORMS
 from p6fold.ring import (
+    SUBSTITUTIONS,
     Basis3,
     GradedPoly,
     ParamExpr,
@@ -292,10 +294,53 @@ def test_substitute_rejects_an_unknown_parameter():
     (lambda: ParamExpr({(1, 0, 0, 0): 1}), "bad ParamExpr monomial"),
     (lambda: h ** -1, "exponent must be a non-negative integer"),
     (lambda: d ** Fraction(1, 2), "exponent must be a non-negative integer"),
+    # A bool is not an integer: h ** True used to equal h, the float
+    # evaluation returned a binary fraction, and d=True substituted 1.
+    (lambda: h ** True, "exponent must be a non-negative integer"),
+    (lambda: (d + v).evaluate(Fraction(1, 10), 0, 0, 0, True),
+     "the value of v must be an int or a Fraction, got True"),
+    (lambda: (d + v).evaluate(0.1, 0, 0, 0, 0),
+     "the value of d must be an int or a Fraction, got 0.1"),
+    (lambda: d.substitute(d=True),
+     "the value of d must be an int or a Fraction, got True"),
+    (lambda: GradedPoly({(1, 0, 0, 0): True}),
+     "coefficient must be an int or a Fraction, got True"),
+    (lambda: ParamExpr.constant(0.5),
+     "coefficient must be an int or a Fraction, got 0.5"),
 ])
 def test_malformed_polynomials_are_value_errors(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("scalar", [True, False, 0.5, "1"])
+def test_arithmetic_with_a_bool_or_float_is_a_type_error(scalar):
+    # h + True used to give 1*h + 1.
+    for op in (lambda a, b: a + b, lambda a, b: b + a, lambda a, b: a - b,
+               lambda a, b: b - a, lambda a, b: a * b, lambda a, b: b * a):
+        with pytest.raises(TypeError):
+            op(h, scalar)
+        with pytest.raises(TypeError):
+            op(d, scalar)
+    assert h != scalar
+
+
+def test_coefficients_are_stored_as_ints():
+    # Ring arithmetic on integer coefficients stays in int; only a true
+    # rational makes a Fraction, and the accessors return Fractions.
+    polys = [*SUBSTITUTIONS.values(), *SCHUR_PARAM_FORMS, *normal_chern()]
+    stored = [c for p in polys for c in p._terms.values()]
+    assert stored and all(type(c) is int for c in stored)
+    _, _, n3 = normal_chern()
+    assert type(n3.coefficient((3, 0, 0, 0))) is Fraction
+    assert type(n3.constant_term()) is Fraction
+    assert all(type(c) is Fraction for c in n3.monomials().values())
+    assert all(type(c) is Fraction for c in n3.degree3_basis())
+    assert type((d + v).evaluate(1, 0, 0, 0, 2)) is Fraction
+    half = Fraction(1, 2) * h
+    assert half + half == h
+    assert hash(half + half) == hash(h)
+    assert GradedPoly.constant(Fraction(3)) == 3 == GradedPoly.constant(3)
 
 
 def test_param_power_and_equality_with_scalars():
