@@ -19,12 +19,17 @@ All values are exact integers on integer tuples.  Every constraint is
 satisfied iff its value is >= 0, except that the report gives ``B2`` as
 delta mod 2, which is satisfied iff it is 0.
 
-One private kernel, ``_values``, computes every value as a plain tuple of
-ints in report order, from the closed forms of :mod:`p6fold.invariants`.
-It stores B2 as -(delta mod 2), so that "holds" means ">= 0" for every
-entry.  :func:`is_feasible`, :func:`feasible_u` and :func:`feasible_v` read
-only that tuple; :func:`evaluate` alone turns it into
-:class:`ConstraintValue` records, giving B2 back its sign.
+Each :class:`HypothesisConfig` builds one kernel, once, and caches it: a
+function of ``(d, delta, chi, u, v)`` that returns every value of
+``constraint_ids`` as a plain tuple of ints in that order.  There are four
+shapes, geometric or raw and with or without a cap, so the kernel tests no
+mode and reads no property when it runs; the S and H values are the tuple
+of :func:`invariants.invariants`.  It stores B2 as -(delta mod 2), so that
+"holds" means ">= 0" for every entry.  :func:`is_feasible`,
+:func:`feasible_u` and :func:`feasible_v` read only that tuple;
+:func:`evaluate` alone turns it into :class:`ConstraintValue` records,
+giving B2 back its sign.  The kernel is left out of a config's pickled
+and copied state, so a config stays a plain value.
 
 :func:`evaluate` and :func:`is_feasible` read their tuple through the gate
 ``invariants.five_ints``; every other number passes ``require_ints``.
@@ -32,14 +37,12 @@ only that tuple; :func:`evaluate` alone turns it into
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Optional
 
 from .formatting import rat_str
-from .invariants import (InvariantTuple, five_ints, hodge_numbers,
-                         require_ints, schur_numbers)
+from .invariants import InvariantTuple, five_ints, invariants, require_ints
 
 COVER_FLAGS = frozenset(
     {"covered_by_lines", "section_not_general_type", "kx_plus_h_empty"}
@@ -73,17 +76,26 @@ class HypothesisConfig:
             raise ValueError("geometric_mode must be a bool, got "
                              f"{self.geometric_mode!r}")
         flags = self.cover_flags
-        # A string is one flag name, not a collection of them.
-        if isinstance(flags, str) or not isinstance(flags, Iterable):
+        try:
+            # A string is one flag name, not a collection of them.
+            if isinstance(flags, str):
+                raise TypeError
+            object.__setattr__(self, "cover_flags", frozenset(flags))
+        except TypeError:  # not iterable, or holds an unhashable item
             raise ValueError("cover_flags must be a collection of flag "
-                             f"names, got {flags!r}")
-        object.__setattr__(self, "cover_flags", frozenset(flags))
+                             f"names, got {flags!r}") from None
         require_ints("min_degree must be an integer", self.min_degree)
         if self.ks2_cap is not None:
             require_ints("ks2_cap must be an integer or None", self.ks2_cap)
         unknown = self.cover_flags - COVER_FLAGS
         if unknown:
-            raise ValueError(f"unknown cover flags: {sorted(unknown)}")
+            raise ValueError("unknown cover flags: "
+                             f"{sorted(unknown, key=repr)}")
+
+    def __getstate__(self):
+        # Only the fields: the cached kernel is a closure, which pickle
+        # cannot send, and every cached value is rebuilt on first use.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def effective_cap(self) -> Optional[int]:
@@ -102,6 +114,30 @@ class HypothesisConfig:
         """Where the ``U_CONSTRAINTS`` sit in :attr:`constraint_ids`."""
         return tuple(i for i, cid in enumerate(self.constraint_ids)
                      if cid in U_CONSTRAINTS)
+
+    @cached_property
+    def _kernel(self):
+        """Every value of :attr:`constraint_ids` at ``(d, delta, chi, u,
+        v)``, in that order, as a tuple of ints; each holds iff it is >= 0,
+        so B2 is -(delta mod 2)."""
+        min_degree, cap = self.min_degree, self.effective_cap
+        if not self.geometric_mode:
+            if cap is None:
+                return invariants
+
+            def kernel(d, delta, chi, u, v):
+                return (invariants(d, delta, chi, u, v)
+                        + (cap - (10 * chi - u),))
+        elif cap is None:
+            def kernel(d, delta, chi, u, v):
+                return ((d - min_degree, -(delta % 2), delta + 2, chi - 1,
+                         u - 1) + invariants(d, delta, chi, u, v))
+        else:
+            def kernel(d, delta, chi, u, v):
+                return ((d - min_degree, -(delta % 2), delta + 2, chi - 1,
+                         u - 1) + invariants(d, delta, chi, u, v)
+                        + (cap - (10 * chi - u),))
+        return kernel
 
 
 @dataclass(frozen=True)
@@ -134,27 +170,11 @@ class ConstraintReport:
         }
 
 
-def _values(d: int, delta: int, chi: int, u: int, v: int,
-            cfg: HypothesisConfig) -> tuple:
-    """The kernel: every constraint value of ``cfg.constraint_ids``, in that
-    order, as a tuple of ints.  Each constraint holds iff its value is
-    >= 0; B2 is stored as -(delta mod 2) for that reason."""
-    values = (schur_numbers(d, delta, chi, u, v)
-              + hodge_numbers(d, delta, chi, u, v))
-    if cfg.geometric_mode:
-        values = (d - cfg.min_degree, -(delta % 2), delta + 2, chi - 1,
-                  u - 1) + values
-    cap = cfg.effective_cap
-    if cap is not None:
-        values += (cap - (10 * chi - u),)
-    return values
-
-
 def evaluate(t: InvariantTuple, cfg: HypothesisConfig) -> ConstraintReport:
     """Evaluate every constraint; the report keeps all exact slacks.
     Raises :class:`ValueError` unless ``t`` is five integers."""
     t = InvariantTuple(*five_ints("evaluate", t))
-    values = _values(*t, cfg)
+    values = cfg._kernel(*t)
     entries = tuple(
         ConstraintValue(cid, -value if cid == "B2" else value, value >= 0)
         for cid, value in zip(cfg.constraint_ids, values))
@@ -165,8 +185,7 @@ def evaluate(t: InvariantTuple, cfg: HypothesisConfig) -> ConstraintReport:
 def is_feasible(t: InvariantTuple, cfg: HypothesisConfig) -> bool:
     """True iff every constraint holds at ``t``.  Raises
     :class:`ValueError` unless ``t`` is five integers."""
-    d, delta, chi, u, v = five_ints("is_feasible", t)
-    return min(_values(d, delta, chi, u, v, cfg)) >= 0
+    return min(cfg._kernel(*five_ints("is_feasible", t))) >= 0
 
 
 def _affine_interval(pairs, lo: int, hi: int) -> range:
@@ -192,8 +211,9 @@ def feasible_u(d: int, delta: int, chi: int, cfg: HypothesisConfig,
     holds for ``(d, delta, chi, u)``; outside it no v is feasible.  Raises
     :class:`ValueError` unless all five numbers are integers."""
     require_ints("feasible_u needs five integers", d, delta, chi, lo, hi)
-    at0 = _values(d, delta, chi, 0, 0, cfg)
-    at1 = _values(d, delta, chi, 1, 0, cfg)
+    kernel = cfg._kernel
+    at0 = kernel(d, delta, chi, 0, 0)
+    at1 = kernel(d, delta, chi, 1, 0)
     return _affine_interval(
         [(at0[i], at1[i]) for i in cfg._u_positions], lo, hi)
 
@@ -208,5 +228,6 @@ def feasible_v(d: int, delta: int, chi: int, u: int, cfg: HypothesisConfig,
     numbers are integers.
     """
     require_ints("feasible_v needs six integers", d, delta, chi, u, lo, hi)
-    return _affine_interval(zip(_values(d, delta, chi, u, 0, cfg),
-                                _values(d, delta, chi, u, 1, cfg)), lo, hi)
+    kernel = cfg._kernel
+    return _affine_interval(zip(kernel(d, delta, chi, u, 0),
+                                kernel(d, delta, chi, u, 1)), lo, hi)

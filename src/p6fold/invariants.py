@@ -1,10 +1,11 @@
 """Closed forms in the five invariants, and the numeric profile of a tuple.
 
 The five integers ``(d, delta, chi, u, v)`` determine every Chern and
-intersection number in scope.  :func:`degree3_numbers`,
-:func:`schur_numbers` and :func:`hodge_numbers` are the only copy of these
-closed forms.  They are plain arithmetic, so the same function runs on ints
-(in :func:`profile` and the constraint system) and on the ring's
+intersection number in scope.  :func:`degree3_numbers` and
+:func:`invariants` are the only copy of these closed forms;
+:func:`schur_numbers` and :func:`hodge_numbers` are slices of the latter.
+They are plain arithmetic, so the same function runs on ints (in
+:func:`profile` and the constraint system) and on the ring's
 ``ParamExpr`` generators (in the substitution table and the identity
 registry, which proves them).
 
@@ -113,27 +114,42 @@ def degree3_numbers(d, delta, chi, u, v):
     )
 
 
-def schur_numbers(d, delta, chi, u, v):
-    """The six Schur numbers of N(-1): s(1)h^2, s(20)h, s(11)h, s(300),
-    s(210), s(111)."""
+def invariants(d, delta, chi, u, v):
+    """The six Schur numbers of N(-1), s(1)h^2, s(20)h, s(11)h, s(300),
+    s(210) and s(111), then the two Hodge-index expressions for D = 4h + k:
+    (h.D^2)^2 - (h^2.D)(D^3) on a member of |D|, then (h^2.D)^2 -
+    (h^3)(h.D^2) on the hyperplane surface.  Here h^3 = d, h^2.D = 2d +
+    delta = s(1)h^2, h.D^2 = s(20)h + s(11)h = 3d + 6*delta + 10*chi - u
+    (registry id S5.SUM) and D^3 = v.  The Hodge forms are products, with
+    no division, so they stay total when 2d + delta = 0; a genuine
+    threefold makes all eight numbers non-negative.  Each shared number is
+    computed once: the constraint system runs this once per scan row."""
+    dd = d * d
+    h2D = 2 * d + delta
+    s20h = 2 * d + 4 * delta + 8 * chi - 2 * u
+    s11h = d + 2 * delta + 2 * chi + u
+    hD2 = s20h + s11h
     return (
-        2 * d + delta,
-        2 * d + 4 * delta + 8 * chi - 2 * u,
-        d + 2 * delta + 2 * chi + u,
-        -5 * d - 5 * delta - 8 * chi + 2 * u + d * d,
-        4 * d - 3 * delta - 30 * chi - 3 * u + v + 24 - d * d,
-        -3 * d + 11 * delta + 68 * chi + 4 * u - v - 48 + d * d,
+        h2D,
+        s20h,
+        s11h,
+        -5 * d - 5 * delta - 8 * chi + 2 * u + dd,
+        4 * d - 3 * delta - 30 * chi - 3 * u + v + 24 - dd,
+        -3 * d + 11 * delta + 68 * chi + 4 * u - v - 48 + dd,
+        hD2 * hD2 - h2D * v,
+        h2D * h2D - d * hD2,
     )
+
+
+def schur_numbers(d, delta, chi, u, v):
+    """The first six numbers of :func:`invariants`: the Schur numbers."""
+    return invariants(d, delta, chi, u, v)[:6]
 
 
 def hodge_numbers(d, delta, chi, u, v):
-    """The two Hodge-index expressions, multiplied out so they stay total
-    when 2d + delta = 0: on the twisted-determinant divisor, then on the
-    hyperplane divisor.  A genuine threefold makes both non-negative."""
-    return (
-        (3 * d + 6 * delta + 10 * chi - u) ** 2 - v * (2 * d + delta),
-        delta * delta - (2 * delta + 10 * chi - u) * d + d * d,
-    )
+    """The last two numbers of :func:`invariants`: the Hodge-index
+    expressions."""
+    return invariants(d, delta, chi, u, v)[6:]
 
 
 def from_geometry(d: int, g: int, chi: int, u: int, v: int) -> InvariantTuple:

@@ -15,15 +15,17 @@ has a row template, built from :data:`invariants.PROFILE_KEYS`, whose
 every slot is affine in v, so the slots are computed at the first v of the
 cell's interval and the next: those that agree are baked into a cell
 template by one ``%``, and each that moves becomes a ``range`` column with
-that step.  A row is then one ``%`` of the cell template, with no
-``Profile``, dict or JSON encoder.  Rows are buffered and written to the
-sink in one call, so a failed write leaves no partial output behind.
+that step.  The cell's rows that :func:`constraints.is_feasible` keeps are
+then rendered together, by one ``%`` of the cell template repeated once per
+kept row, with no ``Profile``, dict or JSON encoder.  Each cell's rows are
+buffered as one string and all are written to the sink in one call, so a
+failed write leaves no partial output behind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, compress, product
 from math import prod
 from operator import itemgetter
 from typing import Iterator, Tuple
@@ -180,8 +182,12 @@ def scan(box: ScanBox, cfg: HypothesisConfig, sink,
         if header:
             lines.append(",".join((CSV_HEADER,) + keys[len(_AXES):]))
     pick = itemgetter(*map(_SLOTS.index, keys))
-    rows = []
+    feasible = 0
     for d, delta, chi, u, vs in _feasible_cells(box, cfg):
+        keep = [is_feasible((d, delta, chi, u, v), cfg) for v in vs]
+        n = keep.count(True)
+        if not n:
+            continue
         # Every slot is affine in v (tests/test_invariants.py checks it), so
         # its values at two v give its value and its step along vs.
         at0, at1 = (pick((d, delta, chi, u, v)
@@ -189,11 +195,12 @@ def scan(box: ScanBox, cfg: HypothesisConfig, sink,
                     for v in (vs[0], vs[0] + 1))
         cell = templates[delta % 2] % tuple(
             a if a == b else "%s" for a, b in zip(at0, at1))
+        # v always moves, so there is at least one column.
         columns = [range(a, a + (b - a) * len(vs), b - a)
                    for a, b in zip(at0, at1) if a != b]
-        rows.extend(cell % row for v, row in zip(vs, zip(*columns))
-                    if is_feasible((d, delta, chi, u, v), cfg))
-    lines.extend(rows)
+        lines.append("\n".join([cell] * n) % tuple(
+            chain.from_iterable(compress(zip(*columns), keep))))
+        feasible += n
     lines.append("")  # the join ends each line in "\n"; no lines give ""
     sink.write("\n".join(lines))
-    return ScanResult(scanned=box.volume(), feasible=len(rows))
+    return ScanResult(scanned=box.volume(), feasible=feasible)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -165,6 +168,22 @@ def test_config_rejects_cover_flags_that_are_not_a_collection(flags):
         HypothesisConfig(cover_flags=flags)
 
 
+def test_config_rejects_cover_flags_with_an_unhashable_item():
+    # A nested list used to raise a bare "unhashable type: 'list'".
+    flags = [["covered_by_lines"]]
+    with pytest.raises(ValueError,
+                       match=re.escape("cover_flags must be a collection of "
+                                       f"flag names, got {flags!r}")):
+        HypothesisConfig(cover_flags=flags)
+
+
+def test_config_names_unknown_cover_flags_of_mixed_types():
+    # Sorting {5, "proper"} for the message used to raise a bare TypeError.
+    with pytest.raises(ValueError,
+                       match=re.escape("unknown cover flags: ['proper', 5]")):
+        HypothesisConfig(cover_flags=[5, "proper"])
+
+
 @pytest.mark.parametrize("mode", ["no", 0, 1, None])
 def test_config_rejects_a_geometric_mode_that_is_not_a_bool(mode):
     # geometric_mode="no" used to select geometric mode: the string is truthy.
@@ -211,12 +230,17 @@ def test_evaluate_is_deterministic():
     assert evaluate(t, GEOMETRIC) == evaluate(t, GEOMETRIC)
 
 
-@pytest.mark.parametrize("cfg", [
+# One config of each kernel shape: geometric or raw, with or without a cap.
+ORACLE_CONFIGS = (
     GEOMETRIC,
     HypothesisConfig(geometric_mode=False),
     HypothesisConfig(ks2_cap=9),
     HypothesisConfig(min_degree=3, cover_flags=frozenset({"covered_by_lines"})),
-])
+    HypothesisConfig(geometric_mode=False, ks2_cap=7),
+)
+
+
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS)
 def test_feasible_v_is_exactly_the_feasible_v(cfg):
     rng = random.Random(61)
     for _ in range(300):
@@ -255,12 +279,6 @@ def test_intervals_reject_non_integer_arguments(call):
         call(HypothesisConfig(geometric_mode=False))
 
 
-ORACLE_CONFIGS = (
-    GEOMETRIC,
-    HypothesisConfig(geometric_mode=False),
-    HypothesisConfig(ks2_cap=9),
-    HypothesisConfig(min_degree=3, cover_flags=frozenset({"covered_by_lines"})),
-)
 # Feasible under every config above; a quarter of the draws land near one.
 ORACLE_ANCHORS = ((3, 0, 1, 7, 24), (4, 0, 1, 6, 32), (4, 2, 1, 11, 45),
                   (5, -2, 1, 1, 10), (8, 8, 2, 20, 216))
@@ -303,3 +321,23 @@ def test_evaluate_matches_the_constraint_oracle(cfg):
                     for ok in (True, False)}
     assert seen >= {("feasible", True), ("feasible", False), "odd delta",
                     "u < 0", "v < 0", "2d + delta = 0"}
+
+
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS)
+def test_config_stays_a_plain_value_after_use(cfg):
+    # Each config caches its constraint kernel, a closure, on first use;
+    # pickle could not send the config once it held one.
+    fresh = HypothesisConfig(cfg.geometric_mode, cfg.ks2_cap, cfg.cover_flags,
+                             cfg.min_degree)
+    t = ORACLE_ANCHORS[0]
+    assert is_feasible(t, fresh)
+    feasible_u(*t[:3], fresh, -10, 40)
+    feasible_v(*t[:4], fresh, -10, 60)
+    report = evaluate(t, fresh)
+    for other in (pickle.loads(pickle.dumps(fresh)), copy.deepcopy(fresh),
+                  copy.copy(fresh)):
+        assert type(other) is HypothesisConfig
+        assert other == fresh == cfg
+        assert hash(other) == hash(fresh) == hash(cfg)
+        assert evaluate(t, other) == report
+        assert is_feasible(t, other)

@@ -242,6 +242,19 @@ def clipped_cells(box, cfg):
             if len(feasible_v(*cell, cfg, v0 - 1, v1 + 1)) == len(vs) + 2]
 
 
+def reference_lines(pairs):
+    """The JSONL and ``--with-profile`` CSV lines of ``(tuple, profile)``
+    pairs, by ``json.dumps`` of the tuple and ``Profile.to_json_dict``."""
+    jsonl, csv = [], [CSV_HEADER + "," + ",".join(CSV_PROFILE_COLUMNS)]
+    for t, prof in pairs:
+        record = {"d": t.d, "delta": t.delta, "chi": t.chi, "u": t.u,
+                  "v": t.v, **prof.to_json_dict()}
+        jsonl.append(json.dumps(record))
+        csv.append(",".join(str(x) for x in (
+            *t, *(record[col] for col in CSV_PROFILE_COLUMNS))))
+    return jsonl, csv
+
+
 def test_rows_are_the_profile_dict_byte_for_byte():
     # Each JSONL row is json.dumps of the tuple and Profile.to_json_dict, and
     # each --with-profile CSV row is the str() of that dict's columns.  The
@@ -262,14 +275,9 @@ def test_rows_are_the_profile_dict_byte_for_byte():
     assert any(cfg is CAPPED for _, cfg in clipped)
     rows = []
     for box, cfg in cases:
-        jsonl, csv = [], [CSV_HEADER + "," + ",".join(CSV_PROFILE_COLUMNS)]
-        for t, prof in iter_feasible(box, cfg):
-            rows.append(t)
-            record = {"d": t.d, "delta": t.delta, "chi": t.chi, "u": t.u,
-                      "v": t.v, **prof.to_json_dict()}
-            jsonl.append(json.dumps(record))
-            csv.append(",".join(str(x) for x in (
-                *t, *(record[col] for col in CSV_PROFILE_COLUMNS))))
+        pairs = list(iter_feasible(box, cfg))
+        rows += [t for t, _ in pairs]
+        jsonl, csv = reference_lines(pairs)
         assert run_scan(box, cfg, fmt="jsonl")[1].splitlines() == jsonl
         assert run_scan(box, cfg, with_profile=True)[1].splitlines() == csv
     assert any(t.delta % 2 for t in rows)
@@ -302,6 +310,38 @@ def test_every_row_goes_through_is_feasible(monkeypatch, spec, kwargs):
         rows = [tuple(map(int, line.split(",")[:5]))
                 for line in out.splitlines()[1:]]
     assert rows == checked
+
+
+@pytest.mark.parametrize("spec, cfg", [
+    ("d=20,delta=40..44,chi=1..2,u=13..33,v=641..661", GEOMETRIC),
+    ("d=-4..-1,delta=2..7,chi=-1..1,u=5..9,v=-5..40", RAW),
+])
+def test_partly_kept_cells_render_only_the_kept_rows(monkeypatch, spec, cfg):
+    # feasible_v is exact, so is_feasible keeps every row of a cell; here it
+    # also drops each v divisible by 3, so most cells keep only some rows.
+    box = ScanBox.parse(spec)
+    feasible = list(iter_feasible(box, cfg))
+    pairs = [(t, prof) for t, prof in feasible if t.v % 3]
+    cells = {}
+    for t, _ in feasible:
+        cells.setdefault(t[:4], []).append(t.v % 3 != 0)
+    partly = [cell for cell, keep in cells.items()
+              if any(keep) and not all(keep)]
+    assert partly
+    if cfg is RAW:  # odd-delta cells kept in part, and one kept not at all
+        assert any(delta % 2 for _, delta, _, _ in partly)
+        assert any(not any(keep) for keep in cells.values())
+    real = scan_module.is_feasible
+    monkeypatch.setattr(scan_module, "is_feasible",
+                        lambda t, cfg: real(t, cfg) and t[4] % 3 != 0)
+    jsonl, csv = reference_lines(pairs)
+    plain = [CSV_HEADER] + [",".join(map(str, t)) for t, _ in pairs]
+    for kwargs, expected in (({}, plain), ({"with_profile": True}, csv),
+                             ({"fmt": "jsonl"}, jsonl)):
+        result, out = run_scan(box, cfg, **kwargs)
+        assert out.splitlines() == expected
+        assert out.endswith("\n")
+        assert result.feasible == len(pairs) > 0
 
 
 def test_box_parse_round_trip():
