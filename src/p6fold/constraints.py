@@ -26,10 +26,12 @@ shapes, geometric or raw and with or without a cap, so the kernel tests no
 mode and reads no property when it runs; the S and H values are the tuple
 of :func:`invariants.invariants`.  It stores B2 as -(delta mod 2), so that
 "holds" means ">= 0" for every entry.  :func:`is_feasible`,
-:func:`feasible_u` and :func:`feasible_v` read only that tuple;
-:func:`evaluate` alone turns it into :class:`ConstraintValue` records,
-giving B2 back its sign.  The kernel is left out of a config's pickled
-and copied state, so a config stays a plain value.
+:func:`feasible_u` and :func:`feasible_v` read only that tuple, and
+:func:`evaluate` keeps it in its :class:`ConstraintReport` as it is.  The
+report's JSON and ``value_of`` read those ints directly, giving B2 back its
+sign; its ``entries`` are :class:`ConstraintValue` records built on first
+read and cached.  The kernel is left out of a config's pickled and copied
+state, so a config stays a plain value.
 
 :func:`evaluate` and :func:`is_feasible` read their tuple through the gate
 ``invariants.five_ints``; every other number passes ``require_ints``.
@@ -41,7 +43,6 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Optional
 
-from .formatting import rat_str
 from .invariants import InvariantTuple, five_ints, invariants, require_ints
 
 COVER_FLAGS = frozenset(
@@ -149,22 +150,37 @@ class ConstraintValue:
 
 @dataclass(frozen=True)
 class ConstraintReport:
+    """The config's ``constraint_ids`` and the kernel's ``kernel_values`` at
+    ``tuple``, in the same order; the kernel stores B2 as -(delta mod 2),
+    and everything read from the report gives it as delta mod 2."""
+
     tuple: InvariantTuple
-    entries: tuple
     feasible: bool
+    constraint_ids: tuple
+    kernel_values: tuple
+
+    @cached_property
+    def entries(self) -> tuple:
+        """One :class:`ConstraintValue` per constraint, built on first read."""
+        return tuple(
+            ConstraintValue(cid, -value if cid == "B2" else value, value >= 0)
+            for cid, value in zip(self.constraint_ids, self.kernel_values))
 
     def value_of(self, constraint_id: str) -> int:
-        for entry in self.entries:
-            if entry.id == constraint_id:
-                return entry.value
-        raise KeyError(constraint_id)
+        try:
+            i = self.constraint_ids.index(constraint_id)
+        except ValueError:
+            raise KeyError(constraint_id) from None
+        value = self.kernel_values[i]
+        return -value if constraint_id == "B2" else value
 
     def to_json_dict(self) -> dict:
         return {
             "tuple": dict(zip(InvariantTuple._fields, self.tuple)),
             "constraints": [
-                {"id": e.id, "value": rat_str(e.value), "ok": e.satisfied}
-                for e in self.entries
+                {"id": cid, "value": str(-value if cid == "B2" else value),
+                 "ok": value >= 0}
+                for cid, value in zip(self.constraint_ids, self.kernel_values)
             ],
             "feasible": self.feasible,
         }
@@ -175,11 +191,7 @@ def evaluate(t: InvariantTuple, cfg: HypothesisConfig) -> ConstraintReport:
     Raises :class:`ValueError` unless ``t`` is five integers."""
     t = InvariantTuple(*five_ints("evaluate", t))
     values = cfg._kernel(*t)
-    entries = tuple(
-        ConstraintValue(cid, -value if cid == "B2" else value, value >= 0)
-        for cid, value in zip(cfg.constraint_ids, values))
-    return ConstraintReport(tuple=t, entries=entries,
-                            feasible=min(values) >= 0)
+    return ConstraintReport(t, min(values) >= 0, cfg.constraint_ids, values)
 
 
 def is_feasible(t: InvariantTuple, cfg: HypothesisConfig) -> bool:

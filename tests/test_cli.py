@@ -116,6 +116,184 @@ def test_check_json_matches_library(capsys):
     assert json.dumps(json.loads(out), indent=2) == out.strip()
 
 
+# check --json output, pinned byte for byte: odd delta in geometric mode
+# reports B2 as "1" and fails it; the capped config adds K.
+CHECK_ODD_DELTA_JSON = """\
+{
+  "tuple": {
+    "d": 1,
+    "delta": -1,
+    "chi": 1,
+    "u": 1,
+    "v": 0
+  },
+  "constraints": [
+    {
+      "id": "B1",
+      "value": "0",
+      "ok": true
+    },
+    {
+      "id": "B2",
+      "value": "1",
+      "ok": false
+    },
+    {
+      "id": "B3",
+      "value": "1",
+      "ok": true
+    },
+    {
+      "id": "B4",
+      "value": "0",
+      "ok": true
+    },
+    {
+      "id": "B5",
+      "value": "0",
+      "ok": true
+    },
+    {
+      "id": "S1",
+      "value": "1",
+      "ok": true
+    },
+    {
+      "id": "S2",
+      "value": "4",
+      "ok": true
+    },
+    {
+      "id": "S3",
+      "value": "2",
+      "ok": true
+    },
+    {
+      "id": "S4",
+      "value": "-5",
+      "ok": false
+    },
+    {
+      "id": "S5",
+      "value": "-3",
+      "ok": false
+    },
+    {
+      "id": "S6",
+      "value": "11",
+      "ok": true
+    },
+    {
+      "id": "H1",
+      "value": "36",
+      "ok": true
+    },
+    {
+      "id": "H2",
+      "value": "-5",
+      "ok": false
+    }
+  ],
+  "feasible": false
+}
+"""
+
+
+CHECK_CAPPED_JSON = """\
+{
+  "tuple": {
+    "d": 2,
+    "delta": -2,
+    "chi": 1,
+    "u": 2,
+    "v": 2
+  },
+  "constraints": [
+    {
+      "id": "B1",
+      "value": "1",
+      "ok": true
+    },
+    {
+      "id": "B2",
+      "value": "0",
+      "ok": true
+    },
+    {
+      "id": "B3",
+      "value": "0",
+      "ok": true
+    },
+    {
+      "id": "B4",
+      "value": "0",
+      "ok": true
+    },
+    {
+      "id": "B5",
+      "value": "1",
+      "ok": true
+    },
+    {
+      "id": "S1",
+      "value": "2",
+      "ok": true
+    },
+    {
+      "id": "S2",
+      "value": "0",
+      "ok": true
+    },
+    {
+      "id": "S3",
+      "value": "2",
+      "ok": true
+    },
+    {
+      "id": "S4",
+      "value": "0",
+      "ok": true
+    },
+    {
+      "id": "S5",
+      "value": "0",
+      "ok": true
+    },
+    {
+      "id": "S6",
+      "value": "2",
+      "ok": true
+    },
+    {
+      "id": "H1",
+      "value": "0",
+      "ok": true
+    },
+    {
+      "id": "H2",
+      "value": "0",
+      "ok": true
+    },
+    {
+      "id": "K",
+      "value": "1",
+      "ok": true
+    }
+  ],
+  "feasible": true
+}
+"""
+
+
+@pytest.mark.parametrize("args, code, expected", [
+    (["check", "--tuple", "1,-1,1,1,0", "--json"], 1, CHECK_ODD_DELTA_JSON),
+    (["check", "--tuple", "2,-2,1,2,2", "--kappa", "9", "--json"], 0,
+     CHECK_CAPPED_JSON),
+])
+def test_check_json_golden(args, code, expected, capsys):
+    assert run_cli(args, capsys) == (code, expected, "")
+
+
 def test_check_raw_skips_basic_constraints(capsys):
     code, out, _ = run_cli(
         ["check", "--tuple", "1,-1,1,1,0", "--raw", "--json"], capsys)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import json
 import pickle
 import random
 import re
@@ -14,6 +15,7 @@ from oracles import constraint_values
 from p6fold.constraints import (
     COVER_FLAGS,
     U_CONSTRAINTS,
+    ConstraintReport,
     HypothesisConfig,
     evaluate,
     feasible_u,
@@ -299,16 +301,26 @@ def oracle_draw(rng, i):
 def test_evaluate_matches_the_constraint_oracle(cfg):
     # The oracle derives every constraint from its definition, so this
     # catches a wrong kernel entry (a B2 sign, a K off by one) that the
-    # scan-against-naive tests, which call is_feasible, cannot.
+    # scan-against-naive tests, which call is_feasible, cannot.  The JSON
+    # and value_of read the kernel's ints without the records, so each is
+    # checked on its own, before the records are first built.
     rng = random.Random(2718)
     seen = set()
     for i in range(2000):
         t = InvariantTuple(*oracle_draw(rng, i))
         expected = constraint_values(t, cfg)
+        feasible = all(ok for _, _, ok in expected)
         report = evaluate(t, cfg)
+        # json.dumps, unlike ==, tells true from 1 and sees the key order.
+        assert json.dumps(report.to_json_dict()) == json.dumps({
+            "tuple": dict(zip(("d", "delta", "chi", "u", "v"), t)),
+            "constraints": [{"id": cid, "value": str(value), "ok": ok}
+                            for cid, value, ok in expected],
+            "feasible": feasible}), t
+        for cid, value, _ in expected:
+            assert report.value_of(cid) == value, (t, cid)
         assert [(e.id, e.value, e.satisfied)
                 for e in report.entries] == expected, t
-        feasible = all(ok for _, _, ok in expected)
         assert report.feasible == is_feasible(t, cfg) == feasible, t
         seen.update((cid, ok) for cid, _, ok in expected)
         seen.add(("feasible", feasible))
@@ -341,3 +353,29 @@ def test_config_stays_a_plain_value_after_use(cfg):
         assert hash(other) == hash(fresh) == hash(cfg)
         assert evaluate(t, other) == report
         assert is_feasible(t, other)
+
+
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS)
+def test_report_stays_a_plain_value_after_entries_are_read(cfg):
+    # The first read of entries caches the records in the report's
+    # __dict__; that cache must not enter == or hash, nor break pickle or
+    # deepcopy.
+    for t in (ORACLE_ANCHORS[0], InvariantTuple(1, -1, 1, 1, 0)):
+        report = evaluate(t, cfg)
+
+        def observed():
+            fresh = evaluate(t, cfg)
+            copies = (pickle.loads(pickle.dumps(report)),
+                      copy.deepcopy(report))
+            for other in copies:
+                assert type(other) is ConstraintReport
+                assert other == report == fresh
+                assert hash(other) == hash(report) == hash(fresh)
+            return hash(report), [(c.to_json_dict(), c.entries)
+                                  for c in copies]
+
+        before = observed()
+        assert "entries" not in vars(report)
+        entries = report.entries
+        assert vars(report)["entries"] is entries
+        assert observed() == before

@@ -143,8 +143,9 @@ def test_scan_skips_cells_outside_the_u_interval(monkeypatch):
 
 
 def test_hot_path_builds_no_constraint_records(monkeypatch):
-    # Only evaluate turns the kernel's tuple of ints into ConstraintValue
-    # records; the scan, is_feasible and the u/v intervals never do.
+    # Only a report's entries turn the kernel's tuple of ints into
+    # ConstraintValue records, once, on first read; the scan, is_feasible,
+    # the u/v intervals, evaluate and the report's JSON never do.
     built = []
     real = constraints_module.ConstraintValue
 
@@ -161,8 +162,14 @@ def test_hot_path_builds_no_constraint_records(monkeypatch):
             feasible_u(d, delta, chi, cfg, -10, 40)
             feasible_v(d, delta, chi, u, cfg, -10, 60)
             assert is_feasible((d, delta, chi, u, v), cfg)
+    report = evaluate(ANCHORS[0], GEOMETRIC)
+    report.to_json_dict()
+    report.value_of("S1")
+    assert report.feasible
     assert built == []
-    evaluate(ANCHORS[0], GEOMETRIC)  # the count sees what evaluate builds
+    entries = report.entries  # the count sees what the first read builds
+    assert len(built) == len(GEOMETRIC.constraint_ids) == 13
+    assert report.entries is entries
     assert len(built) == 13
 
 
