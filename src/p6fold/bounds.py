@@ -22,11 +22,10 @@ genus bound and :func:`delta_lower`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .formatting import rat_str
 from .invariants import require_ints
 
 #: rounding grid of sharp-mode :func:`delta_lower`
@@ -46,15 +45,10 @@ class BoundReport:
     delta_mode: str = "paper"
 
     def to_json_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "kappa": self.kappa,
-            "lifting_threshold": rat_str(self.lifting_threshold),
-            "s_cubed": self.s_cubed,
-            "first_contradictory_degree": self.first_contradictory_degree,
-            "final_bound": self.final_bound,
-            "delta_mode": self.delta_mode,
-        }
+        """The fields in declaration order, ``lifting_threshold`` as
+        ``"p/q"`` or ``"p"`` text."""
+        return dict(asdict(self),
+                    lifting_threshold=str(self.lifting_threshold))
 
 
 def _effective_even(s: int) -> int:
@@ -125,7 +119,7 @@ def delta_lower(d: int, kappa: int, mode: str = "paper") -> Fraction:
     if c >= 0:
         raise DomainError(
             "no forced lower bound: the quadratic's constant term "
-            f"{rat_str(c)} is non-negative"
+            f"{c} is non-negative"
         )
     if mode == "paper":
         return Fraction(-b, a)
@@ -260,19 +254,17 @@ def proof_trace(report: BoundReport) -> str:
         f"K_S^2 cap {report.kappa} [{report.delta_mode} mode]",
         f"  [1] lifting: a sectional curve on a degree-{report.s} surface "
         f"lifts the threefold into a degree-{report.s} fourfold once "
-        f"d > {rat_str(report.lifting_threshold)}",
+        f"d > {report.lifting_threshold!s}",
         f"  [2] genus bound (valid for d > {s_eff}^3 = {report.s_cubed}): "
-        f"delta <= d^2/{s_eff} + {rat_str(genus_lin)}*d + "
-        f"{rat_str(genus_const)}",
+        f"delta <= d^2/{s_eff} + {genus_lin!s}*d + {genus_const!s}",
         f"  [3] Schur semi-positivity + Hodge index with K_S^2 <= "
         f"{report.kappa}: {a}*delta^2 + (-d^2 + 34*d + {b0})*delta + "
         f"C(d) >= 0, so delta >= (d^2 - 34*d)/{a} + "
-        f"({rat_str(Fraction(-b0, a))}) "
-        "once C(d) < 0",
+        f"({Fraction(-b0, a)!s}) once C(d) < 0",
         f"  [4] crossing: the lower bound [3] exceeds the upper bound [2] "
         f"from d = {report.first_contradictory_degree} on",
         f"  [5] applicability clamp: final bound = max({s_eff}^3, "
-        f"ceil({rat_str(report.lifting_threshold)}), "
+        f"ceil({report.lifting_threshold!s}), "
         f"{report.first_contradictory_degree} - 1) = {report.final_bound}",
     ]
     return "\n".join(lines)

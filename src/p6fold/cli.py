@@ -78,9 +78,10 @@ def _add_hypothesis_flags(parser):
 
 def _config_from_args(args) -> constraints.HypothesisConfig:
     flags = frozenset(args.cover_flags or ())
+    action = ("applying that cap" if args.kappa is None
+              else f"--kappa {args.kappa} overrides it")
     for flag in sorted(flags):
-        print(f"note: {flag} forces K_S^2 <= 9; applying that cap",
-              file=sys.stderr)
+        print(f"note: {flag} forces K_S^2 <= 9; {action}", file=sys.stderr)
     return constraints.HypothesisConfig(
         geometric_mode=not args.raw,
         ks2_cap=args.kappa,
@@ -139,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar=_BOX_METAVAR)
     _add_hypothesis_flags(p_scan)
     p_scan.add_argument("--with-profile", action="store_true",
-                        help="append profile columns to each row")
+                        help="append profile columns to each row (CSV "
+                             "only: a JSONL row always carries them all)")
     p_scan.add_argument("--workers", type=int, default=1,
                         help="accepted for compatibility; the scan runs in "
                              "one process")

@@ -27,7 +27,6 @@ from fractions import Fraction
 from typing import NamedTuple, Union
 
 from .errors import DomainError
-from .formatting import rat_str
 
 
 class InvariantTuple(NamedTuple):
@@ -84,7 +83,7 @@ class Profile:
     def to_json_dict(self) -> dict:
         """``PROFILE_KEYS`` mapped to the fields, with ``g`` as ``"p/2"``
         text when it is a half-integer."""
-        g = self.g if type(self.g) is int else rat_str(self.g)
+        g = self.g if type(self.g) is int else str(self.g)
         return dict(zip(PROFILE_KEYS, (
             self.h3, self.h2k, self.hk2, self.k3, self.hc2, self.kc2,
             self.c3top, self.n3, self.KS2, self.c2S, self.pg, g) + self.schur))

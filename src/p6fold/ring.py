@@ -32,7 +32,6 @@ from operator import add, mul
 from typing import NamedTuple
 
 from .errors import DomainError
-from .formatting import terms_str
 from .invariants import KC2_VALUE, InvariantTuple, degree3_numbers
 
 
@@ -43,6 +42,38 @@ def _exact(value, what: str):
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     raise ValueError(f"{what} must be an int or a Fraction, got {value!r}")
+
+
+def _monomial_str(exponents, names) -> str:
+    """``(2, 1, 0)`` over ``("d", "e", "f")`` -> ``"d^2*e"`` (``""`` for 1)."""
+    parts = []
+    for e, name in zip(exponents, names):
+        if e == 1:
+            parts.append(name)
+        elif e > 1:
+            parts.append(f"{name}^{e}")
+    return "*".join(parts)
+
+
+def _terms_str(terms, names) -> str:
+    """Signed sum of ``(exponents, coefficient)`` pairs in the given order.
+
+    Coefficients are always printed explicitly (``- 1*d^2*e``), as ``str``
+    gives them (``p`` or ``p/q``); a constant term is printed bare.  The
+    zero expansion renders as ``"0"``.
+    """
+    if not terms:
+        return "0"
+    out = []
+    for exponents, coeff in terms:
+        mono = _monomial_str(exponents, names)
+        mag = str(abs(coeff))
+        body = f"{mag}*{mono}" if mono else mag
+        if not out:
+            out.append(body if coeff > 0 else f"-{body}")
+        else:
+            out.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(out)
 
 
 class _Poly:
@@ -180,8 +211,8 @@ class _Poly:
     def text(self) -> str:
         """Canonical serialization: terms in descending lexicographic order
         of their exponent tuples."""
-        return terms_str(sorted(self._terms.items(), reverse=True),
-                         self._NAMES)
+        return _terms_str(sorted(self._terms.items(), reverse=True),
+                          self._NAMES)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.text()})"

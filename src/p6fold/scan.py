@@ -138,37 +138,39 @@ class ScanResult:
 
 
 def _feasible_cells(box: ScanBox, cfg: HypothesisConfig
-                    ) -> Iterator[Tuple[int, int, int, int, range]]:
+                    ) -> Iterator[Tuple[int, int, int, int, range, list]]:
     """Each cell ``(d, delta, chi, u)`` of the box left by the u-interval,
-    in lex order, with its v-interval.  The intervals only skip work:
-    callers keep a row only if ``is_feasible`` holds at it."""
+    in lex order, with its v-interval and the mask of the v that
+    ``is_feasible`` keeps, from one call per v; a cell that keeps no row
+    is skipped.  The intervals only skip work: the mask alone decides
+    which rows the callers render."""
     (d0, d1), (e0, e1), (c0, c1), (u0, u1), (v0, v1) = box.ranges()
     for d, delta, chi in product(range(d0, d1 + 1), range(e0, e1 + 1),
                                  range(c0, c1 + 1)):
         for u in feasible_u(d, delta, chi, cfg, u0, u1):
             vs = feasible_v(d, delta, chi, u, cfg, v0, v1)
-            if vs:
-                yield d, delta, chi, u, vs
+            keep = [is_feasible((d, delta, chi, u, v), cfg) for v in vs]
+            if any(keep):
+                yield d, delta, chi, u, vs, keep
 
 
 def iter_feasible(box: ScanBox, cfg: HypothesisConfig
                   ) -> Iterator[Tuple[InvariantTuple, Profile]]:
     """Lazily yield each feasible tuple with its profile, in lex order."""
-    for d, delta, chi, u, vs in _feasible_cells(box, cfg):
-        for v in vs:
+    for d, delta, chi, u, vs, keep in _feasible_cells(box, cfg):
+        for v in compress(vs, keep):
             t = InvariantTuple(d, delta, chi, u, v)
-            if is_feasible(t, cfg):
-                yield t, profile(t)
+            yield t, profile(t)
 
 
 def scan(box: ScanBox, cfg: HypothesisConfig, sink,
          workers: int = 1, fmt: str = "csv",
-         with_profile: bool = False,
-         header: bool = True) -> ScanResult:
+         with_profile: bool = False) -> ScanResult:
     """Filter the box through the constraint system and write to ``sink``.
 
-    ``fmt`` is ``"csv"`` or ``"jsonl"``; CSV optionally appends profile
-    columns.  Output order is lexicographic.  ``workers`` is accepted for
+    ``fmt`` is ``"csv"`` or ``"jsonl"``.  ``with_profile`` appends profile
+    columns to CSV rows only: a JSONL row always carries every profile
+    key.  Output order is lexicographic.  ``workers`` is accepted for
     compatibility; the scan runs in one process.
     """
     if fmt not in ("csv", "jsonl"):
@@ -179,15 +181,10 @@ def scan(box: ScanBox, cfg: HypothesisConfig, sink,
     else:
         keys = _AXES + CSV_PROFILE_COLUMNS if with_profile else _AXES
         templates = (",".join(["%s"] * len(keys)),) * 2
-        if header:
-            lines.append(",".join((CSV_HEADER,) + keys[len(_AXES):]))
+        lines.append(",".join((CSV_HEADER,) + keys[len(_AXES):]))
     pick = itemgetter(*map(_SLOTS.index, keys))
     feasible = 0
-    for d, delta, chi, u, vs in _feasible_cells(box, cfg):
-        keep = [is_feasible((d, delta, chi, u, v), cfg) for v in vs]
-        n = keep.count(True)
-        if not n:
-            continue
+    for d, delta, chi, u, vs, keep in _feasible_cells(box, cfg):
         # Every slot is affine in v (tests/test_invariants.py checks it), so
         # its values at two v give its value and its step along vs.
         at0, at1 = (pick((d, delta, chi, u, v)
@@ -198,6 +195,7 @@ def scan(box: ScanBox, cfg: HypothesisConfig, sink,
         # v always moves, so there is at least one column.
         columns = [range(a, a + (b - a) * len(vs), b - a)
                    for a, b in zip(at0, at1) if a != b]
+        n = keep.count(True)
         lines.append("\n".join([cell] * n) % tuple(
             chain.from_iterable(compress(zip(*columns), keep))))
         feasible += n

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import hashlib
 import json
 import os
 import subprocess
@@ -312,6 +313,23 @@ def test_check_cover_flag_sets_cap_and_notes(capsys):
     assert "K_S^2 <= 9" in err
 
 
+def test_check_cover_flag_note_names_an_explicit_kappa(capsys):
+    # An explicit --kappa overrides the flag's cap of 9, and the note says
+    # so instead of claiming to apply the 9; stdout is that of --kappa alone.
+    tuple_args = ["check", "--tuple", "4,0,1,6,32", "--json"]
+    code, out, err = run_cli(tuple_args + ["--kappa", "12",
+                                           "--covered-by-lines"], capsys)
+    assert err == ("note: covered_by_lines forces K_S^2 <= 9; "
+                   "--kappa 12 overrides it\n")
+    assert (code, out) == run_cli(tuple_args + ["--kappa", "12"], capsys)[:2]
+    k_entry = next(c for c in json.loads(out)["constraints"]
+                   if c["id"] == "K")
+    assert k_entry["value"] == "8"  # 12 - K_S^2 with K_S^2 = 4; cap 9 gives 5
+    _, _, err = run_cli(tuple_args + ["--covered-by-lines"], capsys)
+    assert err == ("note: covered_by_lines forces K_S^2 <= 9; "
+                   "applying that cap\n")
+
+
 def test_malformed_tuple_names_the_field(capsys):
     code, _, err = run_cli(["check", "--tuple", "1,-2,zzz,1,0"], capsys)
     assert code == 2
@@ -338,6 +356,105 @@ def test_bound_human_trace(capsys):
     code, out, _ = run_cli(["bound", "--s", "34", "--human"], capsys)
     assert code == 0
     assert out.strip() == bounds.proof_trace(bounds.degree_bound(34, 9))
+
+
+# Output bytes of the commands that print rationals and the ring's term
+# text, pinned as literals (or a digest, for the long registry report), so
+# a change of rendering cannot move a command and its reference together.
+VERIFY_L34_SHOW = """\
+PASS  L3.4     normal-bundle Chern classes n1, n2, n3
+        lhs [n1]: 7*h + 1*k
+        rhs [n1]: 7*h + 1*k
+        lhs [n2]: 21*h^2 + 7*h*k + 1*k^2 - 1*c2
+        rhs [n2]: 21*h^2 + 7*h*k + 1*k^2 - 1*c2
+        lhs [n3]: 35*h^3 + 21*h^2*k + 7*h*k^2 - 7*h*c2 + 1*k^3 - 1*c3 + 48
+        rhs [n3]: 35*h^3 + 21*h^2*k + 7*h*k^2 - 7*h*c2 + 1*k^3 - 1*c3 + 48
+1/1 identities pass
+"""
+
+BOUND_34_HUMAN = """\
+degree bound for s = 34 (effective even degree 34), K_S^2 cap 9 [paper mode]
+  [1] lifting: a sectional curve on a degree-34 surface lifts the threefold \
+into a degree-34 fourfold once d > 1561/2
+  [2] genus bound (valid for d > 34^3 = 39304): \
+delta <= d^2/34 + 14*d + 860
+  [3] Schur semi-positivity + Hodge index with K_S^2 <= 9: \
+33*delta^2 + (-d^2 + 34*d + 99)*delta + C(d) >= 0, \
+so delta >= (d^2 - 34*d)/33 + (-3) once C(d) < 0
+  [4] crossing: the lower bound [3] exceeds the upper bound [2] \
+from d = 16922 on
+  [5] applicability clamp: final bound = max(34^3, ceil(1561/2), 16922 - 1) \
+= 39304
+"""
+
+BOUND_35_SHARP_HUMAN = """\
+degree bound for s = 35 (effective even degree 34), K_S^2 cap 10 [sharp mode]
+  [1] lifting: a sectional curve on a degree-35 surface lifts the threefold \
+into a degree-35 fourfold once d > 821
+  [2] genus bound (valid for d > 34^3 = 39304): \
+delta <= d^2/34 + 14*d + 860
+  [3] Schur semi-positivity + Hodge index with K_S^2 <= 10: \
+33*delta^2 + (-d^2 + 34*d + 111)*delta + C(d) >= 0, \
+so delta >= (d^2 - 34*d)/33 + (-37/11) once C(d) < 0
+  [4] crossing: the lower bound [3] exceeds the upper bound [2] \
+from d = 14693 on
+  [5] applicability clamp: final bound = max(34^3, ceil(821), 14693 - 1) \
+= 39304
+"""
+
+BOUND_34_JSON = """\
+{
+  "s": 34,
+  "kappa": 9,
+  "lifting_threshold": "1561/2",
+  "s_cubed": 39304,
+  "first_contradictory_degree": 16922,
+  "final_bound": 39304,
+  "delta_mode": "paper"
+}
+"""
+
+PROFILE_ODD_DELTA_JSON = """\
+{
+  "h3": 1,
+  "h2k": -3,
+  "hk2": 14,
+  "k3": -88,
+  "hc2": 5,
+  "kc2": -24,
+  "c3": -6,
+  "n3": 1,
+  "KS2": 9,
+  "c2S": 3,
+  "pg": 0,
+  "g": "1/2",
+  "s1h2": 1,
+  "s20h": 4,
+  "s11h": 2,
+  "s300": -5,
+  "s210": -3,
+  "s111": 11
+}
+"""
+
+
+@pytest.mark.parametrize("args, expected", [
+    (["verify", "--id", "L3.4", "--show"], VERIFY_L34_SHOW),
+    (["bound", "--s", "34"], BOUND_34_JSON),
+    (["bound", "--s", "34", "--human"], BOUND_34_HUMAN),
+    (["bound", "--s", "35", "--kappa", "10", "--sharp", "--human"],
+     BOUND_35_SHARP_HUMAN),
+    (["profile", "--tuple", "1,-1,1,1,0", "--json"], PROFILE_ODD_DELTA_JSON),
+])
+def test_rendering_golden(args, expected, capsys):
+    assert run_cli(args, capsys) == (0, expected, "")
+
+
+def test_verify_all_json_golden(capsys):
+    code, out, err = run_cli(["verify", "--all", "--json"], capsys)
+    assert (code, err, len(out)) == (0, "", 6169)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e379c088c4f51544d282d371158c31a9b29b0dec8938aadca251d72139abee78")
 
 
 def test_bound_sharp_flag(capsys):

@@ -7,7 +7,6 @@ import json
 import pickle
 import random
 import re
-from fractions import Fraction
 
 import pytest
 
@@ -22,7 +21,6 @@ from p6fold.constraints import (
     feasible_v,
     is_feasible,
 )
-from p6fold.formatting import rat_str
 from p6fold.invariants import InvariantTuple, profile
 
 GEOMETRIC = HypothesisConfig()
@@ -216,15 +214,6 @@ def test_report_json_schema():
     b2 = next(c for c in data["constraints"] if c["id"] == "B2")
     assert b2 == {"id": "B2", "value": "1", "ok": False}
     assert all(isinstance(c["value"], str) for c in data["constraints"])
-
-
-@pytest.mark.parametrize("value, text", [
-    (0, "0"), (7, "7"), (-7, "-7"), (10 ** 30, "1" + "0" * 30),
-    (True, "1"), (False, "0"),  # not "True": bools take the Fraction path
-    (Fraction(3, 2), "3/2"), (Fraction(-3, 2), "-3/2"), (Fraction(4, 2), "2"),
-])
-def test_rat_str_renders_as_before_its_int_fast_path(value, text):
-    assert rat_str(value) == text
 
 
 def test_evaluate_is_deterministic():

@@ -245,7 +245,7 @@ def narrow_v_box(rng, anchor, v_lo, v_hi):
 def clipped_cells(box, cfg):
     """The cells of ``box`` whose v-interval the box cuts at both ends."""
     v0, v1 = box.v
-    return [cell for *cell, vs in scan_module._feasible_cells(box, cfg)
+    return [cell for *cell, vs, _keep in scan_module._feasible_cells(box, cfg)
             if len(feasible_v(*cell, cfg, v0 - 1, v1 + 1)) == len(vs) + 2]
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -78,3 +79,25 @@ def test_import_leaves_out_concurrent_futures():
          "import sys, p6fold; print('concurrent.futures' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+def test_every_exported_name_resolves():
+    names = p6fold.__all__
+    assert [n for n in names if not hasattr(p6fold, n)] == []
+    assert len(set(names)) == len(names)
+
+
+def test_readme_quick_start_runs_and_prints_its_comments():
+    # The README's library block runs as written, and each print line's
+    # trailing comment is what it prints.
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = re.search(r"## Library quick start\n\n```python\n(.*?)```",
+                      readme.read_text(encoding="utf-8"), re.S).group(1)
+    shown = [line.partition("# ")[2] for line in block.splitlines()
+             if line.startswith("print(")]
+    assert shown == ["(8, 4, 12, 0, 8, 16)", "True", "39304"]
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run([sys.executable, "-c", block], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout.splitlines()) == (0, shown), \
+        proc.stderr
