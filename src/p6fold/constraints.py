@@ -26,12 +26,22 @@ shapes, geometric or raw and with or without a cap, so the kernel tests no
 mode and reads no property when it runs; the S and H values are the tuple
 of :func:`invariants.invariants`.  It stores B2 as -(delta mod 2), so that
 "holds" means ">= 0" for every entry.  :func:`is_feasible`,
-:func:`feasible_u` and :func:`feasible_v` read only that tuple, and
-:func:`evaluate` keeps it in its :class:`ConstraintReport` as it is.  The
-report's JSON and ``value_of`` read those ints directly, giving B2 back its
-sign; its ``entries`` are :class:`ConstraintValue` records built on first
-read and cached.  The kernel is left out of a config's pickled and copied
-state, so a config stays a plain value.
+:func:`feasible_chi`, :func:`feasible_u` and :func:`feasible_v` read only
+that tuple, and :func:`evaluate` keeps it in its :class:`ConstraintReport`
+as it is.  The report's JSON and ``value_of`` read those ints directly,
+giving B2 back its sign; its ``entries`` are :class:`ConstraintValue`
+records built on first read and cached.  The kernel is left out of a
+config's pickled and copied state, so a config stays a plain value.
+
+The interval functions narrow a scan one axis at a time.  The members of
+``U_CONSTRAINTS`` have no v and are affine in (chi, u) jointly, so
+:func:`feasible_chi` gives the chi of a (d, delta) row at which some u
+satisfies them all, by eliminating u from their values at three points;
+:func:`feasible_u` gives the u of a (d, delta, chi) triple at which they
+all hold; and every constraint is affine in v, so :func:`feasible_v` gives
+the feasible v of a cell exactly.  A scan's cost thus grows with the
+(d, delta) rows, plus the triples left by the chi-interval, plus the
+cells, plus the rows.
 
 :func:`evaluate` and :func:`is_feasible` read their tuple through the gate
 ``invariants.five_ints``; every other number passes ``require_ints``.
@@ -41,6 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import chain
 from typing import Optional
 
 from .invariants import InvariantTuple, five_ints, invariants, require_ints
@@ -53,8 +64,9 @@ _BASIC_IDS = ("B1", "B2", "B3", "B4", "B5")
 _SCHUR_IDS = ("S1", "S2", "S3", "S4", "S5", "S6")
 _HODGE_IDS = ("H1", "H2")
 
-# The constraints whose closed forms contain no v and are affine in u.  H1
-# is left out: it has no v when 2d + delta = 0, but it is quadratic in u.
+# The constraints whose closed forms contain no v and are affine in (chi, u)
+# jointly.  H1 is left out: it has no v when 2d + delta = 0, but it is
+# quadratic in u.
 U_CONSTRAINTS = frozenset("B1 B2 B3 B4 B5 S1 S2 S3 S4 H2 K".split())
 
 
@@ -115,6 +127,11 @@ class HypothesisConfig:
         """Where the ``U_CONSTRAINTS`` sit in :attr:`constraint_ids`."""
         return tuple(i for i, cid in enumerate(self.constraint_ids)
                      if cid in U_CONSTRAINTS)
+
+    @cached_property
+    def _s2_s4(self) -> tuple:
+        """Where ``S2`` and ``S4`` sit in :attr:`constraint_ids`."""
+        return self.constraint_ids.index("S2"), self.constraint_ids.index("S4")
 
     @cached_property
     def _kernel(self):
@@ -215,6 +232,42 @@ def _affine_interval(pairs, lo: int, hi: int) -> range:
         elif e0 < 0:
             return range(0)
     return range(lower, upper + 1)
+
+
+def feasible_chi(d: int, delta: int, cfg: HypothesisConfig, lo: int,
+                 hi: int, u_lo: int, u_hi: int) -> range:
+    """The chi in ``lo..hi`` for which some real u in ``u_lo..u_hi``
+    satisfies every constraint in ``U_CONSTRAINTS`` at ``(d, delta, chi,
+    u)``; outside it :func:`feasible_u` is empty.  Raises
+    :class:`ValueError` unless all six numbers are integers.
+
+    Each of those constraints is affine in (chi, u) jointly (registry forms
+    checked in tests), so the kernel at (chi, u) = (0, 0), (1, 0) and
+    (0, 1) reads it as ``e + a*chi + b*u``; so are the box rows
+    ``u - u_lo`` and ``u_hi - u``.  A row with b = 0 bounds chi by itself,
+    and each pair with ``b_i > 0 > b_j`` gives the u-free row
+    ``-b_j*row_i + b_i*row_j`` (one Fourier-Motzkin step).  Together they
+    are exactly the projection onto chi.  One such row is S2 + S4 =
+    d^2 - 3d - delta, free of chi too, so it is read first: a (d, delta)
+    row that it empties costs one kernel call.
+    """
+    require_ints("feasible_chi needs six integers", d, delta, lo, hi, u_lo,
+                 u_hi)
+    kernel = cfg._kernel
+    at00 = kernel(d, delta, 0, 0, 0)
+    s2, s4 = cfg._s2_s4
+    if at00[s2] + at00[s4] < 0:
+        return range(0)
+    at10 = kernel(d, delta, 1, 0, 0)
+    at01 = kernel(d, delta, 0, 1, 0)
+    # Each row as its values at chi = 0 and chi = 1 (u = 0) and its u-slope.
+    rows = [(at00[i], at10[i], at01[i] - at00[i]) for i in cfg._u_positions]
+    rows += [(-u_lo, -u_lo, 1), (u_hi, u_hi, -1)]
+    direct = ((e0, e1) for e0, e1, b in rows if b == 0)
+    combined = ((bi * e0j - bj * e0i, bi * e1j - bj * e1i)
+                for e0i, e1i, bi in rows if bi > 0
+                for e0j, e1j, bj in rows if bj < 0)
+    return _affine_interval(chain(direct, combined), lo, hi)
 
 
 def feasible_u(d: int, delta: int, chi: int, cfg: HypothesisConfig,

@@ -17,6 +17,7 @@ from p6fold.constraints import (
     ConstraintReport,
     HypothesisConfig,
     evaluate,
+    feasible_chi,
     feasible_u,
     feasible_v,
     is_feasible,
@@ -259,11 +260,43 @@ def test_feasible_v_is_exactly_the_feasible_v(cfg):
         assert list(feasible_u(d, delta, chi, cfg, lo, hi)) == expected
 
 
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS)
+def test_feasible_chi_keeps_every_chi_with_a_feasible_u(cfg):
+    # feasible_chi projects onto chi over a real u, so it may keep a chi
+    # whose feasible_u is empty, but it must never drop one that has a u.
+    # Every third row has 2d + delta = 0; d <= 0 flips H2's u-slope.
+    rng = random.Random(62)
+    seen = set()
+    for i in range(300):
+        d = rng.randint(-3, 12)
+        delta = -2 * d if i % 3 == 0 else rng.randint(-4, 30)
+        lo = rng.randint(-3, 3)
+        hi = lo + rng.randint(-1, 6)
+        u_lo = rng.randint(-10, 20)
+        u_hi = u_lo + rng.randint(-1, 40)
+        kept = feasible_chi(d, delta, cfg, lo, hi, u_lo, u_hi)
+        assert set(kept) <= set(range(lo, hi + 1))
+        for chi in range(lo, hi + 1):
+            if feasible_u(d, delta, chi, cfg, u_lo, u_hi):
+                assert chi in kept, (d, delta, chi, u_lo, u_hi)
+                seen.add("kept, with a u")
+            elif chi not in kept:
+                seen.add("dropped")
+        seen.update(k for k, hit in (("d <= 0", d <= 0),
+                                     ("2d + delta = 0", 2 * d + delta == 0),
+                                     ("row emptied", lo <= hi and not kept))
+                    if hit)
+    assert seen == {"kept, with a u", "dropped", "d <= 0", "2d + delta = 0",
+                    "row emptied"}
+
+
 @pytest.mark.parametrize("call", [
     lambda cfg: feasible_v(1.5, -2, 1, 1, cfg, 0, 40),  # was range(0, 0)
     lambda cfg: feasible_v(1, -2, 1, 1, cfg, 0.5, 40),  # was a TypeError
     lambda cfg: feasible_u(1.5, -2, 1, cfg, 0, 40),
     lambda cfg: feasible_u(1, -2, 1, cfg, 0, 40.0),
+    lambda cfg: feasible_chi(1, -2.0, cfg, 0, 3, 0, 40),
+    lambda cfg: feasible_chi(1, -2, cfg, 0, 3, 0, 40.5),
 ])
 def test_intervals_reject_non_integer_arguments(call):
     with pytest.raises(ValueError, match="needs (five|six) integers"):

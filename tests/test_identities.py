@@ -13,7 +13,7 @@ from p6fold.identities import (
     verify_all,
     verify_identity,
 )
-from p6fold.ring import ParamExpr, d, delta
+from p6fold.ring import ParamExpr, chi, d, delta, u
 
 EXPECTED_IDS = [
     "L3.4",
@@ -117,14 +117,34 @@ def test_schur_and_hodge_forms_are_affine_in_v():
         assert all(mono[4] <= 1 for mono in form.monomials()), form.text()
 
 
+def free_of_v_and_affine_in_chi_u(form):
+    """True iff ``form`` has no v and no chi^2, u^2 or chi*u monomial."""
+    return all(mono[4] == 0 and mono[2] + mono[3] <= 1
+               for mono in form.monomials())
+
+
 def test_u_constraints_are_the_forms_free_of_v_and_affine_in_u():
-    # constraints.feasible_u reads u-slopes off u = 0 and u = 1 at v = 0, so
-    # its Schur and Hodge constraints must have no v and no u^2 term.
+    # constraints.feasible_u reads u-slopes off u = 0 and u = 1 at v = 0, and
+    # constraints.feasible_chi reads each of these constraints as
+    # e + a*chi + b*u off (chi, u) = (0, 0), (1, 0) and (0, 1), so their
+    # Schur and Hodge members must have no v and be affine in (chi, u)
+    # jointly: no chi^2, u^2 or chi*u term.
     forms = dict(zip((*_SCHUR_IDS, *_HODGE_IDS),
                      (*SCHUR_PARAM_FORMS, *_HODGE_PARAM_FORMS)))
-    no_v_affine_u = {
-        cid for cid, form in forms.items()
-        if all(mono[4] == 0 and mono[3] <= 1 for mono in form.monomials())}
+    no_v_affine_u = {cid for cid, form in forms.items()
+                     if free_of_v_and_affine_in_chi_u(form)}
     assert no_v_affine_u == U_CONSTRAINTS & forms.keys()
     for cid in ("S5", "S6", "H1"):
         assert any(mono[4] > 0 for mono in forms[cid].monomials()), cid
+    # The check sees a chi*u term, which a test of u^2 alone would not.
+    assert not free_of_v_and_affine_in_chi_u(forms["H2"] + chi * u)
+
+
+def test_the_projection_certificates():
+    # The two positive combinations of U-constraints that bound a degree's
+    # (delta, chi): feasible_chi reads the first off the kernel before the
+    # rest, and its Fourier-Motzkin step finds the second when d > 0.
+    s2, s4 = SCHUR_PARAM_FORMS[1], SCHUR_PARAM_FORMS[3]
+    h2 = _HODGE_PARAM_FORMS[1]
+    assert s2 + s4 == d * d - 3 * d - delta
+    assert 2 * h2 + d * s2 == 4 * d * d + 2 * delta * delta - 12 * d * chi

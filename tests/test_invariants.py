@@ -10,8 +10,8 @@ import pytest
 
 from oracles import FIXTURES, split_bundle_profile
 from p6fold.bounds import degree_bound
-from p6fold.constraints import (HypothesisConfig, evaluate, feasible_u,
-                                feasible_v, is_feasible)
+from p6fold.constraints import (HypothesisConfig, evaluate, feasible_chi,
+                                feasible_u, feasible_v, is_feasible)
 from p6fold.errors import DomainError
 from p6fold.invariants import (PROFILE_KEYS, InvariantTuple, degree3_numbers,
                                from_geometry, profile, profile_numbers,
@@ -167,6 +167,8 @@ def test_wrong_arity_is_a_value_error_naming_the_input(bad):
                  "feasible_u needs five integers", id="feasible_u"),
     pytest.param(lambda: feasible_v(4, 0, 1, 6, HypothesisConfig(), 0, True),
                  "feasible_v needs six integers", id="feasible_v"),
+    pytest.param(lambda: feasible_chi(4, 0, HypothesisConfig(), 1, 3, True, 9),
+                 "feasible_chi needs six integers", id="feasible_chi"),
     pytest.param(lambda: degree_bound(34, True),
                  "s and kappa must be integers, got (34, True)",
                  id="degree_bound"),

@@ -12,7 +12,8 @@ import pytest
 
 from oracles import naive_feasible_rows
 from p6fold.constraints import (U_CONSTRAINTS, HypothesisConfig, evaluate,
-                                feasible_u, feasible_v, is_feasible)
+                                feasible_chi, feasible_u, feasible_v,
+                                is_feasible)
 from p6fold.invariants import InvariantTuple
 from p6fold.scan import (CSV_HEADER, CSV_PROFILE_COLUMNS, ScanBox,
                          iter_feasible, scan)
@@ -99,6 +100,15 @@ def wide_u_box(rng):
                    v=(v - rng.randint(0, 8), v + rng.randint(0, 8)))
 
 
+def sign_flip_box(rng):
+    """A box whose d-range spans -3..2: H2's u-slope is d, so its row moves
+    between the lower and upper u-bounds of feasible_chi as d changes sign."""
+    delta, chi = rng.randint(-4, -2), rng.randint(-1, 1)
+    u, v = rng.randint(-4, 1), rng.randint(-5, 5)
+    return ScanBox(d=(-3, 2), delta=(delta, delta + 8), chi=(chi, 2),
+                   u=(u, u + 12), v=(v, v + 40))
+
+
 def test_matches_naive_filter_on_random_boxes():
     rng = random.Random(20250101)
     cases = [(random_box(rng), GEOMETRIC) for _ in range(12)]
@@ -106,12 +116,19 @@ def test_matches_naive_filter_on_random_boxes():
               for cfg in WIDE_V_CONFIGS for _ in range(3)]
     cases += [(wide_u_box(rng), cfg)
               for cfg in WIDE_V_CONFIGS for _ in range(2)]
+    cases += [(sign_flip_box(rng), cfg)
+              for cfg in WIDE_V_CONFIGS for _ in range(2)]
+    degrees = set()
     for box, cfg in cases:
         expected = naive_feasible_rows(box, cfg)
         result, out = run_scan(box, cfg)
         assert out.strip().splitlines()[1:] == expected
         assert result.scanned == box.volume()
         assert result.feasible == len(expected)
+        if box.d == (-3, 2):
+            degrees.update(int(row.split(",")[0]) for row in expected)
+    # The sign-flip boxes have rows at d < 0, d = 0 (no H2 u-slope) and d > 0.
+    assert min(degrees) < 0 < max(degrees) and 0 in degrees
 
 
 # The first scan-sparse benchmark box.
@@ -142,6 +159,27 @@ def test_scan_skips_cells_outside_the_u_interval(monkeypatch):
     assert result.scanned == box.volume()
 
 
+def test_scan_calls_feasible_u_only_where_it_has_a_u(monkeypatch):
+    # feasible_chi drops the (d, delta, chi) triples whose u-interval is
+    # empty: 51 of the box's 930 triples have a u.
+    box = ScanBox.parse(SPARSE_BOX)
+    calls = []
+    real = scan_module.feasible_u
+
+    def counting_feasible_u(*args):
+        calls.append(args[:3])
+        return real(*args)
+
+    monkeypatch.setattr(scan_module, "feasible_u", counting_feasible_u)
+    run_scan(box)
+    u0, u1 = box.u
+    triples = [triple for triple in product(*(range(lo, hi + 1)
+                                              for lo, hi in box.ranges()[:3]))
+               if real(*triple, GEOMETRIC, u0, u1)]
+    assert calls == triples
+    assert len(triples) == 51
+
+
 def test_hot_path_builds_no_constraint_records(monkeypatch):
     # Only a report's entries turn the kernel's tuple of ints into
     # ConstraintValue records, once, on first read; the scan, is_feasible,
@@ -159,6 +197,7 @@ def test_hot_path_builds_no_constraint_records(monkeypatch):
     assert result.feasible > 0
     for cfg in (GEOMETRIC,) + WIDE_V_CONFIGS:
         for d, delta, chi, u, v in ANCHORS:
+            feasible_chi(d, delta, cfg, -3, 3, -10, 40)
             feasible_u(d, delta, chi, cfg, -10, 40)
             feasible_v(d, delta, chi, u, cfg, -10, 60)
             assert is_feasible((d, delta, chi, u, v), cfg)
