@@ -25,23 +25,21 @@ function of ``(d, delta, chi, u, v)`` that returns every value of
 shapes, geometric or raw and with or without a cap, so the kernel tests no
 mode and reads no property when it runs; the S and H values are the tuple
 of :func:`invariants.invariants`.  It stores B2 as -(delta mod 2), so that
-"holds" means ">= 0" for every entry.  :func:`is_feasible`,
-:func:`feasible_chi`, :func:`feasible_u` and :func:`feasible_v` read only
-that tuple, and :func:`evaluate` keeps it in its :class:`ConstraintReport`
-as it is.  The report's JSON and ``value_of`` read those ints directly,
-giving B2 back its sign; its ``entries`` are :class:`ConstraintValue`
-records built on first read and cached.  The kernel is left out of a
-config's pickled and copied state, so a config stays a plain value.
+"holds" means ">= 0" for every entry.  :func:`is_feasible` and
+:func:`feasible_cells` read only that tuple, and :func:`evaluate` keeps it
+in its :class:`ConstraintReport` as it is.  The report's JSON and
+``value_of`` read those ints directly, giving B2 back its sign; its
+``entries`` are :class:`ConstraintValue` records built on first read and
+cached.  The kernel is left out of a config's pickled and copied state, so
+a config stays a plain value.
 
-The interval functions narrow a scan one axis at a time.  The members of
-``U_CONSTRAINTS`` have no v and are affine in (chi, u) jointly, so
-:func:`feasible_chi` gives the chi of a (d, delta) row at which some u
-satisfies them all, by eliminating u from their values at three points;
-:func:`feasible_u` gives the u of a (d, delta, chi) triple at which they
-all hold; and every constraint is affine in v, so :func:`feasible_v` gives
-the feasible v of a cell exactly.  A scan's cost thus grows with the
-(d, delta) rows, plus the triples left by the chi-interval, plus the
-cells, plus the rows.
+:func:`feasible_cells` is the one walk of the feasible region of a box.
+The members of ``U_CONSTRAINTS`` have no v and are affine in (chi, u)
+jointly, so three kernel calls per (d, delta) row read them all and give
+the row's chi-interval (u eliminated) and, at each chi, its u-interval;
+every constraint is affine in v, so two more per (d, delta, chi, u) cell
+give its v-interval exactly.  Its cost thus grows with the (d, delta)
+rows plus the cells left by the u-intervals, not with the box volume.
 
 :func:`evaluate` and :func:`is_feasible` read their tuple through the gate
 ``invariants.five_ints``; every other number passes ``require_ints``.
@@ -51,8 +49,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import chain
-from typing import Optional
+from itertools import chain, product
+from typing import Iterator, Optional
 
 from .invariants import InvariantTuple, five_ints, invariants, require_ints
 
@@ -121,17 +119,6 @@ class HypothesisConfig:
         """The ids of the enforced constraints, in report order."""
         return ((_BASIC_IDS if self.geometric_mode else ()) + _SCHUR_IDS
                 + _HODGE_IDS + (() if self.effective_cap is None else ("K",)))
-
-    @cached_property
-    def _u_positions(self) -> tuple:
-        """Where the ``U_CONSTRAINTS`` sit in :attr:`constraint_ids`."""
-        return tuple(i for i, cid in enumerate(self.constraint_ids)
-                     if cid in U_CONSTRAINTS)
-
-    @cached_property
-    def _s2_s4(self) -> tuple:
-        """Where ``S2`` and ``S4`` sit in :attr:`constraint_ids`."""
-        return self.constraint_ids.index("S2"), self.constraint_ids.index("S4")
 
     @cached_property
     def _kernel(self):
@@ -234,65 +221,52 @@ def _affine_interval(pairs, lo: int, hi: int) -> range:
     return range(lower, upper + 1)
 
 
-def feasible_chi(d: int, delta: int, cfg: HypothesisConfig, lo: int,
-                 hi: int, u_lo: int, u_hi: int) -> range:
-    """The chi in ``lo..hi`` for which some real u in ``u_lo..u_hi``
-    satisfies every constraint in ``U_CONSTRAINTS`` at ``(d, delta, chi,
-    u)``; outside it :func:`feasible_u` is empty.  Raises
-    :class:`ValueError` unless all six numbers are integers.
+def feasible_cells(ranges, cfg: HypothesisConfig) -> Iterator[tuple]:
+    """Yield ``(d, delta, chi, u, vs)`` in lex order for each cell of the
+    box ``ranges`` (five inclusive ``(lo, hi)`` int pairs, as
+    ``ScanBox.ranges()`` gives them) that has a feasible v; ``vs`` is
+    exactly the v in its range at which every constraint holds.  Raises
+    :class:`ValueError` on the first ``next()`` unless all ten bounds are
+    integers.
 
-    Each of those constraints is affine in (chi, u) jointly (registry forms
-    checked in tests), so the kernel at (chi, u) = (0, 0), (1, 0) and
-    (0, 1) reads it as ``e + a*chi + b*u``; so are the box rows
-    ``u - u_lo`` and ``u_hi - u``.  A row with b = 0 bounds chi by itself,
-    and each pair with ``b_i > 0 > b_j`` gives the u-free row
-    ``-b_j*row_i + b_i*row_j`` (one Fourier-Motzkin step).  Together they
-    are exactly the projection onto chi.  One such row is S2 + S4 =
-    d^2 - 3d - delta, free of chi too, so it is read first: a (d, delta)
-    row that it empties costs one kernel call.
+    Each member of ``U_CONSTRAINTS`` is affine in (chi, u) jointly (registry
+    forms checked in tests), so per (d, delta) row the kernel at (chi, u) =
+    (0, 0), (1, 0) and (0, 1) reads it as the form ``e + a*chi + b*u``.
+    S2 + S4 = d^2 - 3d - delta is free of chi and u, so it is read first: a
+    row that it empties costs one kernel call.  The chi at which some real
+    u in the box satisfies them all is one interval: each form with b = 0
+    bounds chi by itself, and each pair with ``b_i > 0 > b_j``, among those
+    forms and the box's ``u - u_lo`` and ``u_hi - u``, gives the u-free
+    form ``-b_j*f_i + b_i*f_j`` (one Fourier-Motzkin step).  At each such
+    chi the same forms give the u-interval with no kernel call, and every
+    constraint is affine in v, so the kernel at v = 0 and 1 gives each
+    cell's v-interval.
     """
-    require_ints("feasible_chi needs six integers", d, delta, lo, hi, u_lo,
-                 u_hi)
-    kernel = cfg._kernel
-    at00 = kernel(d, delta, 0, 0, 0)
-    s2, s4 = cfg._s2_s4
-    if at00[s2] + at00[s4] < 0:
-        return range(0)
-    at10 = kernel(d, delta, 1, 0, 0)
-    at01 = kernel(d, delta, 0, 1, 0)
-    # Each row as its values at chi = 0 and chi = 1 (u = 0) and its u-slope.
-    rows = [(at00[i], at10[i], at01[i] - at00[i]) for i in cfg._u_positions]
-    rows += [(-u_lo, -u_lo, 1), (u_hi, u_hi, -1)]
-    direct = ((e0, e1) for e0, e1, b in rows if b == 0)
-    combined = ((bi * e0j - bj * e0i, bi * e1j - bj * e1i)
-                for e0i, e1i, bi in rows if bi > 0
-                for e0j, e1j, bj in rows if bj < 0)
-    return _affine_interval(chain(direct, combined), lo, hi)
-
-
-def feasible_u(d: int, delta: int, chi: int, cfg: HypothesisConfig,
-               lo: int, hi: int) -> range:
-    """The u in ``lo..hi`` at which every constraint in ``U_CONSTRAINTS``
-    holds for ``(d, delta, chi, u)``; outside it no v is feasible.  Raises
-    :class:`ValueError` unless all five numbers are integers."""
-    require_ints("feasible_u needs five integers", d, delta, chi, lo, hi)
-    kernel = cfg._kernel
-    at0 = kernel(d, delta, chi, 0, 0)
-    at1 = kernel(d, delta, chi, 1, 0)
-    return _affine_interval(
-        [(at0[i], at1[i]) for i in cfg._u_positions], lo, hi)
-
-
-def feasible_v(d: int, delta: int, chi: int, u: int, cfg: HypothesisConfig,
-               lo: int, hi: int) -> range:
-    """The v in ``lo..hi`` for which ``(d, delta, chi, u, v)`` is feasible.
-
-    Every constraint value is affine in v (registry-checked for the Schur
-    and Hodge forms; the others do not involve v), so its values at v = 0
-    and v = 1 give its slope.  Raises :class:`ValueError` unless all six
-    numbers are integers.
-    """
-    require_ints("feasible_v needs six integers", d, delta, chi, u, lo, hi)
-    kernel = cfg._kernel
-    return _affine_interval(zip(kernel(d, delta, chi, u, 0),
-                                kernel(d, delta, chi, u, 1)), lo, hi)
+    (d0, d1), (delta0, delta1), (chi0, chi1), (u0, u1), (v0, v1) = ranges
+    require_ints("feasible_cells needs ten integers", d0, d1, delta0, delta1,
+                 chi0, chi1, u0, u1, v0, v1)
+    kernel, ids = cfg._kernel, cfg.constraint_ids
+    s2, s4 = ids.index("S2"), ids.index("S4")
+    u_at = [i for i, cid in enumerate(ids) if cid in U_CONSTRAINTS]
+    box = [(-u0, 0, 1), (u1, 0, -1)]
+    for d, delta in product(range(d0, d1 + 1), range(delta0, delta1 + 1)):
+        at00 = kernel(d, delta, 0, 0, 0)
+        if at00[s2] + at00[s4] < 0:
+            continue
+        at10 = kernel(d, delta, 1, 0, 0)
+        at01 = kernel(d, delta, 0, 1, 0)
+        forms = [(at00[i], at10[i] - at00[i], at01[i] - at00[i])
+                 for i in u_at]
+        direct = ((e, e + a) for e, a, b in forms if b == 0)
+        with_box = forms + box
+        combined = ((bi * ej - bj * ei, bi * (ej + aj) - bj * (ei + ai))
+                    for ei, ai, bi in with_box if bi > 0
+                    for ej, aj, bj in with_box if bj < 0)
+        for chi in _affine_interval(chain(direct, combined), chi0, chi1):
+            at_chi = [(e + a * chi, e + a * chi + b) for e, a, b in forms]
+            for u in _affine_interval(at_chi, u0, u1):
+                vs = _affine_interval(zip(kernel(d, delta, chi, u, 0),
+                                          kernel(d, delta, chi, u, 1)),
+                                      v0, v1)
+                if vs:
+                    yield d, delta, chi, u, vs

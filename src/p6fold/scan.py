@@ -1,14 +1,10 @@
 """Lattice scan over invariant boxes, streaming the feasible tuples.
 
-The scan walks the (d, delta) rows of the box in lexicographic order; in
-each, only the chi that :func:`constraints.feasible_chi` leaves; in each
-such triple, only the u that :func:`constraints.feasible_u` leaves; and in
-each such cell, only the v that :func:`constraints.feasible_v` leaves.  So
-its cost grows with the number of (d, delta) rows, plus the triples left by
-the chi-interval, plus the cells left by the u-interval, plus the feasible
-rows, not with the box volume.  Output is
-always lexicographic in (d, delta, chi, u, v), and every row is kept only
-if :func:`constraints.is_feasible` holds at it.
+The cells of the box and their v-intervals come from
+:func:`constraints.feasible_cells`, whose cost grows with the (d, delta)
+rows and the cells it leaves, not with the box volume; this module only
+renders them.  Output is always lexicographic in (d, delta, chi, u, v),
+and every row is kept only if :func:`constraints.is_feasible` holds at it.
 
 Rows are rendered one cell ``(d, delta, chi, u)`` at a time.  Each format
 has a row template, built from :data:`invariants.PROFILE_KEYS`, whose
@@ -27,13 +23,12 @@ failed write leaves no partial output behind.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, product
+from itertools import chain, compress
 from math import prod
 from operator import itemgetter
 from typing import Iterator, Tuple
 
-from .constraints import (HypothesisConfig, feasible_chi, feasible_u,
-                          feasible_v, is_feasible)
+from .constraints import HypothesisConfig, feasible_cells, is_feasible
 from .invariants import (PROFILE_KEYS, InvariantTuple, Profile, profile,
                          profile_numbers)
 
@@ -141,19 +136,14 @@ class ScanResult:
 
 def _feasible_cells(box: ScanBox, cfg: HypothesisConfig
                     ) -> Iterator[Tuple[int, int, int, int, range, list]]:
-    """Each cell ``(d, delta, chi, u)`` of the box left by the chi- and
-    u-intervals, in lex order, with its v-interval and the mask of the v that
-    ``is_feasible`` keeps, from one call per v; a cell that keeps no row
-    is skipped.  The intervals only skip work: the mask alone decides
-    which rows the callers render."""
-    (d0, d1), (e0, e1), (c0, c1), (u0, u1), (v0, v1) = box.ranges()
-    for d, delta in product(range(d0, d1 + 1), range(e0, e1 + 1)):
-        for chi in feasible_chi(d, delta, cfg, c0, c1, u0, u1):
-            for u in feasible_u(d, delta, chi, cfg, u0, u1):
-                vs = feasible_v(d, delta, chi, u, cfg, v0, v1)
-                keep = [is_feasible((d, delta, chi, u, v), cfg) for v in vs]
-                if any(keep):
-                    yield d, delta, chi, u, vs, keep
+    """Each cell of :func:`constraints.feasible_cells` with the mask of the
+    v that ``is_feasible`` keeps, from one call per v; a cell that keeps no
+    row is skipped.  The mask alone decides which rows the callers
+    render."""
+    for d, delta, chi, u, vs in feasible_cells(box.ranges(), cfg):
+        keep = [is_feasible((d, delta, chi, u, v), cfg) for v in vs]
+        if any(keep):
+            yield d, delta, chi, u, vs, keep
 
 
 def iter_feasible(box: ScanBox, cfg: HypothesisConfig

@@ -7,19 +7,18 @@ import json
 import pickle
 import random
 import re
+from itertools import product
+from math import prod
 
 import pytest
 
 from oracles import constraint_values
 from p6fold.constraints import (
     COVER_FLAGS,
-    U_CONSTRAINTS,
     ConstraintReport,
     HypothesisConfig,
     evaluate,
-    feasible_chi,
-    feasible_u,
-    feasible_v,
+    feasible_cells,
     is_feasible,
 )
 from p6fold.invariants import InvariantTuple, profile
@@ -232,75 +231,75 @@ ORACLE_CONFIGS = (
 )
 
 
+def cells_box(rng, i):
+    """Five ``(lo, hi)`` pairs for :func:`feasible_cells`, of at most 1500
+    points: around a feasible anchor with a wide v-axis, or broad with d
+    down to -3; every fourth has 2d + delta = 0 on one (d, delta) row, and
+    every fifth has an empty axis.  An axis is often a single value."""
+    while True:
+        if i % 2:
+            *rest, v = rng.choice(ORACLE_ANCHORS)
+            v_lo = v - rng.randint(0, 30)
+            spans = [(x - rng.randint(0, 2), x + rng.randint(0, 2))
+                     for x in rest] + [(v_lo, v_lo + rng.randint(0, 50))]
+        else:
+            spans = [(lo, lo + rng.randint(0, width)) for lo, width in (
+                (rng.randint(-3, 8), 3), (rng.randint(-6, 20), 6),
+                (rng.randint(-2, 2), 2), (rng.randint(-6, 20), 8),
+                (rng.randint(-20, 120), 40))]
+        if i % 4 == 0:
+            d = rng.randint(-3, 8)
+            spans[:2] = [(d, d), (-2 * d, -2 * d)]
+        if i % 5 == 0:
+            axis = rng.randrange(5)
+            lo = spans[axis][0]
+            spans[axis] = (lo, lo - rng.randint(1, 2))
+        if prod(max(hi - lo + 1, 0) for lo, hi in spans) <= 1500:
+            return tuple(spans)
+
+
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS)
-def test_feasible_v_is_exactly_the_feasible_v(cfg):
+def test_feasible_cells_are_exactly_the_cells_with_a_feasible_v(cfg):
+    # Every cell of the box with a feasible v, in lex order, each with
+    # exactly the v that is_feasible accepts, as one range.
     rng = random.Random(61)
-    for _ in range(300):
-        d, delta = rng.randint(-2, 12), rng.randint(-4, 10)
-        chi, u = rng.randint(0, 3), rng.randint(0, 12)
-        lo = rng.randint(-20, 40)
-        hi = lo + rng.randint(-1, 60)
-        expected = [v for v in range(lo, hi + 1)
-                    if is_feasible(InvariantTuple(d, delta, chi, u, v), cfg)]
-        assert list(feasible_v(d, delta, chi, u, cfg, lo, hi)) == expected
-
-    # feasible_u: the u whose constraints without v all hold.  Every third
-    # triple has 2d + delta = 0, where H1 has no v but is quadratic in u.
-    for i in range(300):
-        d = rng.randint(-2, 12)
-        delta = -2 * d if i % 3 == 0 else rng.randint(-4, 10)
-        chi = rng.randint(0, 3)
-        lo = rng.randint(-10, 20)
-        hi = lo + rng.randint(-1, 40)
-        expected = [
-            u for u in range(lo, hi + 1)
-            if all(e.satisfied for e in evaluate(
-                InvariantTuple(d, delta, chi, u, 0), cfg).entries
-                if e.id in U_CONSTRAINTS)]
-        assert list(feasible_u(d, delta, chi, cfg, lo, hi)) == expected
-
-
-@pytest.mark.parametrize("cfg", ORACLE_CONFIGS)
-def test_feasible_chi_keeps_every_chi_with_a_feasible_u(cfg):
-    # feasible_chi projects onto chi over a real u, so it may keep a chi
-    # whose feasible_u is empty, but it must never drop one that has a u.
-    # Every third row has 2d + delta = 0; d <= 0 flips H2's u-slope.
-    rng = random.Random(62)
     seen = set()
-    for i in range(300):
-        d = rng.randint(-3, 12)
-        delta = -2 * d if i % 3 == 0 else rng.randint(-4, 30)
-        lo = rng.randint(-3, 3)
-        hi = lo + rng.randint(-1, 6)
-        u_lo = rng.randint(-10, 20)
-        u_hi = u_lo + rng.randint(-1, 40)
-        kept = feasible_chi(d, delta, cfg, lo, hi, u_lo, u_hi)
-        assert set(kept) <= set(range(lo, hi + 1))
-        for chi in range(lo, hi + 1):
-            if feasible_u(d, delta, chi, cfg, u_lo, u_hi):
-                assert chi in kept, (d, delta, chi, u_lo, u_hi)
-                seen.add("kept, with a u")
-            elif chi not in kept:
-                seen.add("dropped")
-        seen.update(k for k, hit in (("d <= 0", d <= 0),
-                                     ("2d + delta = 0", 2 * d + delta == 0),
-                                     ("row emptied", lo <= hi and not kept))
-                    if hit)
-    assert seen == {"kept, with a u", "dropped", "d <= 0", "2d + delta = 0",
-                    "row emptied"}
+    for i in range(200):
+        ranges = cells_box(rng, i)
+        got = list(feasible_cells(ranges, cfg))
+        assert all(type(vs) is range and vs.step == 1 for *_, vs in got)
+        axes = [range(lo, hi + 1) for lo, hi in ranges]
+        expected = []
+        for cell in product(*axes[:4]):
+            vs = [v for v in axes[4] if is_feasible((*cell, v), cfg)]
+            if vs:
+                expected.append((*cell, vs))
+        assert [(*cell, list(vs)) for *cell, vs in got] == expected, ranges
+        rows = list(product(*axes[:2]))
+        seen.update(k for k, hit in (
+            ("cells", got), ("d <= 0", any(d <= 0 for d, _ in rows)),
+            ("2d + delta = 0", any(2 * d + delta == 0 for d, delta in rows)),
+            ("S2 + S4 < 0", any(d * d - 3 * d - delta < 0
+                                for d, delta in rows)),
+            ("single value", any(lo == hi for lo, hi in ranges)),
+            ("empty", any(lo > hi for lo, hi in ranges))) if hit)
+    assert seen == {"cells", "d <= 0", "2d + delta = 0", "S2 + S4 < 0",
+                    "single value", "empty"}
 
 
-@pytest.mark.parametrize("call", [
-    lambda cfg: feasible_v(1.5, -2, 1, 1, cfg, 0, 40),  # was range(0, 0)
-    lambda cfg: feasible_v(1, -2, 1, 1, cfg, 0.5, 40),  # was a TypeError
-    lambda cfg: feasible_u(1.5, -2, 1, cfg, 0, 40),
-    lambda cfg: feasible_u(1, -2, 1, cfg, 0, 40.0),
-    lambda cfg: feasible_chi(1, -2.0, cfg, 0, 3, 0, 40),
-    lambda cfg: feasible_chi(1, -2, cfg, 0, 3, 0, 40.5),
-])
-def test_intervals_reject_non_integer_arguments(call):
-    with pytest.raises(ValueError, match="needs (five|six) integers"):
-        call(HypothesisConfig(geometric_mode=False))
+# Each of the ten bounds of a box, in turn, as a float.
+GOOD_BOUNDS = (1, 2, -2, 0, 1, 3, 0, 40, 0, 40)
+
+
+@pytest.mark.parametrize("i", range(10))
+def test_intervals_reject_non_integer_arguments(i):
+    bounds = list(GOOD_BOUNDS)
+    bounds[i] += 0.5 if i % 2 else 0.0  # 2.0 equals 2, but is no int
+    ranges = tuple(zip(bounds[::2], bounds[1::2]))
+    cells = feasible_cells(ranges, HypothesisConfig(geometric_mode=False))
+    with pytest.raises(ValueError, match=re.escape(
+            f"feasible_cells needs ten integers, got {tuple(bounds)!r}")):
+        list(cells)
 
 
 # Feasible under every config above; a quarter of the draws land near one.
@@ -365,8 +364,8 @@ def test_config_stays_a_plain_value_after_use(cfg):
                              cfg.min_degree)
     t = ORACLE_ANCHORS[0]
     assert is_feasible(t, fresh)
-    feasible_u(*t[:3], fresh, -10, 40)
-    feasible_v(*t[:4], fresh, -10, 60)
+    cell = tuple((x, x) for x in t[:4])
+    assert list(feasible_cells(cell + ((-10, 60),), fresh))
     report = evaluate(t, fresh)
     for other in (pickle.loads(pickle.dumps(fresh)), copy.deepcopy(fresh),
                   copy.copy(fresh)):

@@ -111,8 +111,9 @@ def test_schur_sum_identity():
 
 
 def test_schur_and_hodge_forms_are_affine_in_v():
-    # constraints.feasible_v reads each constraint's v-slope off v = 0 and
-    # v = 1, which is exact only while no form has a v^2 (or higher) term.
+    # constraints.feasible_cells reads each constraint's v-slope off v = 0
+    # and v = 1, which is exact only while no form has a v^2 (or higher)
+    # term.
     for form in (*SCHUR_PARAM_FORMS, *_HODGE_PARAM_FORMS):
         assert all(mono[4] <= 1 for mono in form.monomials()), form.text()
 
@@ -124,9 +125,9 @@ def free_of_v_and_affine_in_chi_u(form):
 
 
 def test_u_constraints_are_the_forms_free_of_v_and_affine_in_u():
-    # constraints.feasible_u reads u-slopes off u = 0 and u = 1 at v = 0, and
-    # constraints.feasible_chi reads each of these constraints as
-    # e + a*chi + b*u off (chi, u) = (0, 0), (1, 0) and (0, 1), so their
+    # constraints.feasible_cells reads each of these constraints as
+    # e + a*chi + b*u off (chi, u) = (0, 0), (1, 0) and (0, 1) at v = 0, and
+    # takes both the chi- and the u-interval from that form, so their
     # Schur and Hodge members must have no v and be affine in (chi, u)
     # jointly: no chi^2, u^2 or chi*u term.
     forms = dict(zip((*_SCHUR_IDS, *_HODGE_IDS),
@@ -142,7 +143,7 @@ def test_u_constraints_are_the_forms_free_of_v_and_affine_in_u():
 
 def test_the_projection_certificates():
     # The two positive combinations of U-constraints that bound a degree's
-    # (delta, chi): feasible_chi reads the first off the kernel before the
+    # (delta, chi): feasible_cells reads the first off the kernel before the
     # rest, and its Fourier-Motzkin step finds the second when d > 0.
     s2, s4 = SCHUR_PARAM_FORMS[1], SCHUR_PARAM_FORMS[3]
     h2 = _HODGE_PARAM_FORMS[1]

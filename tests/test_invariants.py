@@ -10,8 +10,8 @@ import pytest
 
 from oracles import FIXTURES, split_bundle_profile
 from p6fold.bounds import degree_bound
-from p6fold.constraints import (HypothesisConfig, evaluate, feasible_chi,
-                                feasible_u, feasible_v, is_feasible)
+from p6fold.constraints import (HypothesisConfig, evaluate, feasible_cells,
+                                is_feasible)
 from p6fold.errors import DomainError
 from p6fold.invariants import (PROFILE_KEYS, InvariantTuple, degree3_numbers,
                                from_geometry, profile, profile_numbers,
@@ -163,12 +163,20 @@ def test_wrong_arity_is_a_value_error_naming_the_input(bad):
     pytest.param(lambda: from_geometry(4, True, 1, 6, 32),
                  "from_geometry needs five integers, got (4, True, 1, 6, 32)",
                  id="from_geometry"),
-    pytest.param(lambda: feasible_u(4, 0, True, HypothesisConfig(), 1, 9),
-                 "feasible_u needs five integers", id="feasible_u"),
-    pytest.param(lambda: feasible_v(4, 0, 1, 6, HypothesisConfig(), 0, True),
-                 "feasible_v needs six integers", id="feasible_v"),
-    pytest.param(lambda: feasible_chi(4, 0, HypothesisConfig(), 1, 3, True, 9),
-                 "feasible_chi needs six integers", id="feasible_chi"),
+    pytest.param(lambda: list(feasible_cells(
+        ((True, 4), (0, 0), (1, 1), (1, 9), (0, 40)), HypothesisConfig())),
+                 "feasible_cells needs ten integers, got "
+                 "(True, 4, 0, 0, 1, 1, 1, 9, 0, 40)", id="feasible_cells-d"),
+    pytest.param(lambda: list(feasible_cells(
+        ((4, 4), (0, 0), (True, 1), (1, 9), (0, 40)), HypothesisConfig())),
+                 "feasible_cells needs ten integers, got "
+                 "(4, 4, 0, 0, True, 1, 1, 9, 0, 40)",
+                 id="feasible_cells-chi"),
+    pytest.param(lambda: list(feasible_cells(
+        ((4, 4), (0, 0), (1, 1), (1, 9), (0, False)), HypothesisConfig())),
+                 "feasible_cells needs ten integers, got "
+                 "(4, 4, 0, 0, 1, 1, 1, 9, 0, False)",
+                 id="feasible_cells-v"),
     pytest.param(lambda: degree_bound(34, True),
                  "s and kappa must be integers, got (34, True)",
                  id="degree_bound"),

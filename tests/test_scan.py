@@ -12,8 +12,7 @@ import pytest
 
 from oracles import naive_feasible_rows
 from p6fold.constraints import (U_CONSTRAINTS, HypothesisConfig, evaluate,
-                                feasible_chi, feasible_u, feasible_v,
-                                is_feasible)
+                                feasible_cells, is_feasible)
 from p6fold.invariants import InvariantTuple
 from p6fold.scan import (CSV_HEADER, CSV_PROFILE_COLUMNS, ScanBox,
                          iter_feasible, scan)
@@ -102,7 +101,8 @@ def wide_u_box(rng):
 
 def sign_flip_box(rng):
     """A box whose d-range spans -3..2: H2's u-slope is d, so its row moves
-    between the lower and upper u-bounds of feasible_chi as d changes sign."""
+    between the lower and upper u-bounds of feasible_cells as d changes
+    sign."""
     delta, chi = rng.randint(-4, -2), rng.randint(-1, 1)
     u, v = rng.randint(-4, 1), rng.randint(-5, 5)
     return ScanBox(d=(-3, 2), delta=(delta, delta + 8), chi=(chi, 2),
@@ -135,55 +135,40 @@ def test_matches_naive_filter_on_random_boxes():
 SPARSE_BOX = "d=1..10,delta=-2..28,chi=1..3,u=4..15,v=-4..36"
 
 
-def test_scan_skips_cells_outside_the_u_interval(monkeypatch):
-    # feasible_v runs only on the cells whose constraints without v hold,
-    # not on all 11,160 cells.
-    box = ScanBox.parse(SPARSE_BOX)
+def test_scan_kernel_calls_grow_with_rows_and_cells(monkeypatch):
+    # feasible_cells reads each (d, delta) row once, twice more unless
+    # S2 + S4 = d^2 - 3d - delta empties it, and each cell left by the
+    # u-intervals twice (v = 0 and 1); is_feasible reads each row once.  Of
+    # the box's 11,160 cells, 283 satisfy the constraints without v.
+    cfg = HypothesisConfig()
+    kernel = cfg._kernel
     calls = []
-    real = scan_module.feasible_v
 
-    def counting_feasible_v(*args):
-        calls.append(args[:4])
-        return real(*args)
+    def counting_kernel(*t):
+        calls.append(t)
+        return kernel(*t)
 
-    monkeypatch.setattr(scan_module, "feasible_v", counting_feasible_v)
-    result, _ = run_scan(box)
-    cells = [
-        cell for cell in product(*(range(lo, hi + 1)
-                                   for lo, hi in box.ranges()[:4]))
-        if all(e.satisfied for e in evaluate(
-            InvariantTuple(*cell, 0), GEOMETRIC).entries
-            if e.id in U_CONSTRAINTS)]
-    assert calls == cells
-    assert len(cells) == 283
-    assert result.scanned == box.volume()
-
-
-def test_scan_calls_feasible_u_only_where_it_has_a_u(monkeypatch):
-    # feasible_chi drops the (d, delta, chi) triples whose u-interval is
-    # empty: 51 of the box's 930 triples have a u.
+    monkeypatch.setitem(vars(cfg), "_kernel", counting_kernel)
     box = ScanBox.parse(SPARSE_BOX)
-    calls = []
-    real = scan_module.feasible_u
-
-    def counting_feasible_u(*args):
-        calls.append(args[:3])
-        return real(*args)
-
-    monkeypatch.setattr(scan_module, "feasible_u", counting_feasible_u)
-    run_scan(box)
-    u0, u1 = box.u
-    triples = [triple for triple in product(*(range(lo, hi + 1)
-                                              for lo, hi in box.ranges()[:3]))
-               if real(*triple, GEOMETRIC, u0, u1)]
-    assert calls == triples
-    assert len(triples) == 51
+    result, _ = run_scan(box, cfg)
+    count = len(calls)
+    axes = [range(lo, hi + 1) for lo, hi in box.ranges()]
+    rows = list(product(*axes[:2]))
+    dropped = [(d, delta) for d, delta in rows if d * d - 3 * d - delta < 0]
+    cells = [cell for cell in product(*axes[:4])
+             if all(e.satisfied for e in evaluate(
+                 InvariantTuple(*cell, 0), GEOMETRIC).entries
+                 if e.id in U_CONSTRAINTS)]
+    assert (len(dropped), len(rows) - len(dropped), len(cells),
+            result.feasible) == (140, 170, 283, 44)
+    assert count == (len(dropped) + 3 * (len(rows) - len(dropped))
+                     + 2 * len(cells) + result.feasible) == 1260
 
 
 def test_hot_path_builds_no_constraint_records(monkeypatch):
     # Only a report's entries turn the kernel's tuple of ints into
     # ConstraintValue records, once, on first read; the scan, is_feasible,
-    # the u/v intervals, evaluate and the report's JSON never do.
+    # feasible_cells, evaluate and the report's JSON never do.
     built = []
     real = constraints_module.ConstraintValue
 
@@ -197,9 +182,10 @@ def test_hot_path_builds_no_constraint_records(monkeypatch):
     assert result.feasible > 0
     for cfg in (GEOMETRIC,) + WIDE_V_CONFIGS:
         for d, delta, chi, u, v in ANCHORS:
-            feasible_chi(d, delta, cfg, -3, 3, -10, 40)
-            feasible_u(d, delta, chi, cfg, -10, 40)
-            feasible_v(d, delta, chi, u, cfg, -10, 60)
+            cells = feasible_cells(((d, d), (delta, delta), (-3, 3),
+                                    (-10, 40), (-10, 60)), cfg)
+            assert any(cell[:4] == (d, delta, chi, u) and v in cell[4]
+                       for cell in cells)
             assert is_feasible((d, delta, chi, u, v), cfg)
     report = evaluate(ANCHORS[0], GEOMETRIC)
     report.to_json_dict()
@@ -284,8 +270,10 @@ def narrow_v_box(rng, anchor, v_lo, v_hi):
 def clipped_cells(box, cfg):
     """The cells of ``box`` whose v-interval the box cuts at both ends."""
     v0, v1 = box.v
+    wider = {tuple(cell): vs for *cell, vs in feasible_cells(
+        box.ranges()[:4] + ((v0 - 1, v1 + 1),), cfg)}
     return [cell for *cell, vs, _keep in scan_module._feasible_cells(box, cfg)
-            if len(feasible_v(*cell, cfg, v0 - 1, v1 + 1)) == len(vs) + 2]
+            if len(wider[tuple(cell)]) == len(vs) + 2]
 
 
 def reference_lines(pairs):
@@ -363,8 +351,9 @@ def test_every_row_goes_through_is_feasible(monkeypatch, spec, kwargs):
     ("d=-4..-1,delta=2..7,chi=-1..1,u=5..9,v=-5..40", RAW),
 ])
 def test_partly_kept_cells_render_only_the_kept_rows(monkeypatch, spec, cfg):
-    # feasible_v is exact, so is_feasible keeps every row of a cell; here it
-    # also drops each v divisible by 3, so most cells keep only some rows.
+    # feasible_cells is exact, so is_feasible keeps every row of a cell;
+    # here it also drops each v divisible by 3, so most cells keep only some
+    # rows.
     box = ScanBox.parse(spec)
     feasible = list(iter_feasible(box, cfg))
     pairs = [(t, prof) for t, prof in feasible if t.v % 3]
@@ -428,7 +417,7 @@ def test_box_of_rejects_non_integer_ranges(d):
 ])
 def test_box_built_directly_is_checked_like_box_of(axis, value, message):
     # ScanBox(d=(3, 1), ...) used to give volume() == -2 and a scan result
-    # with scanned=-2; u=(1.0, 3) failed inside feasible_u.
+    # with scanned=-2; u=(1.0, 3) failed deep inside the scan.
     axes = {**dict(d=(1, 2), delta=-2, chi=1, u=(1, 2), v=(0, 2)),
             axis: value}
     for build in (ScanBox, ScanBox.of):

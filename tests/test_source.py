@@ -6,11 +6,15 @@ import ast
 import dataclasses
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import p6fold
+from p6fold import cli
 from p6fold.invariants import InvariantTuple
 from p6fold.scan import ScanBox
 
@@ -101,3 +105,37 @@ def test_readme_quick_start_runs_and_prints_its_comments():
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout.splitlines()) == (0, shown), \
         proc.stderr
+
+
+
+def _readme_cli_lines():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```",
+                      readme.read_text(encoding="utf-8"), re.S).group(1)
+    return block.splitlines()
+
+
+README_CLI_LINES = _readme_cli_lines()
+
+
+@pytest.mark.parametrize("line", README_CLI_LINES)
+def test_readme_cli_line_exits_0_and_prints_its_comment(line, capsys):
+    # Each line of the README's CLI block runs through cli.main as written;
+    # a comment that names the final bound is what the line prints.
+    command, _, comment = line.partition("#")
+    program, *argv = shlex.split(command)
+    assert program == "p6fold"
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    shown = re.search(r"final_bound (\d+)", comment)
+    if shown:
+        assert f'"final_bound": {shown.group(1)}' in out
+
+
+def test_readme_cli_block_shows_the_paper_bound():
+    shown = [line.partition("#") for line in README_CLI_LINES
+             if "final_bound" in line]
+    assert [(command.split(), comment.strip())
+            for command, _, comment in shown] == [
+        ("p6fold bound --s 34 --kappa 9".split(),
+         "JSON report: final_bound 39304")]
