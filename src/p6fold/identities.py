@@ -8,7 +8,17 @@ Hodge right sides are the closed forms of :mod:`p6fold.invariants` that
 ``profile`` and the constraint system run, and the S5.QUAD right side is
 :func:`p6fold.bounds.section5_quadratic`, which the bound solver runs; so the
 registry proves that code.  S5.QUAD builds its left side from the same Schur
-and Hodge forms, eliminating v at chi = u = 1.  The 17 canonical ids:
+and Hodge forms, eliminating v at chi = u = 1.
+
+The normal bundle and the Schur classes of its twist N(-1) are derived once
+per process, by the first check that needs them, and shared by every later
+check; ring values are immutable, so sharing them is safe.  Each check
+still reduces and diffs its own left side, and no result is cached.  A test
+that patches ``normal_chern``, ``twist_rank3`` or ``schur_values`` here must
+clear both caches (``_normal_bundle.cache_clear()`` and
+``_schur_of_twisted_normal.cache_clear()``) before and after.
+
+The 17 canonical ids:
 
     L3.4          normal-bundle Chern classes (three components at once)
     L3.6.1-L3.6.5 consistency of the degree-3 substitution table
@@ -26,6 +36,7 @@ canonical listing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .bounds import section5_quadratic
 from .errors import UnknownIdentityError
@@ -72,13 +83,14 @@ def _compare(label, lhs, rhs) -> Comparison:
                       diff=diff.text(), equal=not diff)
 
 
-def _twisted_normal():
-    n1, n2, n3 = normal_chern()
-    return twist_rank3(n1, n2, n3, -h)
+@cache
+def _normal_bundle():
+    return normal_chern()
 
 
+@cache
 def _schur_of_twisted_normal():
-    return schur_values(*_twisted_normal())
+    return schur_values(*twist_rank3(*_normal_bundle(), -h))
 
 
 # Stated right sides.  The GradedPoly forms for the normal bundle:
@@ -95,7 +107,7 @@ _HODGE_PARAM_FORMS = hodge_numbers(d, delta, chi, u, v)
 
 
 def _check_normal_chern(which=None):
-    computed = normal_chern()
+    computed = _normal_bundle()
     stated = (_N1_STATED, _N2_STATED, _N3_STATED)
     labels = ("n1", "n2", "n3")
     idx = range(3) if which is None else [which]
@@ -139,7 +151,7 @@ def _check_schur(i):
 
 
 def _check_double_point():
-    _, _, n3 = normal_chern()
+    _, _, n3 = _normal_bundle()
     return [_compare("", reduce_to_params(n3), d * d)]
 
 

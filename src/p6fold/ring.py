@@ -183,9 +183,14 @@ class _Poly:
     def __pow__(self, n):
         if type(n) is not int or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = self.constant(1)
-        for _ in range(n):
-            result = result * self
+        # Repeated squaring: about 2*log2(n) products, not n.
+        result, base = self.constant(1), self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
         return result
 
     # -- structure, equality, rendering --------------------------------------

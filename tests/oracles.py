@@ -87,11 +87,26 @@ def split_bundle_profile(d: int, canonical_multiple: int,
 
 # The three reference threefolds: a linear P^3, the quadric in P^4, and the
 # (2,2) complete intersection in P^5, each with its canonical multiple and
-# split normal bundle degrees.
+# split normal bundle degrees.  bench/make_goldens.py draws the benchmark's
+# profile commands from these three by sorted name, so the committed
+# goldens are rebuilt unchanged only while this mapping stays as it is.
 FIXTURES = {
     "linear_p3": (1, -4, (1, 1, 1)),
     "quadric": (2, -3, (2, 1, 1)),
     "ci_22": (4, -2, (2, 2, 1)),
+}
+
+# All seven smooth Fano complete intersections in P^6, of type (a, b, c)
+# with a + b + c < 7: degree abc, K = (a + b + c - 7)H, normal bundle
+# O(a) + O(b) + O(c).  The four beyond FIXTURES are the cubic and the
+# quartic in P^4, the (2,3) complete intersection in P^5 and the (2,2,2)
+# complete intersection in P^6.
+FANO_FIXTURES = {
+    **FIXTURES,
+    "cubic": (3, -2, (3, 1, 1)),
+    "quartic": (4, -1, (4, 1, 1)),
+    "ci_23": (6, -1, (3, 2, 1)),
+    "ci_222": (8, -1, (2, 2, 2)),
 }
 
 

@@ -13,7 +13,7 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import FIXTURES, naive_feasible_rows, split_bundle_profile
+from oracles import FANO_FIXTURES, naive_feasible_rows, split_bundle_profile
 from p6fold.bounds import degree_bound
 from p6fold.cli import main
 from p6fold.constraints import HypothesisConfig, evaluate
@@ -85,9 +85,15 @@ def test_criterion_3_fixture_oracle_suite():
         "linear_p3": (0, 0, 0, 0, 0, 0),
         "quadric": (2, 0, 2, 0, 0, 2),
         "ci_22": (8, 4, 12, 0, 8, 16),
+        "cubic": (6, 0, 12, 0, 0, 24),
+        "quartic": (12, 0, 36, 0, 0, 108),
+        "ci_23": (18, 12, 42, 0, 36, 90),
+        "ci_222": (24, 24, 48, 8, 64, 80),
     }
-    expected_ks2 = {"linear_p3": 9, "quadric": 8, "ci_22": 4}
-    for name, args in FIXTURES.items():
+    expected_ks2 = {"linear_p3": 9, "quadric": 8, "ci_22": 4, "cubic": 3,
+                    "quartic": 0, "ci_23": 0, "ci_222": 0}
+    assert expected_schur.keys() == expected_ks2.keys() == FANO_FIXTURES.keys()
+    for name, args in FANO_FIXTURES.items():
         oracle = split_bundle_profile(*args)
         t = InvariantTuple(*oracle["tuple"])
         prof = profile(t)
@@ -100,7 +106,8 @@ def test_criterion_3_fixture_oracle_suite():
         if name == "ci_22":
             assert prof.c3top == 0
         assert evaluate(t, GEOMETRIC).feasible, name
-    report(3, "three split-bundle fixtures reproduced and feasible")
+        assert evaluate(t, HypothesisConfig(ks2_cap=9)).feasible, name
+    report(3, "seven Fano complete intersections reproduced and feasible")
 
 
 def test_criterion_4_first_contradiction_degree():

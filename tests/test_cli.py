@@ -295,6 +295,83 @@ def test_check_json_golden(args, code, expected, capsys):
     assert run_cli(args, capsys) == (code, expected, "")
 
 
+# check output of the four Fano complete intersections beyond the three
+# reference threefolds (cubic, quartic, (2,3), (2,2,2)) at the paper's cap,
+# pinned byte for byte by test_rendering_golden: each is feasible, and
+# H1 = H2 = 0 because K is a multiple of H.
+CHECK_CUBIC_KAPPA9 = """\
+  B1  ok  value = 2
+  B2  ok  value = 0
+  B3  ok  value = 2
+  B4  ok  value = 0
+  B5  ok  value = 6
+  S1  ok  value = 6
+  S2  ok  value = 0
+  S3  ok  value = 12
+  S4  ok  value = 0
+  S5  ok  value = 0
+  S6  ok  value = 24
+  H1  ok  value = 0
+  H2  ok  value = 0
+  K   ok  value = 6
+feasible
+"""
+
+CHECK_QUARTIC_KAPPA9 = """\
+  B1  ok  value = 3
+  B2  ok  value = 0
+  B3  ok  value = 6
+  B4  ok  value = 1
+  B5  ok  value = 19
+  S1  ok  value = 12
+  S2  ok  value = 0
+  S3  ok  value = 36
+  S4  ok  value = 0
+  S5  ok  value = 0
+  S6  ok  value = 108
+  H1  ok  value = 0
+  H2  ok  value = 0
+  K   ok  value = 9
+feasible
+"""
+
+CHECK_CI_23_KAPPA9 = """\
+  B1  ok  value = 5
+  B2  ok  value = 0
+  B3  ok  value = 8
+  B4  ok  value = 1
+  B5  ok  value = 19
+  S1  ok  value = 18
+  S2  ok  value = 12
+  S3  ok  value = 42
+  S4  ok  value = 0
+  S5  ok  value = 36
+  S6  ok  value = 90
+  H1  ok  value = 0
+  H2  ok  value = 0
+  K   ok  value = 9
+feasible
+"""
+
+CHECK_CI_222_KAPPA9 = """\
+  B1  ok  value = 7
+  B2  ok  value = 0
+  B3  ok  value = 10
+  B4  ok  value = 1
+  B5  ok  value = 19
+  S1  ok  value = 24
+  S2  ok  value = 24
+  S3  ok  value = 48
+  S4  ok  value = 8
+  S5  ok  value = 64
+  S6  ok  value = 80
+  H1  ok  value = 0
+  H2  ok  value = 0
+  K   ok  value = 9
+feasible
+"""
+
+
 def test_check_raw_skips_basic_constraints(capsys):
     code, out, _ = run_cli(
         ["check", "--tuple", "1,-1,1,1,0", "--raw", "--json"], capsys)
@@ -445,6 +522,12 @@ PROFILE_ODD_DELTA_JSON = """\
     (["bound", "--s", "35", "--kappa", "10", "--sharp", "--human"],
      BOUND_35_SHARP_HUMAN),
     (["profile", "--tuple", "1,-1,1,1,0", "--json"], PROFILE_ODD_DELTA_JSON),
+    (["check", "--tuple", "3,0,1,7,24", "--kappa", "9"], CHECK_CUBIC_KAPPA9),
+    (["check", "--tuple", "4,4,2,20,108", "--kappa", "9"],
+     CHECK_QUARTIC_KAPPA9),
+    (["check", "--tuple", "6,6,2,20,162", "--kappa", "9"], CHECK_CI_23_KAPPA9),
+    (["check", "--tuple", "8,8,2,20,216", "--kappa", "9"],
+     CHECK_CI_222_KAPPA9),
 ])
 def test_rendering_golden(args, expected, capsys):
     assert run_cli(args, capsys) == (0, expected, "")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from p6fold import identities
 from p6fold.constraints import _HODGE_IDS, _SCHUR_IDS, U_CONSTRAINTS
 from p6fold.errors import UnknownIdentityError
 from p6fold.identities import (
@@ -23,6 +24,55 @@ EXPECTED_IDS = [
     "C4.5.1", "C4.5.2",
     "S5.QUAD", "S5.SUM",
 ]
+
+
+@pytest.fixture
+def fresh_derivations():
+    """Clear the per-process derivations before and after a test that
+    patches the ring, so no other test sees what it derived."""
+    caches = (identities._normal_bundle, identities._schur_of_twisted_normal)
+    for cached in caches:
+        cached.cache_clear()
+    yield
+    for cached in caches:
+        cached.cache_clear()
+
+
+def counting(monkeypatch, name):
+    """Count the calls to ``identities.<name>`` in a one-item list."""
+    calls = [0]
+    original = getattr(identities, name)
+
+    def wrapper(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(identities, name, wrapper)
+    return calls
+
+
+def test_registry_derives_the_normal_bundle_once_per_process(
+        fresh_derivations, monkeypatch):
+    normal = counting(monkeypatch, "normal_chern")
+    twist = counting(monkeypatch, "twist_rank3")
+    assert all(r.passed for r in verify_all())
+    reduce = counting(monkeypatch, "reduce_to_params")
+    assert all(r.passed for r in verify_all())
+    assert (normal[0], twist[0]) == (1, 1)
+    # Each check still reduces its own left side.
+    assert reduce[0] > 0
+
+
+def test_a_bad_derivation_still_fails_the_registry(fresh_derivations,
+                                                   monkeypatch):
+    # Derive N(-2) where the registry expects N(-1): every Schur check
+    # must fail, and the checks that do not read the twist (L3.4, the
+    # L3.6 table, DP, C4.5, S5.QUAD) must pass.
+    twist = identities.twist_rank3
+    monkeypatch.setattr(identities, "twist_rank3",
+                        lambda n1, n2, n3, l: twist(n1, n2, n3, 2 * l))
+    failed = {r.id for r in verify_all() if not r.passed}
+    assert failed == {f"L4.3.{i}" for i in range(1, 7)} | {"S5.SUM"}
 
 
 def test_registry_has_the_17_canonical_ids():

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import FIXTURES, split_bundle_profile
+from oracles import FANO_FIXTURES, split_bundle_profile
 from p6fold.bounds import degree_bound
 from p6fold.constraints import (HypothesisConfig, evaluate, feasible_cells,
                                 is_feasible)
@@ -21,9 +21,9 @@ from p6fold.ring import (ParamExpr, chi, d, delta, h, normal_chern,
 from p6fold.scan import ScanBox
 
 
-@pytest.mark.parametrize("name", sorted(FIXTURES))
+@pytest.mark.parametrize("name", sorted(FANO_FIXTURES))
 def test_profile_matches_split_bundle_oracle(name):
-    expected = split_bundle_profile(*FIXTURES[name])
+    expected = split_bundle_profile(*FANO_FIXTURES[name])
     t = InvariantTuple(*expected["tuple"])
     got = profile(t).to_json_dict()
     for key, value in expected.items():
@@ -32,13 +32,25 @@ def test_profile_matches_split_bundle_oracle(name):
         assert got[key] == value, (name, key, got[key], value)
 
 
+# Each Fano complete intersection's tuple, and its topological Euler number
+# 2 + 2*b2 - b3 (b2 = 1), which is the top Chern class c3 of X.
+FANO_TUPLES_AND_EULER = {
+    "linear_p3": ((1, -2, 1, 1, 0), 4),
+    "quadric": ((2, -2, 1, 2, 2), 4),
+    "ci_22": ((4, 0, 1, 6, 32), 0),
+    "cubic": ((3, 0, 1, 7, 24), -6),
+    "quartic": ((4, 4, 2, 20, 108), -56),
+    "ci_23": ((6, 6, 2, 20, 162), -36),
+    "ci_222": ((8, 8, 2, 20, 216), -24),
+}
+
+
 def test_fixture_tuples_are_the_expected_ones():
-    assert split_bundle_profile(*FIXTURES["linear_p3"])["tuple"] == \
-        (1, -2, 1, 1, 0)
-    assert split_bundle_profile(*FIXTURES["quadric"])["tuple"] == \
-        (2, -2, 1, 2, 2)
-    assert split_bundle_profile(*FIXTURES["ci_22"])["tuple"] == \
-        (4, 0, 1, 6, 32)
+    assert FANO_TUPLES_AND_EULER.keys() == FANO_FIXTURES.keys()
+    for name, (t, euler) in FANO_TUPLES_AND_EULER.items():
+        expected = split_bundle_profile(*FANO_FIXTURES[name])
+        assert (expected["tuple"], expected["c3"]) == (t, euler), name
+        assert profile(InvariantTuple(*t)).c3top == euler, name
 
 
 def test_linear_p3_key_numbers():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 import sympy
@@ -76,6 +77,22 @@ def test_binomial_square():
 
 def test_ambient_tangent_class():
     assert (1 + h) ** 7 == 1 + 7 * h + 21 * h * h + 35 * h ** 3
+
+
+def test_power_equals_the_repeated_product():
+    for p in (2 - h + 3 * k + Fraction(1, 2) * c2 - c3, d - 2 * chi + 1):
+        product = p.constant(1)
+        for n in range(10):
+            assert p ** n == product, n
+            product = product * p
+
+
+def test_huge_powers_take_logarithmically_many_products():
+    # One product per unit of the exponent would take minutes here.
+    assert h ** 10 ** 18 == 0
+    n = 10 ** 6
+    assert (1 + h) ** n == (1 + n * h + comb(n, 2) * h * h
+                            + comb(n, 3) * h ** 3)
 
 
 def test_truncation_kills_degree_four():
