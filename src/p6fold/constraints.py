@@ -34,12 +34,12 @@ cached.  The kernel is left out of a config's pickled and copied state, so
 a config stays a plain value.
 
 :func:`feasible_cells` is the one walk of the feasible region of a box.
-The members of ``U_CONSTRAINTS`` have no v and are affine in (chi, u)
-jointly, so three kernel calls per (d, delta) row read them all and give
-the row's chi-interval (u eliminated) and, at each chi, its u-interval;
-every constraint is affine in v, so two more per (d, delta, chi, u) cell
-give its v-interval exactly.  Its cost thus grows with the (d, delta)
-rows plus the cells left by the u-intervals, not with the box volume.
+Every kernel entry is a function of (d, delta) plus a polynomial of total
+degree <= 2 in (chi, u, v) with no chi*v or u*v term (pinned in tests), so
+it reads each constraint's quadratic part once, and four kernel calls per
+(d, delta) row give every constraint exactly.  Its cost thus grows with
+the (d, delta) rows plus the cells left by the u-intervals, not with the
+box volume.
 
 :func:`evaluate` and :func:`is_feasible` read their tuple through the gate
 ``invariants.five_ints``; every other number passes ``require_ints``.
@@ -61,11 +61,6 @@ COVER_FLAGS = frozenset(
 _BASIC_IDS = ("B1", "B2", "B3", "B4", "B5")
 _SCHUR_IDS = ("S1", "S2", "S3", "S4", "S5", "S6")
 _HODGE_IDS = ("H1", "H2")
-
-# The constraints whose closed forms contain no v and are affine in (chi, u)
-# jointly.  H1 is left out: it has no v when 2d + delta = 0, but it is
-# quadratic in u.
-U_CONSTRAINTS = frozenset("B1 B2 B3 B4 B5 S1 S2 S3 S4 H2 K".split())
 
 
 @dataclass(frozen=True)
@@ -229,44 +224,53 @@ def feasible_cells(ranges, cfg: HypothesisConfig) -> Iterator[tuple]:
     :class:`ValueError` on the first ``next()`` unless all ten bounds are
     integers.
 
-    Each member of ``U_CONSTRAINTS`` is affine in (chi, u) jointly (registry
-    forms checked in tests), so per (d, delta) row the kernel at (chi, u) =
-    (0, 0), (1, 0) and (0, 1) reads it as the form ``e + a*chi + b*u``.
-    S2 + S4 = d^2 - 3d - delta is free of chi and u, so it is read first: a
-    row that it empties costs one kernel call.  The chi at which some real
-    u in the box satisfies them all is one interval: each form with b = 0
-    bounds chi by itself, and each pair with ``b_i > 0 > b_j``, among those
-    forms and the box's ``u - u_lo`` and ``u_hi - u``, gives the u-free
-    form ``-b_j*f_i + b_i*f_j`` (one Fourier-Motzkin step).  At each such
-    chi the same forms give the u-interval with no kernel call, and every
-    constraint is affine in v, so the kernel at v = 0 and 1 gives each
-    cell's v-interval.
+    Each kernel entry is ``q(chi, u) + c*v``, where q has degree <= 2 and
+    its chi^2, u^2 and chi*u coefficients do not depend on (d, delta).  So
+    the kernel at six points of the row (0, 0) reads those once per call,
+    and on each (d, delta) row it reads the rest at (chi, u, v) = (0, 0,
+    0), (1, 0, 0), (0, 1, 0) and (0, 0, 1); a row that S2 + S4 = d^2 - 3d -
+    delta empties costs only the first call.  The U-forms, ``e + a*chi +
+    b*u`` with c = 0 and no quadratic part, give the chi at which some real
+    u in the box satisfies them all as one interval: each with b = 0 bounds
+    chi by itself, and each pair with ``b_i > 0 > b_j``, among them and the
+    box's ``u - u_lo`` and ``u_hi - u``, gives the u-free form ``-b_j*f_i +
+    b_i*f_j`` (one Fourier-Motzkin step).  At each such chi they give the
+    u-interval, and at each u the other forms give the cell's v-interval,
+    with no kernel call.
     """
     (d0, d1), (delta0, delta1), (chi0, chi1), (u0, u1), (v0, v1) = ranges
     require_ints("feasible_cells needs ten integers", d0, d1, delta0, delta1,
                  chi0, chi1, u0, u1, v0, v1)
     kernel, ids = cfg._kernel, cfg.constraint_ids
     s2, s4 = ids.index("S2"), ids.index("S4")
-    u_at = [i for i, cid in enumerate(ids) if cid in U_CONSTRAINTS]
-    box = [(-u0, 0, 1), (u1, 0, -1)]
+    quadratic = [((e + aa) // 2 - a, (e + bb) // 2 - b, e - a - b + ab)
+                 for e, a, b, aa, bb, ab in zip(*(kernel(0, 0, *p, 0) for p in (
+                     (0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1))))]
     for d, delta in product(range(d0, d1 + 1), range(delta0, delta1 + 1)):
-        at00 = kernel(d, delta, 0, 0, 0)
-        if at00[s2] + at00[s4] < 0:
+        at000 = kernel(d, delta, 0, 0, 0)
+        if at000[s2] + at000[s4] < 0:
             continue
-        at10 = kernel(d, delta, 1, 0, 0)
-        at01 = kernel(d, delta, 0, 1, 0)
-        forms = [(at00[i], at10[i] - at00[i], at01[i] - at00[i])
-                 for i in u_at]
+        forms, v_forms = [], []
+        for e, x, y, z, (cc, uu, cu) in zip(
+                at000, kernel(d, delta, 1, 0, 0), kernel(d, delta, 0, 1, 0),
+                kernel(d, delta, 0, 0, 1), quadratic):
+            if z - e or cc or uu or cu:
+                v_forms.append((e, x - e - cc, y - e - uu, z - e, cc, uu, cu))
+            else:
+                forms.append((e, x - e, y - e))
         direct = ((e, e + a) for e, a, b in forms if b == 0)
-        with_box = forms + box
+        with_box = forms + [(-u0, 0, 1), (u1, 0, -1)]
         combined = ((bi * ej - bj * ei, bi * (ej + aj) - bj * (ei + ai))
                     for ei, ai, bi in with_box if bi > 0
                     for ej, aj, bj in with_box if bj < 0)
         for chi in _affine_interval(chain(direct, combined), chi0, chi1):
             at_chi = [(e + a * chi, e + a * chi + b) for e, a, b in forms]
+            # Each other form at this chi, as e + b*u + uu*u^2 + c*v.
+            v_at_chi = [(e + (a + cc * chi) * chi, b + cu * chi, uu, c)
+                        for e, a, b, c, cc, uu, cu in v_forms]
             for u in _affine_interval(at_chi, u0, u1):
-                vs = _affine_interval(zip(kernel(d, delta, chi, u, 0),
-                                          kernel(d, delta, chi, u, 1)),
-                                      v0, v1)
+                vs = _affine_interval(
+                    [(q, q + c) for e, b, uu, c in v_at_chi
+                     for q in [e + (b + uu * u) * u]], v0, v1)
                 if vs:
                     yield d, delta, chi, u, vs

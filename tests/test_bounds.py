@@ -20,6 +20,7 @@ from p6fold.bounds import (
     proof_trace,
     section5_quadratic,
 )
+from p6fold.constraints import HypothesisConfig, feasible_cells, is_feasible
 from p6fold.errors import DomainError
 from p6fold.identities import verify_identity
 from p6fold.ring import d as d_sym, delta as delta_sym
@@ -124,6 +125,52 @@ def test_delta_lower_sharp_brackets_the_root():
         assert quadratic_at(dd, 9, sharp + SHARP_TOLERANCE) > 0
         # ... on the tolerance grid
         assert (sharp / SHARP_TOLERANCE).denominator == 1
+
+
+# The least delta of a feasible tuple of degree d = 1..40 in geometric mode
+# with K_S^2 <= 9, as measured by the walk below.
+LEAST_DELTA_KAPPA_9 = (-2,) * 7 + (
+    0, 0, 0, 2, 2, 4, 6, 6, 8, 10, 12, 14, 16, 16, 18, 20, 22, 24, 26, 28,
+    30, 32, 34, 38, 40, 42, 44, 46, 48, 52, 54, 56, 58)
+
+
+def least_feasible_cell(dd, cfg):
+    """The first cell of a feasible tuple of degree ``dd`` > 0, walking delta
+    up from -2 (B3) to d^2 - 3d (S2 + S4); None if there is none.  Each
+    row's box contains every feasible tuple on it: chi runs from 1 (B4) to
+    floor((delta^2 + 2d^2) / 6d) (2*H2 + d*S2 >= 0), u from 1 (B5) to
+    d + 2*delta + 4*chi (S2).  S5 bounds v below by d^2 - 4d + 3*delta +
+    30*chi + 3u - 24 and S6 above by d^2 - 3d + 11*delta + 68*chi + 4u - 48;
+    both coefficients of chi and u are positive, so the box's v-range runs
+    from the first at chi = u = 1 to the second at the box's largest chi
+    and u."""
+    for delta in range(-2, dd * dd - 3 * dd + 1):
+        chi_hi = (delta * delta + 2 * dd * dd) // (6 * dd)
+        u_hi = dd + 2 * delta + 4 * chi_hi
+        v_lo = dd * dd - 4 * dd + 3 * delta + 9
+        v_hi = dd * dd - 3 * dd + 11 * delta + 68 * chi_hi + 4 * u_hi - 48
+        for cell in feasible_cells(((dd, dd), (delta, delta), (1, chi_hi),
+                                    (1, u_hi), (v_lo, v_hi)), cfg):
+            return cell
+    return None
+
+
+def test_no_feasible_tuple_lies_below_the_sharp_delta_bound():
+    # The two halves of the closing argument checked against each other:
+    # where C(d) < 0, the constraint system leaves no tuple of degree d
+    # with delta below the forced quadratic's positive root.
+    cfg = HypothesisConfig(ks2_cap=9)
+    least, bounded = [], []
+    for dd in range(1, 41):
+        cell = least_feasible_cell(dd, cfg)
+        _, delta, chi, u, vs = cell
+        assert chi == 1 and is_feasible((dd, delta, chi, u, vs[0]), cfg)
+        least.append(delta)
+        if section5_quadratic(dd, 9)[2] < 0:
+            bounded.append(dd)
+            assert delta >= delta_lower(dd, 9, "sharp"), dd
+    assert tuple(least) == LEAST_DELTA_KAPPA_9
+    assert bounded == list(range(11, 41))
 
 
 def test_bounds_reject_non_integer_arguments():

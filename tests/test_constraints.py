@@ -287,6 +287,94 @@ def test_feasible_cells_are_exactly_the_cells_with_a_feasible_v(cfg):
                     "single value", "empty"}
 
 
+def forms_as_feasible_cells_reads_them(kernel, d, delta):
+    """Each kernel entry on the row (d, delta) as ``(e, a, b, c, cc, uu,
+    cu)``, the form e + a*chi + b*u + c*v + cc*chi^2 + uu*u^2 + cu*chi*u,
+    read off the same points as feasible_cells: the quadratic part off the
+    row (0, 0), the rest off (chi, u, v) = (0, 0, 0), (1, 0, 0), (0, 1, 0)
+    and (0, 0, 1) on the row."""
+    at_00 = (kernel(0, 0, chi, u, 0) for chi, u in
+             ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)))
+    quadratic = [((e + aa) // 2 - a, (e + bb) // 2 - b, e - a - b + ab)
+                 for e, a, b, aa, bb, ab in zip(*at_00)]
+    on_row = (kernel(d, delta, *p) for p in ((0, 0, 0), (1, 0, 0),
+                                             (0, 1, 0), (0, 0, 1)))
+    return [(e, x - e - cc, y - e - uu, z - e, cc, uu, cu)
+            for e, x, y, z, (cc, uu, cu) in zip(*on_row, quadratic)]
+
+
+def shape_problems(cfg, kernel, rng):
+    """Where ``kernel`` is not the form feasible_cells reads off it, or the
+    forms with v or a quadratic term are not exactly S5, S6 and H1, on
+    random rows and at random (chi, u, v); empty when the shape holds."""
+    ids = cfg.constraint_ids
+    problems, seen = [], set()
+    for i in range(120):
+        d = rng.randint(-6, 30)
+        delta = -2 * d if i % 3 == 0 else rng.randint(-12, 90)
+        seen.update(k for k, hit in (
+            ("d <= 0", d <= 0), ("odd delta", delta % 2),
+            ("2d + delta = 0", 2 * d + delta == 0)) if hit)
+        forms = forms_as_feasible_cells_reads_them(kernel, d, delta)
+        not_u = {cid for cid, (*_, c, cc, uu, cu) in zip(ids, forms)
+                 if c or cc or uu or cu}
+        if not_u != {"S5", "S6", "H1"}:
+            problems.append((d, delta, sorted(not_u)))
+        for _ in range(5):
+            chi, u, v = (rng.randint(-20, 20), rng.randint(-60, 60),
+                         rng.randint(-3000, 3000))
+            read = tuple(e + a * chi + b * u + c * v + cc * chi * chi
+                         + uu * u * u + cu * chi * u
+                         for e, a, b, c, cc, uu, cu in forms)
+            if read != kernel(d, delta, chi, u, v):
+                problems.append((d, delta, chi, u, v))
+    assert seen == {"d <= 0", "odd delta", "2d + delta = 0"}
+    return problems
+
+
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS)
+def test_the_kernel_is_the_form_feasible_cells_reads(cfg):
+    # feasible_cells reads every constraint as the form above and takes the
+    # chi- and u-intervals from the U-forms, those with no v and no
+    # quadratic term; S5, S6 and H1 give the v-interval.  Where
+    # 2d + delta = 0, H1 has no v but stays quadratic in (chi, u).
+    rng = random.Random(17)
+    assert shape_problems(cfg, cfg._kernel, rng) == []
+    h1 = cfg.constraint_ids.index("H1")
+    assert forms_as_feasible_cells_reads_them(cfg._kernel, 2, -4)[h1] == (
+        324, -360, 36, 0, 100, 1, -20)  # (10*chi - u - 18)^2
+
+
+def test_h1_is_no_u_form_where_it_has_no_v():
+    # The one feasible cell of this 2d + delta = 0 row, where H1 =
+    # (10*chi - u - 18)^2; read as affine off (chi, u) = (0, 0), (1, 0) and
+    # (0, 1), H1 would be 324 - 260*chi + 37*u, which is -122 there.
+    raw = HypothesisConfig(geometric_mode=False)
+    cells = feasible_cells(((2, 2), (-4, -4), (-5, 5), (-20, 20),
+                            (-5000, 5000)), raw)
+    assert list(cells) == [(2, -4, 2, 2, range(26, 51))]
+
+
+@pytest.mark.parametrize("term", [
+    lambda d, delta, chi, u, v: chi * v,
+    lambda d, delta, chi, u, v: d * chi * chi,
+    lambda d, delta, chi, u, v: chi * u,
+])
+@pytest.mark.parametrize("cid", ["S2", "H2"])
+def test_a_kernel_outside_that_shape_fails_the_check(term, cid):
+    # A chi*v or a row-dependent chi^2 term breaks the form; a chi*u term
+    # on a U-constraint moves it out of the U-forms.
+    i = GEOMETRIC.constraint_ids.index(cid)
+    kernel = GEOMETRIC._kernel
+
+    def perturbed(*t):
+        values = list(kernel(*t))
+        values[i] += term(*t)
+        return tuple(values)
+
+    assert shape_problems(GEOMETRIC, perturbed, random.Random(17))
+
+
 # Each of the ten bounds of a box, in turn, as a float.
 GOOD_BOUNDS = (1, 2, -2, 0, 1, 3, 0, 40, 0, 40)
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from p6fold import identities
-from p6fold.constraints import _HODGE_IDS, _SCHUR_IDS, U_CONSTRAINTS
 from p6fold.errors import UnknownIdentityError
 from p6fold.identities import (
     _HODGE_PARAM_FORMS,
@@ -14,7 +13,7 @@ from p6fold.identities import (
     verify_all,
     verify_identity,
 )
-from p6fold.ring import ParamExpr, chi, d, delta, u
+from p6fold.ring import ParamExpr, chi, d, delta, u, v
 
 EXPECTED_IDS = [
     "L3.4",
@@ -160,41 +159,33 @@ def test_schur_sum_identity():
     })
 
 
-def test_schur_and_hodge_forms_are_affine_in_v():
-    # constraints.feasible_cells reads each constraint's v-slope off v = 0
-    # and v = 1, which is exact only while no form has a v^2 (or higher)
-    # term.
-    for form in (*SCHUR_PARAM_FORMS, *_HODGE_PARAM_FORMS):
-        assert all(mono[4] <= 1 for mono in form.monomials()), form.text()
-
-
-def free_of_v_and_affine_in_chi_u(form):
-    """True iff ``form`` has no v and no chi^2, u^2 or chi*u monomial."""
-    return all(mono[4] == 0 and mono[2] + mono[3] <= 1
+def has_the_shape_feasible_cells_reads(form):
+    """True iff every monomial of ``form`` has total degree <= 2 and at most
+    one v, and none has v together with chi or u."""
+    return all(sum(mono) <= 2 and mono[4] <= 1
+               and not (mono[4] and (mono[2] or mono[3]))
                for mono in form.monomials())
 
 
-def test_u_constraints_are_the_forms_free_of_v_and_affine_in_u():
-    # constraints.feasible_cells reads each of these constraints as
-    # e + a*chi + b*u off (chi, u) = (0, 0), (1, 0) and (0, 1) at v = 0, and
-    # takes both the chi- and the u-interval from that form, so their
-    # Schur and Hodge members must have no v and be affine in (chi, u)
-    # jointly: no chi^2, u^2 or chi*u term.
-    forms = dict(zip((*_SCHUR_IDS, *_HODGE_IDS),
-                     (*SCHUR_PARAM_FORMS, *_HODGE_PARAM_FORMS)))
-    no_v_affine_u = {cid for cid, form in forms.items()
-                     if free_of_v_and_affine_in_chi_u(form)}
-    assert no_v_affine_u == U_CONSTRAINTS & forms.keys()
-    for cid in ("S5", "S6", "H1"):
-        assert any(mono[4] > 0 for mono in forms[cid].monomials()), cid
-    # The check sees a chi*u term, which a test of u^2 alone would not.
-    assert not free_of_v_and_affine_in_chi_u(forms["H2"] + chi * u)
+def test_schur_and_hodge_forms_have_the_shape_feasible_cells_reads():
+    # constraints.feasible_cells reads each constraint's chi^2, u^2 and
+    # chi*u coefficients once, off the row (d, delta) = (0, 0), and the rest
+    # of it per row as e + a*chi + b*u + c*v.  That is exact only while
+    # those three coefficients are free of (d, delta), no form has a v^2
+    # term, and c is free of chi and u.  The kernel-side check of the same
+    # shape is in tests/test_constraints.py.
+    for form in (*SCHUR_PARAM_FORMS, *_HODGE_PARAM_FORMS):
+        assert has_the_shape_feasible_cells_reads(form), form.text()
+    h1 = _HODGE_PARAM_FORMS[0]
+    for bad in (h1 + chi * v, h1 + u * v, h1 + d * chi * chi, h1 + v * v):
+        assert not has_the_shape_feasible_cells_reads(bad), bad.text()
 
 
 def test_the_projection_certificates():
-    # The two positive combinations of U-constraints that bound a degree's
-    # (delta, chi): feasible_cells reads the first off the kernel before the
-    # rest, and its Fourier-Motzkin step finds the second when d > 0.
+    # The two positive combinations of U-constraints (the forms with no v
+    # and no quadratic term) that bound a degree's (delta, chi):
+    # feasible_cells reads the first off the kernel before the rest, and
+    # its Fourier-Motzkin step finds the second when d > 0.
     s2, s4 = SCHUR_PARAM_FORMS[1], SCHUR_PARAM_FORMS[3]
     h2 = _HODGE_PARAM_FORMS[1]
     assert s2 + s4 == d * d - 3 * d - delta

@@ -11,8 +11,8 @@ from itertools import product
 import pytest
 
 from oracles import naive_feasible_rows
-from p6fold.constraints import (U_CONSTRAINTS, HypothesisConfig, evaluate,
-                                feasible_cells, is_feasible)
+from p6fold.constraints import (HypothesisConfig, evaluate, feasible_cells,
+                                is_feasible)
 from p6fold.invariants import InvariantTuple
 from p6fold.scan import (CSV_HEADER, CSV_PROFILE_COLUMNS, ScanBox,
                          iter_feasible, scan)
@@ -131,15 +131,22 @@ def test_matches_naive_filter_on_random_boxes():
     assert min(degrees) < 0 < max(degrees) and 0 in degrees
 
 
-# The first scan-sparse benchmark box.
+# The first scan-sparse and scan-dense benchmark boxes.
 SPARSE_BOX = "d=1..10,delta=-2..28,chi=1..3,u=4..15,v=-4..36"
+DENSE_BOX = "d=20..20,delta=40..60,chi=1..3,u=13..33,v=641..661"
 
 
-def test_scan_kernel_calls_grow_with_rows_and_cells(monkeypatch):
-    # feasible_cells reads each (d, delta) row once, twice more unless
-    # S2 + S4 = d^2 - 3d - delta empties it, and each cell left by the
-    # u-intervals twice (v = 0 and 1); is_feasible reads each row once.  Of
-    # the box's 11,160 cells, 283 satisfy the constraints without v.
+@pytest.mark.parametrize("spec, counts", [
+    (SPARSE_BOX, (140, 170, 283, 44, 870)),
+    (DENSE_BOX, (0, 21, 693, 14346, 14436)),
+])
+def test_scan_kernel_calls_grow_with_rows_not_cells(monkeypatch, spec,
+                                                    counts):
+    # feasible_cells reads each constraint's quadratic part once per call
+    # (6 kernel calls), each (d, delta) row once, three more times unless
+    # S2 + S4 = d^2 - 3d - delta empties it, and no cell; is_feasible reads
+    # each row once.  The cells left by the u-intervals, those that satisfy
+    # every constraint but S5, S6 and H1, cost no kernel call.
     cfg = HypothesisConfig()
     kernel = cfg._kernel
     calls = []
@@ -149,7 +156,7 @@ def test_scan_kernel_calls_grow_with_rows_and_cells(monkeypatch):
         return kernel(*t)
 
     monkeypatch.setitem(vars(cfg), "_kernel", counting_kernel)
-    box = ScanBox.parse(SPARSE_BOX)
+    box = ScanBox.parse(spec)
     result, _ = run_scan(box, cfg)
     count = len(calls)
     axes = [range(lo, hi + 1) for lo, hi in box.ranges()]
@@ -158,11 +165,11 @@ def test_scan_kernel_calls_grow_with_rows_and_cells(monkeypatch):
     cells = [cell for cell in product(*axes[:4])
              if all(e.satisfied for e in evaluate(
                  InvariantTuple(*cell, 0), GEOMETRIC).entries
-                 if e.id in U_CONSTRAINTS)]
+                 if e.id not in ("S5", "S6", "H1"))]
     assert (len(dropped), len(rows) - len(dropped), len(cells),
-            result.feasible) == (140, 170, 283, 44)
-    assert count == (len(dropped) + 3 * (len(rows) - len(dropped))
-                     + 2 * len(cells) + result.feasible) == 1260
+            result.feasible, count) == counts
+    assert count == (6 + len(dropped) + 4 * (len(rows) - len(dropped))
+                     + result.feasible)
 
 
 def test_hot_path_builds_no_constraint_records(monkeypatch):
@@ -246,9 +253,6 @@ def test_jsonl_format():
 # Raw-mode tuples with rows nearby: odd delta (g is "p/2" text), and
 # negative d, chi and u.  Each box around one also reaches negative v.
 RAW_ANCHORS = ((-6, 12, -1, -7, 30), (-2, 5, 0, 7, 26), (4, 3, 0, 10, 25))
-# The first scan-dense benchmark box.
-DENSE_BOX = "d=20..20,delta=40..60,chi=1..3,u=13..33,v=641..661"
-
 
 def raw_box(rng):
     *rest, v = rng.choice(RAW_ANCHORS)
