@@ -13,6 +13,7 @@ import contextlib
 import dataclasses
 import json
 import os
+import stat
 import sys
 
 from . import bounds, constraints, identities
@@ -234,14 +235,61 @@ def _discard_stdout() -> None:
         os.close(devnull)
 
 
+def _open_beside(path: str):
+    """A new file beside ``path``, created as ``open(path, "w")`` would
+    create ``path``, so its mode follows the umask: ``(name, file)``."""
+    head, tail = os.path.split(path)
+    n = 0
+    while True:
+        name = os.path.join(head, f".{tail}.{os.getpid()}.{n}.tmp")
+        try:
+            fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            n += 1
+            continue
+        return name, open(fd, "w")
+
+
+def _write_replacing(path: str, write):
+    """``write(file)`` into ``path``, returning what it returns.  A path that
+    does not exist, or is a regular file, is replaced at once by a finished
+    file (written beside it, then renamed over it), so a failed write
+    leaves it as it was and leaves no file behind.  Any other path, such as
+    a device, a FIFO or a symlink, is written in place."""
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w") as out:
+            return write(out)
+    name, out = _open_beside(path)
+    try:
+        with out:
+            if mode is not None:
+                os.chmod(out.fileno(), stat.S_IMODE(mode))
+            result = write(out)
+        os.replace(name, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(name)
+        raise
+    return result
+
+
 def _cmd_scan(args) -> int:
     cfg = _config_from_args(args)
     print(f"# box volume {args.box.volume()}", file=sys.stderr)
-    with (open(args.out, "w") if args.out
-          else contextlib.nullcontext(sys.stdout)) as out:
-        result = run_scan(args.box, cfg, out, fmt=args.fmt,
-                          with_profile=args.with_profile)
-        out.flush()
+
+    def write(out):
+        return run_scan(args.box, cfg, out, fmt=args.fmt,
+                        with_profile=args.with_profile)
+
+    if args.out:
+        result = _write_replacing(args.out, write)
+    else:
+        result = write(sys.stdout)
+        sys.stdout.flush()
     print(f"# scanned {result.scanned} feasible {result.feasible}",
           file=sys.stderr)
     return 0

@@ -35,11 +35,12 @@ a config stays a plain value.
 
 :func:`feasible_cells` is the one walk of the feasible region of a box.
 Every kernel entry is a function of (d, delta) plus a polynomial of total
-degree <= 2 in (chi, u, v) with no chi*v or u*v term (pinned in tests), so
-it reads each constraint's quadratic part once, and four kernel calls per
-(d, delta) row give every constraint exactly.  Its cost thus grows with
-the (d, delta) rows plus the cells left by the u-intervals, not with the
-box volume.
+degree <= 2 in (chi, u, v) with no chi*v or u*v term, and its v
+coefficient is affine in (d, delta) (both pinned in tests).  So it reads
+each constraint's quadratic part and v coefficient once, and three kernel
+calls per (d, delta) row give every constraint exactly.  Its cost thus
+grows with the (d, delta) rows plus the cells left by the u-intervals,
+not with the box volume.
 
 :func:`evaluate` and :func:`is_feasible` read their tuple through the gate
 ``invariants.five_ints``; every other number passes ``require_ints``.
@@ -224,46 +225,59 @@ def feasible_cells(ranges, cfg: HypothesisConfig) -> Iterator[tuple]:
     :class:`ValueError` on the first ``next()`` unless all ten bounds are
     integers.
 
-    Each kernel entry is ``q(chi, u) + c*v``, where q has degree <= 2 and
-    its chi^2, u^2 and chi*u coefficients do not depend on (d, delta).  So
-    the kernel at six points of the row (0, 0) reads those once per call,
-    and on each (d, delta) row it reads the rest at (chi, u, v) = (0, 0,
-    0), (1, 0, 0), (0, 1, 0) and (0, 0, 1); a row that S2 + S4 = d^2 - 3d -
-    delta empties costs only the first call.  The U-forms, ``e + a*chi +
-    b*u`` with c = 0 and no quadratic part, give the chi at which some real
-    u in the box satisfies them all as one interval: each with b = 0 bounds
-    chi by itself, and each pair with ``b_i > 0 > b_j``, among them and the
-    box's ``u - u_lo`` and ``u_hi - u``, gives the u-free form ``-b_j*f_i +
-    b_i*f_j`` (one Fourier-Motzkin step).  At each such chi they give the
-    u-interval, and at each u the other forms give the cell's v-interval,
-    with no kernel call.
+    Each kernel entry is ``q(chi, u) + c*v``, where q has degree <= 2, its
+    chi^2, u^2 and chi*u coefficients do not depend on (d, delta), and c is
+    affine in (d, delta).  So eleven kernel calls on the rows (0, 0), (1,
+    0) and (0, 1) read those once per call, and split the constraints once
+    into the U-forms, with no v and no quadratic part, and the others.  On
+    each (d, delta) row the kernel at (chi, u, v) = (0, 0, 0), (1, 0, 0)
+    and (0, 1, 0) reads the rest; a row that S2 + S4 = d^2 - 3d - delta
+    empties costs only the first call.  The U-forms, ``e + a*chi + b*u``,
+    give the chi at which some real u in the box satisfies them all as one
+    interval: each with b = 0 bounds chi by itself, and each pair with
+    ``b_i > 0 > b_j``, among them and the box's ``u - u_lo`` and ``u_hi -
+    u``, gives the u-free form ``-b_j*f_i + b_i*f_j`` (one Fourier-Motzkin
+    step).  At each such chi they give the u-interval, and at each u the
+    other forms give the cell's v-interval, with no kernel call.
     """
     (d0, d1), (delta0, delta1), (chi0, chi1), (u0, u1), (v0, v1) = ranges
     require_ints("feasible_cells needs ten integers", d0, d1, delta0, delta1,
                  chi0, chi1, u0, u1, v0, v1)
     kernel, ids = cfg._kernel, cfg.constraint_ids
     s2, s4 = ids.index("S2"), ids.index("S4")
-    quadratic = [((e + aa) // 2 - a, (e + bb) // 2 - b, e - a - b + ab)
-                 for e, a, b, aa, bb, ab in zip(*(kernel(0, 0, *p, 0) for p in (
-                     (0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1))))]
+    # Per constraint: its chi^2, u^2 and chi*u coefficients, and its v
+    # coefficient c0 + cd*d + ct*delta, off the rows (0, 0), (1, 0) and
+    # (0, 1).
+    shapes = [((e + aa) // 2 - a, (e + bb) // 2 - b, e - a - b + ab,
+               ev - e, edv - ed - ev + e, etv - et - ev + e)
+              for e, a, b, aa, bb, ab, ev, ed, edv, et, etv in zip(*(
+                  kernel(*p) for p in (
+                      (0, 0, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0),
+                      (0, 0, 2, 0, 0), (0, 0, 0, 2, 0), (0, 0, 1, 1, 0),
+                      (0, 0, 0, 0, 1), (1, 0, 0, 0, 0), (1, 0, 0, 0, 1),
+                      (0, 1, 0, 0, 0), (0, 1, 0, 0, 1))))]
+    u_ids = [i for i, shape in enumerate(shapes) if not any(shape)]
+    v_shapes = [(i, shape) for i, shape in enumerate(shapes) if any(shape)]
     for d, delta in product(range(d0, d1 + 1), range(delta0, delta1 + 1)):
         at000 = kernel(d, delta, 0, 0, 0)
         if at000[s2] + at000[s4] < 0:
             continue
-        forms, v_forms = [], []
-        for e, x, y, z, (cc, uu, cu) in zip(
-                at000, kernel(d, delta, 1, 0, 0), kernel(d, delta, 0, 1, 0),
-                kernel(d, delta, 0, 0, 1), quadratic):
-            if z - e or cc or uu or cu:
-                v_forms.append((e, x - e - cc, y - e - uu, z - e, cc, uu, cu))
-            else:
-                forms.append((e, x - e, y - e))
+        at100, at010 = kernel(d, delta, 1, 0, 0), kernel(d, delta, 0, 1, 0)
+        forms = [(at000[i], at100[i] - at000[i], at010[i] - at000[i])
+                 for i in u_ids]
         direct = ((e, e + a) for e, a, b in forms if b == 0)
         with_box = forms + [(-u0, 0, 1), (u1, 0, -1)]
         combined = ((bi * ej - bj * ei, bi * (ej + aj) - bj * (ei + ai))
                     for ei, ai, bi in with_box if bi > 0
                     for ej, aj, bj in with_box if bj < 0)
-        for chi in _affine_interval(chain(direct, combined), chi0, chi1):
+        chis = _affine_interval(chain(direct, combined), chi0, chi1)
+        if not chis:
+            continue
+        v_forms = [(at000[i], at100[i] - at000[i] - cc,
+                    at010[i] - at000[i] - uu, c0 + cd * d + ct * delta,
+                    cc, uu, cu)
+                   for i, (cc, uu, cu, c0, cd, ct) in v_shapes]
+        for chi in chis:
             at_chi = [(e + a * chi, e + a * chi + b) for e, a, b in forms]
             # Each other form at this chi, as e + b*u + uu*u^2 + c*v.
             v_at_chi = [(e + (a + cc * chi) * chi, b + cu * chi, uu, c)

@@ -6,18 +6,20 @@ rows and the cells it leaves, not with the box volume; this module only
 renders them.  Output is always lexicographic in (d, delta, chi, u, v),
 and every row is kept only if :func:`constraints.is_feasible` holds at it.
 
-Rows are rendered one cell ``(d, delta, chi, u)`` at a time.  Each format
-has a row template, built from :data:`invariants.PROFILE_KEYS`, whose
-``%s`` slots take the tuple's five ints and then (some of)
-:func:`invariants.profile_numbers`.  With the cell fixed
-every slot is affine in v, so the slots are computed at the first v of the
-cell's interval and the next: those that agree are baked into a cell
-template by one ``%``, and each that moves becomes a ``range`` column with
-that step.  The cell's rows that :func:`constraints.is_feasible` keeps are
-then rendered together, by one ``%`` of the cell template repeated once per
-kept row, with no ``Profile``, dict or JSON encoder.  Each cell's rows are
-buffered as one string and all are written to the sink in one call, so a
-failed write leaves no partial output behind.
+Rows are rendered one slice of a cell ``(d, delta, chi, u)`` at a time, a
+slice being at most :data:`_SLICE_ROWS` consecutive v of the cell.  Each
+format has a row template, built from :data:`invariants.PROFILE_KEYS`,
+whose ``%s`` slots take the tuple's five ints and then (some of)
+:func:`invariants.profile_numbers`.  With the cell fixed every slot is
+affine in v, so the slots are computed at the first v of the slice and the
+next: those that agree are baked into a slice template by one ``%``, and
+each that moves becomes a ``range`` column with that step.  The slice's
+rows that :func:`constraints.is_feasible` keeps are then rendered
+together, by one ``%`` of the slice template repeated once per kept row,
+with no ``Profile``, dict or JSON encoder.  The rendered slices are
+gathered up to :data:`_WRITE_BUDGET` characters and written to the sink a
+chunk at a time, so a scan holds a bounded part of its output whatever
+the box; a write that fails leaves the chunks before it in the sink.
 """
 
 from __future__ import annotations
@@ -51,6 +53,11 @@ def _jsonl_row(g_slot: str) -> str:
 
 
 _JSONL_ROWS = (_jsonl_row("%s"), _jsonl_row('"%s"'))  # by delta % 2
+
+# The most characters scan() gathers before it writes them, unless one
+# slice alone is longer, and the most rows of a cell rendered at once.
+_WRITE_BUDGET = 1 << 16
+_SLICE_ROWS = 256
 
 
 def _parse_range(axis: str, value) -> Tuple[int, int]:
@@ -136,14 +143,16 @@ class ScanResult:
 
 def _feasible_cells(box: ScanBox, cfg: HypothesisConfig
                     ) -> Iterator[Tuple[int, int, int, int, range, list]]:
-    """Each cell of :func:`constraints.feasible_cells` with the mask of the
-    v that ``is_feasible`` keeps, from one call per v; a cell that keeps no
-    row is skipped.  The mask alone decides which rows the callers
-    render."""
+    """Each cell of :func:`constraints.feasible_cells`, in slices of at most
+    :data:`_SLICE_ROWS` v, with the mask of the v that ``is_feasible``
+    keeps, from one call per v; a slice that keeps no row is skipped.  The
+    mask alone decides which rows the callers render."""
     for d, delta, chi, u, vs in feasible_cells(box.ranges(), cfg):
-        keep = [is_feasible((d, delta, chi, u, v), cfg) for v in vs]
-        if any(keep):
-            yield d, delta, chi, u, vs, keep
+        for start in range(0, len(vs), _SLICE_ROWS):
+            part = vs[start:start + _SLICE_ROWS]
+            keep = [is_feasible((d, delta, chi, u, v), cfg) for v in part]
+            if any(keep):
+                yield d, delta, chi, u, part, keep
 
 
 def iter_feasible(box: ScanBox, cfg: HypothesisConfig
@@ -164,16 +173,23 @@ def scan(box: ScanBox, cfg: HypothesisConfig, sink,
     columns to CSV rows only: a JSONL row always carries every profile
     key.  Output order is lexicographic.  ``workers`` is accepted for
     compatibility; the scan runs in one process.
+
+    The rows reach ``sink.write`` in chunks of at most 64 KiB, or of one
+    slice of a cell where that alone is longer, so memory stays bounded
+    however large the output.  The first write that raises ends the scan,
+    and the exception propagates; the chunks written before it stay in the
+    sink, so a failing sink may hold part of the output.
     """
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown scan format {fmt!r}")
-    lines = []
+    chunk, size = [], 0
     if fmt == "jsonl":
         keys, templates = _SLOTS, _JSONL_ROWS
     else:
         keys = _AXES + CSV_PROFILE_COLUMNS if with_profile else _AXES
         templates = (",".join(["%s"] * len(keys)),) * 2
-        lines.append(",".join((CSV_HEADER,) + keys[len(_AXES):]))
+        chunk.append(",".join((CSV_HEADER,) + keys[len(_AXES):]) + "\n")
+        size = len(chunk[0])
     pick = itemgetter(*map(_SLOTS.index, keys))
     feasible = 0
     for d, delta, chi, u, vs, keep in _feasible_cells(box, cfg):
@@ -182,15 +198,20 @@ def scan(box: ScanBox, cfg: HypothesisConfig, sink,
         at0, at1 = (pick((d, delta, chi, u, v)
                          + profile_numbers(d, delta, chi, u, v))
                     for v in (vs[0], vs[0] + 1))
-        cell = templates[delta % 2] % tuple(
-            a if a == b else "%s" for a, b in zip(at0, at1))
+        row = templates[delta % 2] % tuple(
+            a if a == b else "%s" for a, b in zip(at0, at1)) + "\n"
         # v always moves, so there is at least one column.
         columns = [range(a, a + (b - a) * len(vs), b - a)
                    for a, b in zip(at0, at1) if a != b]
         n = keep.count(True)
-        lines.append("\n".join([cell] * n) % tuple(
-            chain.from_iterable(compress(zip(*columns), keep))))
+        text = (row * n) % tuple(
+            chain.from_iterable(compress(zip(*columns), keep)))
         feasible += n
-    lines.append("")  # the join ends each line in "\n"; no lines give ""
-    sink.write("\n".join(lines))
+        if size + len(text) > _WRITE_BUDGET and chunk:
+            sink.write("".join(chunk))
+            chunk, size = [], 0
+        chunk.append(text)
+        size += len(text)
+    if chunk:
+        sink.write("".join(chunk))
     return ScanResult(scanned=box.volume(), feasible=feasible)

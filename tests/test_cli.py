@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import errno
 import hashlib
+import importlib
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -637,6 +639,93 @@ def test_scan_out_to_full_device_is_usage_error(capsys):
         ["scan", "--box", SMALL_BOX, "--out", "/dev/full"], capsys)
     assert (code, out) == (2, "")
     assert f"error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}" in err
+
+
+cli_module = importlib.import_module("p6fold.cli")
+scan_module = importlib.import_module("p6fold.scan")
+CHUNKED_BOX = "d=20,delta=40..44,chi=1..2,u=13..33,v=641..661"
+
+
+class _FailAfter:
+    """Passes ``good`` writes on to ``out``, then raises ENOSPC."""
+
+    def __init__(self, out, good):
+        self.out, self.good = out, good
+
+    def write(self, text):
+        if self.good == 0:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.good -= 1
+        return self.out.write(text)
+
+
+@pytest.fixture
+def scan_fails_mid_write(monkeypatch):
+    # Small chunks, and the third write of the scan fails.
+    monkeypatch.setattr(scan_module, "_WRITE_BUDGET", 1000)
+    real = cli_module.run_scan
+    monkeypatch.setattr(cli_module, "run_scan", lambda box, cfg, out, **kw:
+                        real(box, cfg, _FailAfter(out, 2), **kw))
+
+
+def test_scan_out_failing_mid_scan_leaves_no_file(tmp_path, capsys,
+                                                  scan_fails_mid_write):
+    target = tmp_path / "rows.csv"
+    code, out, err = run_cli(["scan", "--box", CHUNKED_BOX,
+                              "--out", str(target)], capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: cannot write {target}: "
+                        f"{os.strerror(errno.ENOSPC)}\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_scan_out_failing_mid_scan_keeps_the_target(tmp_path, capsys,
+                                                    scan_fails_mid_write):
+    target = tmp_path / "rows.csv"
+    target.write_bytes(b"d,delta,chi,u,v\n1,-2,1,1,0\n")
+    code, _, _ = run_cli(["scan", "--box", CHUNKED_BOX,
+                          "--out", str(target)], capsys)
+    assert code == 2
+    assert target.read_bytes() == b"d,delta,chi,u,v\n1,-2,1,1,0\n"
+    assert os.listdir(tmp_path) == ["rows.csv"]
+
+
+def test_scan_out_replaces_a_regular_file(tmp_path, capsys, monkeypatch):
+    # Many chunks, as on stdout; the old file keeps its mode, and a new one
+    # gets the mode the umask gives.
+    monkeypatch.setattr(scan_module, "_WRITE_BUDGET", 1000)
+    stdout = run_cli(["scan", "--box", CHUNKED_BOX], capsys)[1]
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text("stale\n" * 10000)
+    old.chmod(0o604)
+    umask = os.umask(0o027)
+    try:
+        for target in (old, new):
+            assert run_cli(["scan", "--box", CHUNKED_BOX,
+                            "--out", str(target)], capsys)[:2] == (0, "")
+    finally:
+        os.umask(umask)
+    for target, mode in ((old, 0o604), (new, 0o640)):
+        assert target.read_text() == stdout
+        assert stat.S_IMODE(target.stat().st_mode) == mode
+    assert sorted(os.listdir(tmp_path)) == ["new.csv", "old.csv"]
+
+
+def test_scan_out_to_a_device_or_a_symlink_is_written_in_place(
+        tmp_path, capsys, monkeypatch):
+    replaced = []
+    monkeypatch.setattr(os, "replace", lambda *args: replaced.append(args))
+    stdout = run_cli(["scan", "--box", SMALL_BOX], capsys)[1]
+    real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+    real.write_text("stale\n")
+    link.symlink_to(real)
+    for target in (os.devnull, str(link)):
+        assert run_cli(["scan", "--box", SMALL_BOX, "--out", target],
+                       capsys)[:2] == (0, "")
+    assert replaced == []
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert link.is_symlink() and real.read_text() == stdout
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "real.csv"]
 
 
 class _FullStdout:

@@ -375,6 +375,55 @@ def test_a_kernel_outside_that_shape_fails_the_check(term, cid):
     assert shape_problems(GEOMETRIC, perturbed, random.Random(17))
 
 
+def v_coefficient_problems(kernel, rng):
+    """The rows (d, delta) at which some kernel entry's v coefficient is not
+    the affine function of (d, delta) that feasible_cells reads off the
+    rows (0, 0), (1, 0) and (0, 1); empty when it is affine."""
+    def c(d, delta):
+        return [z - e for e, z in zip(kernel(d, delta, 0, 0, 0),
+                                      kernel(d, delta, 0, 0, 1))]
+
+    c00, c10, c01 = c(0, 0), c(1, 0), c(0, 1)
+    problems = []
+    for i in range(120):
+        d = rng.randint(-6, 30)
+        delta = -2 * d if i % 3 == 0 else rng.randint(-12, 90)
+        affine = [a + (b - a) * d + (t - a) * delta
+                  for a, b, t in zip(c00, c10, c01)]
+        if c(d, delta) != affine:
+            problems.append((d, delta))
+    return problems
+
+
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS)
+def test_the_v_coefficient_is_affine_in_d_and_delta(cfg):
+    # feasible_cells reads it once per call: 1 on S5, -1 on S6,
+    # -(2d + delta) on H1 and 0 on every other constraint.
+    assert v_coefficient_problems(cfg._kernel, random.Random(23)) == []
+    kernel, ids = cfg._kernel, cfg.constraint_ids
+    c = {cid: z - e for cid, e, z in zip(ids, kernel(5, 3, 0, 0, 0),
+                                         kernel(5, 3, 0, 0, 1)) if z != e}
+    assert c == {"S5": 1, "S6": -1, "H1": -13}
+
+
+@pytest.mark.parametrize("term", [
+    lambda d, delta, chi, u, v: d * d * v,
+    lambda d, delta, chi, u, v: d * delta * v,
+])
+@pytest.mark.parametrize("cid", ["S2", "H1"])
+def test_a_v_coefficient_not_affine_in_d_and_delta_fails_the_check(term,
+                                                                    cid):
+    i = GEOMETRIC.constraint_ids.index(cid)
+    kernel = GEOMETRIC._kernel
+
+    def perturbed(*t):
+        values = list(kernel(*t))
+        values[i] += term(*t)
+        return tuple(values)
+
+    assert v_coefficient_problems(perturbed, random.Random(23))
+
+
 # Each of the ten bounds of a box, in turn, as a float.
 GOOD_BOUNDS = (1, 2, -2, 0, 1, 3, 0, 40, 0, 40)
 

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import io
 import json
 import random
+import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import naive_feasible_rows
 from p6fold.constraints import (HypothesisConfig, evaluate, feasible_cells,
@@ -137,16 +141,17 @@ DENSE_BOX = "d=20..20,delta=40..60,chi=1..3,u=13..33,v=641..661"
 
 
 @pytest.mark.parametrize("spec, counts", [
-    (SPARSE_BOX, (140, 170, 283, 44, 870)),
-    (DENSE_BOX, (0, 21, 693, 14346, 14436)),
+    (SPARSE_BOX, (140, 170, 283, 44, 705)),
+    (DENSE_BOX, (0, 21, 693, 14346, 14420)),
 ])
 def test_scan_kernel_calls_grow_with_rows_not_cells(monkeypatch, spec,
                                                     counts):
-    # feasible_cells reads each constraint's quadratic part once per call
-    # (6 kernel calls), each (d, delta) row once, three more times unless
-    # S2 + S4 = d^2 - 3d - delta empties it, and no cell; is_feasible reads
-    # each row once.  The cells left by the u-intervals, those that satisfy
-    # every constraint but S5, S6 and H1, cost no kernel call.
+    # feasible_cells reads each constraint's quadratic part and v
+    # coefficient once per call (11 kernel calls), each (d, delta) row once,
+    # two more times unless S2 + S4 = d^2 - 3d - delta empties it, and no
+    # cell; is_feasible reads each row once.  The cells left by the
+    # u-intervals, those that satisfy every constraint but S5, S6 and H1,
+    # cost no kernel call.
     cfg = HypothesisConfig()
     kernel = cfg._kernel
     calls = []
@@ -168,7 +173,7 @@ def test_scan_kernel_calls_grow_with_rows_not_cells(monkeypatch, spec,
                  if e.id not in ("S5", "S6", "H1"))]
     assert (len(dropped), len(rows) - len(dropped), len(cells),
             result.feasible, count) == counts
-    assert count == (6 + len(dropped) + 4 * (len(rows) - len(dropped))
+    assert count == (11 + len(dropped) + 3 * (len(rows) - len(dropped))
                      + result.feasible)
 
 
@@ -450,20 +455,30 @@ def test_unknown_format_is_rejected_before_scanning(box):
 
 
 class _FailingSink:
-    def __init__(self):
-        self.calls = 0
+    """Takes ``good`` writes, then raises on every write."""
+
+    def __init__(self, good=0):
+        self.calls, self.good, self.text = 0, good, ""
 
     def write(self, text):
         self.calls += 1
-        raise OSError("sink closed")
+        if self.calls > self.good:
+            raise OSError("sink closed")
+        self.text += text
 
 
-def test_sink_failure_leaves_no_partial_output():
-    box = ScanBox.of(d=(1, 2), delta=-2, chi=1, u=(1, 2), v=(0, 2))
-    sink = _FailingSink()
-    with pytest.raises(OSError):
+def test_first_failed_write_propagates_and_ends_the_scan(monkeypatch):
+    # Rows reach the sink in chunks, so a sink that fails mid-scan holds
+    # the chunks it took; the failure propagates, and no later write is
+    # tried.
+    monkeypatch.setattr(scan_module, "_WRITE_BUDGET", 1000)
+    box = ScanBox.parse(DENSE_BOX)
+    _, out = run_scan(box)
+    sink = _FailingSink(good=2)
+    with pytest.raises(OSError, match="sink closed"):
         scan(box, GEOMETRIC, sink)
-    assert sink.calls == 1  # rows are buffered into a single write
+    assert sink.calls == 3
+    assert 0 < len(sink.text) <= 2000 and out.startswith(sink.text)
 
 
 def test_volume_and_scanned_agree():
@@ -471,3 +486,116 @@ def test_volume_and_scanned_agree():
     assert box.volume() == 7 * 5 * 3 * 2
     result, _ = run_scan(box, workers=2)
     assert result.scanned == box.volume()
+
+
+class _RecordingSink:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+# A byte budget and a slice size so small that chunks and slices split
+# cells: most JSONL rows alone are longer than the budget.
+TINY_LIMITS = {"_WRITE_BUDGET": 100, "_SLICE_ROWS": 3}
+
+
+def streamed(box, cfg, limits, **kwargs):
+    """``scan``'s result and its writes, under ``limits`` if given, and
+    checked against them: a write longer than the budget is one slice."""
+    sink = _RecordingSink()
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in (limits or {}).items():
+            mp.setattr(scan_module, name, value)
+        result = scan(box, cfg, sink, **kwargs)
+        budget, rows = scan_module._WRITE_BUDGET, scan_module._SLICE_ROWS
+    assert all(0 < len(text) <= budget or text.count("\n") <= rows
+               for text in sink.writes)
+    return result, "".join(sink.writes)
+
+
+GOLDENS = json.loads((Path(__file__).resolve().parents[1] / "bench"
+                      / "goldens.json").read_text())
+GOLDEN_SCANS = ([(golden, "csv") for golden in GOLDENS["scan-sparse"]]
+                + [(golden, "jsonl") for golden in GOLDENS["scan-dense"]]
+                + [(GOLDENS["probe"]["scan"], "csv")])
+
+
+@pytest.mark.parametrize("limits", [None, TINY_LIMITS],
+                         ids=["default", "tiny"])
+def test_streamed_goldens_keep_their_bytes(limits):
+    # Every benchmark box in its format, against the digest of the output
+    # that was written in one call.
+    for golden, fmt in GOLDEN_SCANS:
+        result, out = streamed(ScanBox.parse(golden["box"]), GEOMETRIC,
+                               limits, fmt=fmt)
+        assert (hashlib.sha256(out.encode()).hexdigest(), result.feasible
+                ) == (golden["sha256"], golden["rows"]), golden["box"]
+
+
+@st.composite
+def anchored_boxes(draw):
+    """A config and a box near one of its feasible anchors, which the box
+    may miss, so some boxes give no row."""
+    cfg, anchor = draw(st.sampled_from(
+        [(cfg, anchor) for cfg in (GEOMETRIC, CAPPED) for anchor in ANCHORS]
+        + [(RAW, anchor) for anchor in RAW_ANCHORS]))
+    spans = []
+    for x in anchor[:4]:
+        lo = x + draw(st.integers(-2, 1))
+        spans.append((lo, lo + draw(st.integers(0, 3))))
+    lo = anchor[4] + draw(st.integers(-40, 5))
+    spans.append((lo, lo + draw(st.integers(0, 60))))
+    return cfg, ScanBox(*spans)
+
+
+@settings(max_examples=30, deadline=None)
+@example(case=(GEOMETRIC, ScanBox.of(d=(1, 2), delta=-1, chi=1, u=(1, 2),
+                                     v=(0, 2))))
+@example(case=(RAW, ScanBox.of(d=4, delta=3, chi=0, u=10, v=(-30, 60))))
+@given(case=anchored_boxes())
+def test_streamed_scans_equal_one_rendering_of_their_rows(case):
+    # Each format's output is its reference lines, rendered one row at a
+    # time and joined; an empty box gives the CSV header alone, or no
+    # JSONL at all.
+    cfg, box = case
+    pairs = list(iter_feasible(box, cfg))
+    jsonl, csv = reference_lines(pairs)
+    plain = [CSV_HEADER] + [",".join(map(str, t)) for t, _ in pairs]
+    for kwargs, lines in (({}, plain), ({"with_profile": True}, csv),
+                          ({"fmt": "jsonl"}, jsonl)):
+        expected = "".join(line + "\n" for line in lines)
+        for limits in (None, TINY_LIMITS):
+            result, out = streamed(box, cfg, limits, **kwargs)
+            assert (out, result.feasible) == (expected, len(pairs))
+
+
+class _CountingSink:
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+
+def test_scan_memory_stays_within_a_few_write_budgets():
+    # 1.3 MB of JSONL, over 20 budgets, from cells of up to 841 rows, each
+    # more than a slice; a scan that held its output would trace a peak of
+    # several times its size.
+    box = ScanBox.parse(
+        "d=8,delta=40,chi=29..36,u=1..1300,v=-1000000..1000000")
+    budget = scan_module._WRITE_BUDGET
+    assert max(len(vs) for *_, vs in feasible_cells(box.ranges(), GEOMETRIC)
+               ) > scan_module._SLICE_ROWS
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        scan(box, GEOMETRIC, sink, fmt="jsonl")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size >= 20 * budget
+    assert peak < 8 * budget
