@@ -35,12 +35,14 @@ a config stays a plain value.
 
 :func:`feasible_cells` is the one walk of the feasible region of a box.
 Every kernel entry is a function of (d, delta) plus a polynomial of total
-degree <= 2 in (chi, u, v) with no chi*v or u*v term, and its v
-coefficient is affine in (d, delta) (both pinned in tests).  So it reads
-each constraint's quadratic part and v coefficient once, and three kernel
-calls per (d, delta) row give every constraint exactly.  Its cost thus
-grows with the (d, delta) rows plus the cells left by the u-intervals,
-not with the box volume.
+degree <= 2 in (chi, u, v) with no chi*v or u*v term, and its chi, u and v
+coefficients are affine in (d, delta) (all pinned in tests).  So it reads
+each constraint's quadratic part and those coefficients once per call, and
+one kernel call per (d, delta) row gives every constraint exactly.  A row
+on which a form with no quadratic part is below 0 at its best corner of
+the box is skipped before its chi-interval is solved.  Its cost thus grows
+with the (d, delta) rows plus the cells left by the u-intervals, not with
+the box volume.
 
 :func:`evaluate` and :func:`is_feasible` read their tuple through the gate
 ``invariants.five_ints``; every other number passes ``require_ints``.
@@ -225,46 +227,73 @@ def feasible_cells(ranges, cfg: HypothesisConfig) -> Iterator[tuple]:
     :class:`ValueError` on the first ``next()`` unless all ten bounds are
     integers.
 
-    Each kernel entry is ``q(chi, u) + c*v``, where q has degree <= 2, its
-    chi^2, u^2 and chi*u coefficients do not depend on (d, delta), and c is
-    affine in (d, delta).  So eleven kernel calls on the rows (0, 0), (1,
-    0) and (0, 1) read those once per call, and split the constraints once
-    into the U-forms, with no v and no quadratic part, and the others.  On
-    each (d, delta) row the kernel at (chi, u, v) = (0, 0, 0), (1, 0, 0)
-    and (0, 1, 0) reads the rest; a row that S2 + S4 = d^2 - 3d - delta
-    empties costs only the first call.  The U-forms, ``e + a*chi + b*u``,
+    Each kernel entry is ``q(chi, u) + a*chi + b*u + c*v`` plus a
+    function of (d, delta), where q, its chi^2, u^2 and chi*u part, does
+    not depend on (d, delta), and a, b and c are affine in (d, delta).  So
+    fifteen kernel calls on the rows (0, 0), (1, 0) and (0, 1) read q, a, b
+    and c once per call, and one call at (chi, u, v) = (0, 0, 0) reads the
+    rest of each row.  A box with an empty axis costs no kernel call.  A
+    row is skipped at once if S2 + S4 = d^2 - 3d - delta < 0, or if a flat
+    form (with no chi, u or v) is below 0, or if a form with no quadratic
+    part is below 0 at its best corner, ``e + max(a*chi0, a*chi1) +
+    max(b*u0, b*u1) + max(c*v0, c*v1)``: an affine form is largest on the
+    box at a corner, so it then holds nowhere in the box.  On the rows
+    left, the U-forms, ``e + a*chi + b*u`` with no v and no quadratic part,
     give the chi at which some real u in the box satisfies them all as one
     interval: each with b = 0 bounds chi by itself, and each pair with
     ``b_i > 0 > b_j``, among them and the box's ``u - u_lo`` and ``u_hi -
     u``, gives the u-free form ``-b_j*f_i + b_i*f_j`` (one Fourier-Motzkin
     step).  At each such chi they give the u-interval, and at each u the
-    other forms give the cell's v-interval, with no kernel call.
+    other forms (S5, S6 and H1) give the cell's v-interval, with no kernel
+    call.
+
+    >>> raw = HypothesisConfig(geometric_mode=False)
+    >>> list(feasible_cells(((2, 2), (-4, -4), (-5, 5), (-20, 20),
+    ...                      (-5000, 5000)), raw))
+    [(2, -4, 2, 2, range(26, 51))]
     """
     (d0, d1), (delta0, delta1), (chi0, chi1), (u0, u1), (v0, v1) = ranges
     require_ints("feasible_cells needs ten integers", d0, d1, delta0, delta1,
                  chi0, chi1, u0, u1, v0, v1)
+    if d0 > d1 or delta0 > delta1 or chi0 > chi1 or u0 > u1 or v0 > v1:
+        return
     kernel, ids = cfg._kernel, cfg.constraint_ids
     s2, s4 = ids.index("S2"), ids.index("S4")
-    # Per constraint: its chi^2, u^2 and chi*u coefficients, and its v
-    # coefficient c0 + cd*d + ct*delta, off the rows (0, 0), (1, 0) and
-    # (0, 1).
-    shapes = [((e + aa) // 2 - a, (e + bb) // 2 - b, e - a - b + ab,
-               ev - e, edv - ed - ev + e, etv - et - ev + e)
-              for e, a, b, aa, bb, ab, ev, ed, edv, et, etv in zip(*(
-                  kernel(*p) for p in (
-                      (0, 0, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0),
-                      (0, 0, 2, 0, 0), (0, 0, 0, 2, 0), (0, 0, 1, 1, 0),
-                      (0, 0, 0, 0, 1), (1, 0, 0, 0, 0), (1, 0, 0, 0, 1),
-                      (0, 1, 0, 0, 0), (0, 1, 0, 0, 1))))]
-    u_ids = [i for i, shape in enumerate(shapes) if not any(shape)]
-    v_shapes = [(i, shape) for i, shape in enumerate(shapes) if any(shape)]
+    # Per constraint: its chi, u and v coefficients, each as x0 + xd*d +
+    # xt*delta off the rows (0, 0), (1, 0) and (0, 1), then its chi^2, u^2
+    # and chi*u coefficients; the flat ones have none of these.
+    points = [(*row, *p) for row in ((0, 0), (1, 0), (0, 1))
+              for p in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    points += [(0, 0, 2, 0, 0), (0, 0, 0, 2, 0), (0, 0, 1, 1, 0)]
+    flat, sloped = [], []
+    for i, (e, x, y, z, ed, xd, yd, zd, et, xt, yt, zt, xx, yy, xy) in (
+            enumerate(zip(*(kernel(*p) for p in points)))):
+        cc, uu = (e + xx) // 2 - x, (e + yy) // 2 - y
+        shape = (x - e - cc, xd - ed - x + e, xt - et - x + e,
+                 y - e - uu, yd - ed - y + e, yt - et - y + e,
+                 z - e, zd - ed - z + e, zt - et - z + e,
+                 cc, uu, e - x - y + xy)
+        if any(shape):
+            sloped.append((i, *shape))
+        else:
+            flat.append(i)
     for d, delta in product(range(d0, d1 + 1), range(delta0, delta1 + 1)):
         at000 = kernel(d, delta, 0, 0, 0)
-        if at000[s2] + at000[s4] < 0:
+        if at000[s2] + at000[s4] < 0 or any(at000[i] < 0 for i in flat):
             continue
-        at100, at010 = kernel(d, delta, 1, 0, 0), kernel(d, delta, 0, 1, 0)
-        forms = [(at000[i], at100[i] - at000[i], at010[i] - at000[i])
-                 for i in u_ids]
+        # Each sloped form on this row, as e + a*chi + b*u + c*v plus its
+        # quadratic part.  One with no quadratic part that is below 0 at
+        # its best corner of the box holds nowhere in the box.
+        row = [(at000[i], a0 + ad * d + at * delta, b0 + bd * d + bt * delta,
+                c0 + cd * d + ct * delta, cc, uu, cu)
+               for i, a0, ad, at, b0, bd, bt, c0, cd, ct, cc, uu, cu
+               in sloped]
+        if any(e + a * (chi1 if a > 0 else chi0) + b * (u1 if b > 0 else u0)
+               + c * (v1 if c > 0 else v0) < 0
+               for e, a, b, c, cc, uu, cu in row if not (cc or uu or cu)):
+            continue
+        forms = [(e, a, b) for e, a, b, c, cc, uu, cu in row
+                 if not (c or cc or uu or cu)]
         direct = ((e, e + a) for e, a, b in forms if b == 0)
         with_box = forms + [(-u0, 0, 1), (u1, 0, -1)]
         combined = ((bi * ej - bj * ei, bi * (ej + aj) - bj * (ei + ai))
@@ -273,10 +302,7 @@ def feasible_cells(ranges, cfg: HypothesisConfig) -> Iterator[tuple]:
         chis = _affine_interval(chain(direct, combined), chi0, chi1)
         if not chis:
             continue
-        v_forms = [(at000[i], at100[i] - at000[i] - cc,
-                    at010[i] - at000[i] - uu, c0 + cd * d + ct * delta,
-                    cc, uu, cu)
-                   for i, (cc, uu, cu, c0, cd, ct) in v_shapes]
+        v_forms = [form for form in row if any(form[3:])]
         for chi in chis:
             at_chi = [(e + a * chi, e + a * chi + b) for e, a, b in forms]
             # Each other form at this chi, as e + b*u + uu*u^2 + c*v.

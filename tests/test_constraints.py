@@ -283,24 +283,87 @@ def test_feasible_cells_are_exactly_the_cells_with_a_feasible_v(cfg):
                                 for d, delta in rows)),
             ("single value", any(lo == hi for lo, hi in ranges)),
             ("empty", any(lo > hi for lo, hi in ranges))) if hit)
+        if all(lo <= hi for lo, hi in ranges):
+            seen.update(row_branches(cfg, ranges, rows, got))
     assert seen == {"cells", "d <= 0", "2d + delta = 0", "S2 + S4 < 0",
-                    "single value", "empty"}
+                    "single value", "empty", "flat form", "best corner",
+                    "no cell past the corners"} | (
+                        set() if cfg.geometric_mode else {"d < 0 at corners"})
+
+
+def row_branches(cfg, ranges, rows, got):
+    """How feasible_cells leaves each row that S2 + S4 keeps: emptied by a
+    flat constraint (B1, B2, B3 or S1) at (chi, u, v) = (0, 0, 0), or by a
+    constraint other than H1 that is below 0 at every corner of the box, or
+    with no cell although every such constraint holds at some corner; and
+    whether a row with d < 0, where H2's chi coefficient -10d is positive,
+    gets past the flat constraints."""
+    kernel, ids = cfg._kernel, cfg.constraint_ids
+    corners = list(product(*ranges[2:]))
+    branches = set()
+    for d, delta in rows:
+        if d * d - 3 * d - delta < 0:
+            continue
+        at0 = dict(zip(ids, kernel(d, delta, 0, 0, 0)))
+        if any(at0.get(cid, 0) < 0 for cid in ("B1", "B2", "B3", "S1")):
+            branches.add("flat form")
+            continue
+        if d < 0:
+            branches.add("d < 0 at corners")
+        if any(max(values) < 0 for cid, *values in zip(
+                ids, *(kernel(d, delta, *corner) for corner in corners))
+               if cid != "H1"):
+            branches.add("best corner")
+        elif all(cell[:2] != (d, delta) for cell in got):
+            branches.add("no cell past the corners")
+    return branches
+
+
+@pytest.mark.parametrize("axis", range(5))
+def test_a_box_with_an_empty_axis_costs_no_kernel_call(monkeypatch, axis):
+    cfg = HypothesisConfig(geometric_mode=False)
+    kernel, calls = cfg._kernel, []
+
+    def counting_kernel(*t):
+        calls.append(t)
+        return kernel(*t)
+
+    monkeypatch.setitem(vars(cfg), "_kernel", counting_kernel)
+    bounds = list(GOOD_BOUNDS)
+    bounds[2 * axis + 1] = bounds[2 * axis] - 1
+    assert list(feasible_cells(tuple(zip(bounds[::2], bounds[1::2])),
+                               cfg)) == []
+    assert calls == []
+    # The bounds are checked first: a float still raises.
+    bounds[(2 * axis + 2) % 10] += 0.5
+    with pytest.raises(ValueError, match="feasible_cells needs ten integers"):
+        list(feasible_cells(tuple(zip(bounds[::2], bounds[1::2])), cfg))
+    assert calls == []
 
 
 def forms_as_feasible_cells_reads_them(kernel, d, delta):
     """Each kernel entry on the row (d, delta) as ``(e, a, b, c, cc, uu,
     cu)``, the form e + a*chi + b*u + c*v + cc*chi^2 + uu*u^2 + cu*chi*u,
-    read off the same points as feasible_cells: the quadratic part off the
-    row (0, 0), the rest off (chi, u, v) = (0, 0, 0), (1, 0, 0), (0, 1, 0)
-    and (0, 0, 1) on the row."""
+    read as feasible_cells reads it: the quadratic part off the row (0, 0),
+    the chi, u and v coefficients as affine functions of (d, delta) off the
+    rows (0, 0), (1, 0) and (0, 1), and e off one call on the row, at
+    (chi, u, v) = (0, 0, 0)."""
     at_00 = (kernel(0, 0, chi, u, 0) for chi, u in
              ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)))
     quadratic = [((e + aa) // 2 - a, (e + bb) // 2 - b, e - a - b + ab)
                  for e, a, b, aa, bb, ab in zip(*at_00)]
-    on_row = (kernel(d, delta, *p) for p in ((0, 0, 0), (1, 0, 0),
-                                             (0, 1, 0), (0, 0, 1)))
-    return [(e, x - e - cc, y - e - uu, z - e, cc, uu, cu)
-            for e, x, y, z, (cc, uu, cu) in zip(*on_row, quadratic)]
+    # Each entry's step from (chi, u, v) = (0, 0, 0) along chi, u and v, on
+    # the rows (0, 0), (1, 0) and (0, 1), then carried to (d, delta).
+    on_00, on_10, on_01 = (
+        [[y - x for x, y in zip(kernel(*row, 0, 0, 0), kernel(*row, *p))]
+         for p in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        for row in ((0, 0), (1, 0), (0, 1)))
+    x, y, z = ([s + (sd - s) * d + (st - s) * delta
+                for s, sd, st in zip(*axis)]
+               for axis in zip(on_00, on_10, on_01))
+    return [(e, a - cc, b - uu, c, cc, uu, cu)
+            for e, a, b, c, (cc, uu, cu) in zip(
+                kernel(d, delta, 0, 0, 0), x, y, z, quadratic)]
 
 
 def shape_problems(cfg, kernel, rng):
@@ -375,13 +438,16 @@ def test_a_kernel_outside_that_shape_fails_the_check(term, cid):
     assert shape_problems(GEOMETRIC, perturbed, random.Random(17))
 
 
-def v_coefficient_problems(kernel, rng):
-    """The rows (d, delta) at which some kernel entry's v coefficient is not
-    the affine function of (d, delta) that feasible_cells reads off the
-    rows (0, 0), (1, 0) and (0, 1); empty when it is affine."""
+def coefficient_problems(kernel, rng, step):
+    """The rows (d, delta) at which some kernel entry's step from (chi, u,
+    v) = (0, 0, 0) to ``step`` is not the affine function of (d, delta)
+    that feasible_cells reads off the rows (0, 0), (1, 0) and (0, 1); empty
+    when it is affine.  Along v the step is the v coefficient; along chi or
+    u it is that coefficient plus the chi^2 or u^2 one, which is the same
+    on every row."""
     def c(d, delta):
         return [z - e for e, z in zip(kernel(d, delta, 0, 0, 0),
-                                      kernel(d, delta, 0, 0, 1))]
+                                      kernel(d, delta, *step))]
 
     c00, c10, c01 = c(0, 0), c(1, 0), c(0, 1)
     problems = []
@@ -399,7 +465,8 @@ def v_coefficient_problems(kernel, rng):
 def test_the_v_coefficient_is_affine_in_d_and_delta(cfg):
     # feasible_cells reads it once per call: 1 on S5, -1 on S6,
     # -(2d + delta) on H1 and 0 on every other constraint.
-    assert v_coefficient_problems(cfg._kernel, random.Random(23)) == []
+    assert coefficient_problems(cfg._kernel, random.Random(23),
+                                (0, 0, 1)) == []
     kernel, ids = cfg._kernel, cfg.constraint_ids
     c = {cid: z - e for cid, e, z in zip(ids, kernel(5, 3, 0, 0, 0),
                                          kernel(5, 3, 0, 0, 1)) if z != e}
@@ -421,7 +488,45 @@ def test_a_v_coefficient_not_affine_in_d_and_delta_fails_the_check(term,
         values[i] += term(*t)
         return tuple(values)
 
-    assert v_coefficient_problems(perturbed, random.Random(23))
+    assert coefficient_problems(perturbed, random.Random(23), (0, 0, 1))
+
+
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS)
+def test_the_chi_and_u_coefficients_are_affine_in_d_and_delta(cfg):
+    # feasible_cells reads them once per call.  Only H1's and H2's move
+    # with (d, delta): along chi by 60d + 120*delta and -10d, along u by
+    # -6d - 12*delta and d.
+    for step in ((1, 0, 0), (0, 1, 0)):
+        assert coefficient_problems(cfg._kernel, random.Random(29),
+                                    step) == []
+    kernel, ids = cfg._kernel, cfg.constraint_ids
+
+    def steps(d, delta):
+        return [(x - e, y - e) for e, x, y in zip(
+            kernel(d, delta, 0, 0, 0), kernel(d, delta, 1, 0, 0),
+            kernel(d, delta, 0, 1, 0))]
+
+    moved = {cid: (x - x0, y - y0) for cid, (x, y), (x0, y0) in zip(
+        ids, steps(5, 3), steps(0, 0)) if (x, y) != (x0, y0)}
+    assert moved == {"H1": (660, -66), "H2": (-50, 5)}
+
+
+@pytest.mark.parametrize("term, step", [
+    (lambda d, delta, chi, u, v: d * d * chi, (1, 0, 0)),
+    (lambda d, delta, chi, u, v: d * delta * u, (0, 1, 0)),
+])
+@pytest.mark.parametrize("cid", ["S2", "H2"])
+def test_a_chi_or_u_coefficient_not_affine_in_d_and_delta_fails_the_check(
+        term, step, cid):
+    i = GEOMETRIC.constraint_ids.index(cid)
+    kernel = GEOMETRIC._kernel
+
+    def perturbed(*t):
+        values = list(kernel(*t))
+        values[i] += term(*t)
+        return tuple(values)
+
+    assert coefficient_problems(perturbed, random.Random(29), step)
 
 
 # Each of the ten bounds of a box, in turn, as a float.

@@ -141,40 +141,58 @@ DENSE_BOX = "d=20..20,delta=40..60,chi=1..3,u=13..33,v=641..661"
 
 
 @pytest.mark.parametrize("spec, counts", [
-    (SPARSE_BOX, (140, 170, 283, 44, 705)),
-    (DENSE_BOX, (0, 21, 693, 14346, 14420)),
+    (SPARSE_BOX, (140, 170, 15, 283, 44, 369)),
+    (DENSE_BOX, (0, 21, 11, 693, 14346, 14382)),
 ])
 def test_scan_kernel_calls_grow_with_rows_not_cells(monkeypatch, spec,
                                                     counts):
-    # feasible_cells reads each constraint's quadratic part and v
-    # coefficient once per call (11 kernel calls), each (d, delta) row once,
-    # two more times unless S2 + S4 = d^2 - 3d - delta empties it, and no
-    # cell; is_feasible reads each row once.  The cells left by the
-    # u-intervals, those that satisfy every constraint but S5, S6 and H1,
-    # cost no kernel call.
+    # feasible_cells reads each constraint's quadratic part and its chi, u
+    # and v coefficients once per call (15 kernel calls), each (d, delta)
+    # row once, and no cell; is_feasible reads each row once.  Only a row
+    # that S2 + S4 = d^2 - 3d - delta keeps, and on which every constraint
+    # but H1 holds at some corner of the (chi, u, v) box, reaches the
+    # chi-interval.  The cells left by the u-intervals, those that satisfy
+    # every constraint but S5, S6 and H1, cost no kernel call.
     cfg = HypothesisConfig()
     kernel = cfg._kernel
-    calls = []
+    box = ScanBox.parse(spec)
+    calls, chi_steps = [], []
 
     def counting_kernel(*t):
         calls.append(t)
         return kernel(*t)
 
+    # On these boxes no other axis has the chi-axis's bounds, so the
+    # chi-interval is the one _affine_interval call over them.
+    affine_interval = constraints_module._affine_interval
+
+    def counting_affine_interval(pairs, lo, hi):
+        if (lo, hi) == box.chi:
+            chi_steps.append(lo)
+        return affine_interval(pairs, lo, hi)
+
     monkeypatch.setitem(vars(cfg), "_kernel", counting_kernel)
-    box = ScanBox.parse(spec)
+    monkeypatch.setattr(constraints_module, "_affine_interval",
+                        counting_affine_interval)
     result, _ = run_scan(box, cfg)
     count = len(calls)
     axes = [range(lo, hi + 1) for lo, hi in box.ranges()]
     rows = list(product(*axes[:2]))
     dropped = [(d, delta) for d, delta in rows if d * d - 3 * d - delta < 0]
+    h1 = cfg.constraint_ids.index("H1")
+    corners = list(product(*box.ranges()[2:]))
+    reached = [(d, delta) for d, delta in rows if (d, delta) not in dropped
+               and all(max(values) >= 0 for i, values in enumerate(zip(*(
+                   kernel(d, delta, *corner) for corner in corners)))
+                   if i != h1)]
     cells = [cell for cell in product(*axes[:4])
              if all(e.satisfied for e in evaluate(
                  InvariantTuple(*cell, 0), GEOMETRIC).entries
                  if e.id not in ("S5", "S6", "H1"))]
-    assert (len(dropped), len(rows) - len(dropped), len(cells),
+    assert (len(dropped), len(rows) - len(dropped), len(reached), len(cells),
             result.feasible, count) == counts
-    assert count == (11 + len(dropped) + 3 * (len(rows) - len(dropped))
-                     + result.feasible)
+    assert len(chi_steps) == len(reached)
+    assert count == 15 + len(rows) + result.feasible
 
 
 def test_hot_path_builds_no_constraint_records(monkeypatch):
