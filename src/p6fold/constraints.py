@@ -38,11 +38,15 @@ Every kernel entry is a function of (d, delta) plus a polynomial of total
 degree <= 2 in (chi, u, v) with no chi*v or u*v term, and its chi, u and v
 coefficients are affine in (d, delta) (all pinned in tests).  So it reads
 each constraint's quadratic part and those coefficients once per call, and
-one kernel call per (d, delta) row gives every constraint exactly.  A row
-on which a form with no quadratic part is below 0 at its best corner of
-the box is skipped before its chi-interval is solved.  Its cost thus grows
-with the (d, delta) rows plus the cells left by the u-intervals, not with
-the box volume.
+one kernel call per (d, delta) row gives every constraint exactly.  Only
+H1 and H2 have slopes that move with (d, delta); every other form with no
+quadratic part is largest on the box at one fixed corner, so its offset
+there is also computed once per call, and a row on which one of them is
+below 0 at that corner is dropped at once.  Each degree's delta sweep ends
+at the first delta where S2 + S4 = d^2 - 3d - delta < 0, since no later
+delta of that degree can hold a cell.  Its cost thus grows with the rows
+where S2 + S4 >= 0, plus one per degree, plus the cells left by the
+u-intervals, not with the box volume.
 
 :func:`evaluate` and :func:`is_feasible` read their tuple through the gate
 ``invariants.five_ints``; every other number passes ``require_ints``.
@@ -52,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain
 from typing import Iterator, Optional
 
 from .invariants import InvariantTuple, five_ints, invariants, require_ints
@@ -232,25 +236,39 @@ def feasible_cells(ranges, cfg: HypothesisConfig) -> Iterator[tuple]:
     not depend on (d, delta), and a, b and c are affine in (d, delta).  So
     fifteen kernel calls on the rows (0, 0), (1, 0) and (0, 1) read q, a, b
     and c once per call, and one call at (chi, u, v) = (0, 0, 0) reads the
-    rest of each row.  A box with an empty axis costs no kernel call.  A
-    row is skipped at once if S2 + S4 = d^2 - 3d - delta < 0, or if a flat
-    form (with no chi, u or v) is below 0, or if a form with no quadratic
-    part is below 0 at its best corner, ``e + max(a*chi0, a*chi1) +
-    max(b*u0, b*u1) + max(c*v0, c*v1)``: an affine form is largest on the
-    box at a corner, so it then holds nowhere in the box.  On the rows
-    left, the U-forms, ``e + a*chi + b*u`` with no v and no quadratic part,
-    give the chi at which some real u in the box satisfies them all as one
-    interval: each with b = 0 bounds chi by itself, and each pair with
-    ``b_i > 0 > b_j``, among them and the box's ``u - u_lo`` and ``u_hi -
-    u``, gives the u-free form ``-b_j*f_i + b_i*f_j`` (one Fourier-Motzkin
-    step).  At each such chi they give the u-interval, and at each u the
-    other forms (S5, S6 and H1) give the cell's v-interval, with no kernel
-    call.
+    rest of each row.  A box with an empty axis costs no kernel call.
+
+    Within each d, delta runs up from its low bound, and the sweep stops at
+    the first delta where S2 + S4 = d^2 - 3d - delta < 0: that sum has no
+    chi, u or v term and falls by 1 per step of delta, so no later delta of
+    that d holds a cell.  A form with no quadratic part is largest on the
+    box at its best corner, ``e + max(a*chi0, a*chi1) + max(b*u0, b*u1) +
+    max(c*v0, c*v1)``, and if that is below 0 it holds nowhere in the box.
+    Where a, b and c do not move with (d, delta), as on every such form
+    but H2, the part after e is one offset per call (0 on a flat form), so
+    the row is dropped by comparing its kernel values with those offsets,
+    before its forms are built; H2 gets the same test per row.  On the
+    rows left, every form with no quadratic part, taken at its best v
+    (``e + a*chi + b*u + max(c*v0, c*v1)``, only S5 and S6 have v), must
+    hold for some real u in the box: each with b = 0 bounds chi by itself,
+    and each pair with ``b_i > 0 > b_j``, among them and the box's ``u -
+    u_lo`` and ``u_hi - u``, gives the u-free form ``-b_j*f_i + b_i*f_j``
+    (one Fourier-Motzkin step), so together they give one chi-interval.
+    At each such chi they give the u-interval, and at each u S5, S6 and H1
+    give the cell's exact v-interval, with no kernel call.  Every test
+    before the v-interval is a necessary condition, so the walk is exact.
 
     >>> raw = HypothesisConfig(geometric_mode=False)
     >>> list(feasible_cells(((2, 2), (-4, -4), (-5, 5), (-20, 20),
     ...                      (-5000, 5000)), raw))
     [(2, -4, 2, 2, range(26, 51))]
+
+    A delta-range 10^8 wide costs two rows per degree, the last one past
+    S2 + S4 >= 0:
+
+    >>> list(feasible_cells(((1, 2), (-2, 10 ** 8), (1, 1), (1, 1),
+    ...                      (0, 0)), raw))
+    [(1, -2, 1, 1, range(0, 1))]
     """
     (d0, d1), (delta0, delta1), (chi0, chi1), (u0, u1), (v0, v1) = ranges
     require_ints("feasible_cells needs ten integers", d0, d1, delta0, delta1,
@@ -261,56 +279,71 @@ def feasible_cells(ranges, cfg: HypothesisConfig) -> Iterator[tuple]:
     s2, s4 = ids.index("S2"), ids.index("S4")
     # Per constraint: its chi, u and v coefficients, each as x0 + xd*d +
     # xt*delta off the rows (0, 0), (1, 0) and (0, 1), then its chi^2, u^2
-    # and chi*u coefficients; the flat ones have none of these.
+    # and chi*u coefficients; the flat ones have none of these.  A form
+    # with no quadratic part goes to ``fixed`` with its best-corner offset
+    # if its slopes are the same on every row, else to ``moving``.
     points = [(*row, *p) for row in ((0, 0), (1, 0), (0, 1))
               for p in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))]
     points += [(0, 0, 2, 0, 0), (0, 0, 0, 2, 0), (0, 0, 1, 1, 0)]
-    flat, sloped = [], []
+    fixed, moving, sloped = [], [], []
     for i, (e, x, y, z, ed, xd, yd, zd, et, xt, yt, zt, xx, yy, xy) in (
             enumerate(zip(*(kernel(*p) for p in points)))):
         cc, uu = (e + xx) // 2 - x, (e + yy) // 2 - y
-        shape = (x - e - cc, xd - ed - x + e, xt - et - x + e,
-                 y - e - uu, yd - ed - y + e, yt - et - y + e,
-                 z - e, zd - ed - z + e, zt - et - z + e,
+        a, b, c = x - e - cc, y - e - uu, z - e
+        shape = (a, xd - ed - x + e, xt - et - x + e,
+                 b, yd - ed - y + e, yt - et - y + e,
+                 c, zd - ed - z + e, zt - et - z + e,
                  cc, uu, e - x - y + xy)
+        if not any(shape[9:]):
+            if any(shape[1:3] + shape[4:6] + shape[7:9]):
+                moving.append(len(sloped))
+            else:
+                fixed.append((i, max(a * chi0, a * chi1) + max(b * u0, b * u1)
+                              + max(c * v0, c * v1)))
         if any(shape):
             sloped.append((i, *shape))
-        else:
-            flat.append(i)
-    for d, delta in product(range(d0, d1 + 1), range(delta0, delta1 + 1)):
-        at000 = kernel(d, delta, 0, 0, 0)
-        if at000[s2] + at000[s4] < 0 or any(at000[i] < 0 for i in flat):
-            continue
-        # Each sloped form on this row, as e + a*chi + b*u + c*v plus its
-        # quadratic part.  One with no quadratic part that is below 0 at
-        # its best corner of the box holds nowhere in the box.
-        row = [(at000[i], a0 + ad * d + at * delta, b0 + bd * d + bt * delta,
-                c0 + cd * d + ct * delta, cc, uu, cu)
-               for i, a0, ad, at, b0, bd, bt, c0, cd, ct, cc, uu, cu
-               in sloped]
-        if any(e + a * (chi1 if a > 0 else chi0) + b * (u1 if b > 0 else u0)
-               + c * (v1 if c > 0 else v0) < 0
-               for e, a, b, c, cc, uu, cu in row if not (cc or uu or cu)):
-            continue
-        forms = [(e, a, b) for e, a, b, c, cc, uu, cu in row
-                 if not (c or cc or uu or cu)]
-        direct = ((e, e + a) for e, a, b in forms if b == 0)
-        with_box = forms + [(-u0, 0, 1), (u1, 0, -1)]
-        combined = ((bi * ej - bj * ei, bi * (ej + aj) - bj * (ei + ai))
-                    for ei, ai, bi in with_box if bi > 0
-                    for ej, aj, bj in with_box if bj < 0)
-        chis = _affine_interval(chain(direct, combined), chi0, chi1)
-        if not chis:
-            continue
-        v_forms = [form for form in row if any(form[3:])]
-        for chi in chis:
-            at_chi = [(e + a * chi, e + a * chi + b) for e, a, b in forms]
-            # Each other form at this chi, as e + b*u + uu*u^2 + c*v.
-            v_at_chi = [(e + (a + cc * chi) * chi, b + cu * chi, uu, c)
-                        for e, a, b, c, cc, uu, cu in v_forms]
-            for u in _affine_interval(at_chi, u0, u1):
-                vs = _affine_interval(
-                    [(q, q + c) for e, b, uu, c in v_at_chi
-                     for q in [e + (b + uu * u) * u]], v0, v1)
-                if vs:
-                    yield d, delta, chi, u, vs
+    for d in range(d0, d1 + 1):
+        for delta in range(delta0, delta1 + 1):
+            at000 = kernel(d, delta, 0, 0, 0)
+            # S2 + S4 = d^2 - 3d - delta is below 0 on every later delta.
+            if at000[s2] + at000[s4] < 0:
+                break
+            if any(at000[i] + offset < 0 for i, offset in fixed):
+                continue
+            # Each sloped form on this row, as e + a*chi + b*u + c*v plus
+            # its quadratic part.
+            row = [(at000[i], a0 + ad * d + at * delta,
+                    b0 + bd * d + bt * delta, c0 + cd * d + ct * delta,
+                    cc, uu, cu)
+                   for i, a0, ad, at, b0, bd, bt, c0, cd, ct, cc, uu, cu
+                   in sloped]
+            if any(e + a * (chi1 if a > 0 else chi0)
+                   + b * (u1 if b > 0 else u0) + c * (v1 if c > 0 else v0) < 0
+                   for e, a, b, c, *_ in (row[j] for j in moving)):
+                continue
+            # Every form with no quadratic part, at its best v: S5 and S6
+            # join the U-forms as necessary conditions on (chi, u).
+            forms = [(e + c * (v1 if c > 0 else v0), a, b)
+                     for e, a, b, c, cc, uu, cu in row
+                     if not (cc or uu or cu)]
+            direct = ((e, e + a) for e, a, b in forms if b == 0)
+            with_box = forms + [(-u0, 0, 1), (u1, 0, -1)]
+            combined = ((bi * ej - bj * ei, bi * (ej + aj) - bj * (ei + ai))
+                        for ei, ai, bi in with_box if bi > 0
+                        for ej, aj, bj in with_box if bj < 0)
+            chis = _affine_interval(chain(direct, combined), chi0, chi1)
+            if not chis:
+                continue
+            v_forms = [form for form in row if any(form[3:])]
+            for chi in chis:
+                at_chi = [(e + a * chi, e + a * chi + b) for e, a, b in forms]
+                # Each form with v or a quadratic part at this chi, as
+                # e + b*u + uu*u^2 + c*v.
+                v_at_chi = [(e + (a + cc * chi) * chi, b + cu * chi, uu, c)
+                            for e, a, b, c, cc, uu, cu in v_forms]
+                for u in _affine_interval(at_chi, u0, u1):
+                    vs = _affine_interval(
+                        [(q, q + c) for e, b, uu, c in v_at_chi
+                         for q in [e + (b + uu * u) * u]], v0, v1)
+                    if vs:
+                        yield d, delta, chi, u, vs

@@ -580,6 +580,27 @@ def test_scan_stdout_and_summary(capsys):
     assert "# scanned 12" in err
 
 
+def test_scan_of_a_delta_range_past_s2_plus_s4_reads_few_rows(monkeypatch,
+                                                              capsys):
+    # S2 + S4 = d^2 - 3d - delta < 0 on every delta > -2 of both degrees,
+    # so the scan reads two rows per degree of its 200000006 rows: 15
+    # kernel calls for the forms, 4 rows and 1 re-check of the emitted
+    # row.  In raw mode with no cap the kernel is invariants itself.
+    real, calls = constraints.invariants, []
+
+    def counting_invariants(*t):
+        calls.append(t)
+        return real(*t)
+
+    monkeypatch.setattr(constraints, "invariants", counting_invariants)
+    code, out, err = run_cli(
+        ["scan", "--raw", "--box", "d=1..2,delta=-2..100000000,chi=1,u=1,v=0"],
+        capsys)
+    assert (code, out) == (0, "d,delta,chi,u,v\n1,-2,1,1,0\n")
+    assert "# scanned 200000006 feasible 1" in err
+    assert len(calls) == 15 + 4 + 1
+
+
 def test_scan_to_file(tmp_path, capsys):
     out_file = tmp_path / "rows.csv"
     code, out, _ = run_cli(

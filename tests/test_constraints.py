@@ -258,14 +258,20 @@ def cells_box(rng, i):
             return tuple(spans)
 
 
+# Rows that only H2 empties at its best corner, rare in the random boxes:
+# one at d = 3, and one at d = -1 that raw mode reaches.
+H2_CORNER_BOXES = (((3, 3), (0, 0), (2, 2), (8, 14), (91, 122)),
+                   ((-1, -1), (2, 2), (-2, -2), (-8, 1), (-160, -90)))
+
+
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS)
 def test_feasible_cells_are_exactly_the_cells_with_a_feasible_v(cfg):
     # Every cell of the box with a feasible v, in lex order, each with
     # exactly the v that is_feasible accepts, as one range.
     rng = random.Random(61)
     seen = set()
-    for i in range(200):
-        ranges = cells_box(rng, i)
+    for ranges in [cells_box(rng, i) for i in range(200)] + list(
+            H2_CORNER_BOXES):
         got = list(feasible_cells(ranges, cfg))
         assert all(type(vs) is range and vs.step == 1 for *_, vs in got)
         axes = [range(lo, hi + 1) for lo, hi in ranges]
@@ -286,34 +292,39 @@ def test_feasible_cells_are_exactly_the_cells_with_a_feasible_v(cfg):
         if all(lo <= hi for lo, hi in ranges):
             seen.update(row_branches(cfg, ranges, rows, got))
     assert seen == {"cells", "d <= 0", "2d + delta = 0", "S2 + S4 < 0",
-                    "single value", "empty", "flat form", "best corner",
+                    "single value", "empty", "S2 + S4 stop", "flat form",
+                    "fixed-slope corner", "H2 corner",
                     "no cell past the corners"} | (
-                        set() if cfg.geometric_mode else {"d < 0 at corners"})
+                        set() if cfg.geometric_mode else {"H2 corner, d < 0"})
 
 
 def row_branches(cfg, ranges, rows, got):
-    """How feasible_cells leaves each row that S2 + S4 keeps: emptied by a
-    flat constraint (B1, B2, B3 or S1) at (chi, u, v) = (0, 0, 0), or by a
-    constraint other than H1 that is below 0 at every corner of the box, or
-    with no cell although every such constraint holds at some corner; and
-    whether a row with d < 0, where H2's chi coefficient -10d is positive,
-    gets past the flat constraints."""
+    """How feasible_cells leaves each row of the box: unread past the
+    S2 + S4 stop, as S2 + S4 = d^2 - 3d - delta is already below 0 on the
+    row before; emptied by a flat constraint (B1, B2, B3 or S1), or by
+    another constraint with slopes that are the same on every row (all but
+    H1 and H2), below 0 at every corner of the box; emptied by H2, whose
+    slopes move with (d, delta), at every corner, also where d < 0 makes
+    its chi coefficient -10d positive; or with no cell although every
+    constraint but H1 holds at some corner."""
     kernel, ids = cfg._kernel, cfg.constraint_ids
     corners = list(product(*ranges[2:]))
     branches = set()
     for d, delta in rows:
         if d * d - 3 * d - delta < 0:
+            if d * d - 3 * d - delta < -1 and delta > ranges[1][0]:
+                branches.add("S2 + S4 stop")
             continue
-        at0 = dict(zip(ids, kernel(d, delta, 0, 0, 0)))
-        if any(at0.get(cid, 0) < 0 for cid in ("B1", "B2", "B3", "S1")):
+        best = {cid: max(values) for cid, *values in zip(
+            ids, *(kernel(d, delta, *corner) for corner in corners))}
+        if any(best.get(cid, 0) < 0 for cid in ("B1", "B2", "B3", "S1")):
             branches.add("flat form")
-            continue
-        if d < 0:
-            branches.add("d < 0 at corners")
-        if any(max(values) < 0 for cid, *values in zip(
-                ids, *(kernel(d, delta, *corner) for corner in corners))
-               if cid != "H1"):
-            branches.add("best corner")
+        elif any(value < 0 for cid, value in best.items()
+                 if cid not in ("H1", "H2")):
+            branches.add("fixed-slope corner")
+        elif best["H2"] < 0:
+            branches.update({"H2 corner"} | ({"H2 corner, d < 0"} if d < 0
+                                              else set()))
         elif all(cell[:2] != (d, delta) for cell in got):
             branches.add("no cell past the corners")
     return branches
@@ -339,6 +350,26 @@ def test_a_box_with_an_empty_axis_costs_no_kernel_call(monkeypatch, axis):
     with pytest.raises(ValueError, match="feasible_cells needs ten integers"):
         list(feasible_cells(tuple(zip(bounds[::2], bounds[1::2])), cfg))
     assert calls == []
+
+
+def test_a_delta_range_past_the_s2_plus_s4_stop_costs_one_row_per_degree(
+        monkeypatch):
+    # S2 + S4 = d^2 - 3d - delta is 0 at delta = -2 for d = 1 and d = 2,
+    # and below 0 at every later delta: each degree reads its row at -2
+    # and the one after it, and no other of the 10^8 rows.
+    cfg = HypothesisConfig(geometric_mode=False)
+    kernel, calls = cfg._kernel, []
+
+    def counting_kernel(*t):
+        calls.append(t)
+        return kernel(*t)
+
+    monkeypatch.setitem(vars(cfg), "_kernel", counting_kernel)
+    assert list(feasible_cells(((1, 2), (-2, 10 ** 8), (1, 1), (1, 1),
+                                (0, 0)), cfg)) == [(1, -2, 1, 1, range(1))]
+    assert len(calls) == 15 + 4
+    assert calls[15:] == [(d, delta, 0, 0, 0) for d in (1, 2)
+                          for delta in (-2, -1)]
 
 
 def forms_as_feasible_cells_reads_them(kernel, d, delta):
@@ -527,6 +558,45 @@ def test_a_chi_or_u_coefficient_not_affine_in_d_and_delta_fails_the_check(
         return tuple(values)
 
     assert coefficient_problems(perturbed, random.Random(29), step)
+
+
+def s2_plus_s4_problems(cfg, kernel, rng):
+    """The random points (d, delta, chi, u, v) at which the kernel's S2 + S4
+    is not d^2 - 3d - delta; empty when it is that everywhere."""
+    s2, s4 = cfg.constraint_ids.index("S2"), cfg.constraint_ids.index("S4")
+    problems = []
+    for _ in range(200):
+        d, delta, chi, u, v = t = (
+            rng.randint(-30, 30), rng.randint(-100, 900), rng.randint(-20, 20),
+            rng.randint(-60, 60), rng.randint(-3000, 3000))
+        values = kernel(*t)
+        if values[s2] + values[s4] != d * d - 3 * d - delta:
+            problems.append(t)
+    return problems
+
+
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS)
+def test_s2_plus_s4_is_d_squared_minus_3d_minus_delta(cfg):
+    # feasible_cells ends each degree's delta sweep at the first delta
+    # with S2 + S4 < 0: it has no chi, u or v term and falls by 1 per step
+    # of delta, so no later delta of that degree holds a cell.
+    assert s2_plus_s4_problems(cfg, cfg._kernel, random.Random(31)) == []
+
+
+@pytest.mark.parametrize("term", [
+    lambda d, delta, chi, u, v: delta * delta,
+    lambda d, delta, chi, u, v: chi,
+])
+def test_an_s2_plus_s4_that_does_not_fall_with_delta_fails_the_check(term):
+    i = GEOMETRIC.constraint_ids.index("S4")
+    kernel = GEOMETRIC._kernel
+
+    def perturbed(*t):
+        values = list(kernel(*t))
+        values[i] += term(*t)
+        return tuple(values)
+
+    assert s2_plus_s4_problems(GEOMETRIC, perturbed, random.Random(31))
 
 
 # Each of the ten bounds of a box, in turn, as a float.

@@ -184,8 +184,8 @@ def test_schur_and_hodge_forms_have_the_shape_feasible_cells_reads():
 def test_the_projection_certificates():
     # The two positive combinations of U-constraints (the forms with no v
     # and no quadratic term) that bound a degree's (delta, chi):
-    # feasible_cells reads the first off the kernel before the rest, and
-    # its Fourier-Motzkin step finds the second when d > 0.
+    # feasible_cells ends each degree's delta sweep where the first is
+    # below 0, and its Fourier-Motzkin step finds the second when d > 0.
     s2, s4 = SCHUR_PARAM_FORMS[1], SCHUR_PARAM_FORMS[3]
     h2 = _HODGE_PARAM_FORMS[1]
     assert s2 + s4 == d * d - 3 * d - delta

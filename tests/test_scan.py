@@ -141,34 +141,36 @@ DENSE_BOX = "d=20..20,delta=40..60,chi=1..3,u=13..33,v=641..661"
 
 
 @pytest.mark.parametrize("spec, counts", [
-    (SPARSE_BOX, (140, 170, 15, 283, 44, 369)),
-    (DENSE_BOX, (0, 21, 11, 693, 14346, 14382)),
+    (SPARSE_BOX, (140, 170, 176, 15, 283, 19, 44, 235)),
+    (DENSE_BOX, (0, 21, 21, 11, 693, 691, 14346, 14382)),
 ])
 def test_scan_kernel_calls_grow_with_rows_not_cells(monkeypatch, spec,
                                                     counts):
     # feasible_cells reads each constraint's quadratic part and its chi, u
-    # and v coefficients once per call (15 kernel calls), each (d, delta)
-    # row once, and no cell; is_feasible reads each row once.  Only a row
-    # that S2 + S4 = d^2 - 3d - delta keeps, and on which every constraint
+    # and v coefficients once per call (15 kernel calls), and no cell.  It
+    # reads each d's rows up to the first delta past S2 + S4 = d^2 - 3d -
+    # delta >= 0, and stops there; is_feasible reads each emitted row
+    # once.  Only a row that S2 + S4 keeps, and on which every constraint
     # but H1 holds at some corner of the (chi, u, v) box, reaches the
-    # chi-interval.  The cells left by the u-intervals, those that satisfy
-    # every constraint but S5, S6 and H1, cost no kernel call.
+    # chi-interval.  Of the cells that satisfy every constraint but S5, S6
+    # and H1, only those where S5 and S6 hold at their best v get a
+    # v-interval.
     cfg = HypothesisConfig()
     kernel = cfg._kernel
     box = ScanBox.parse(spec)
-    calls, chi_steps = [], []
+    calls, steps = [], {box.chi: 0, box.v: 0}
 
     def counting_kernel(*t):
         calls.append(t)
         return kernel(*t)
 
-    # On these boxes no other axis has the chi-axis's bounds, so the
-    # chi-interval is the one _affine_interval call over them.
+    # On these boxes no other axis has the chi- or the v-axis's bounds, so
+    # each chi- or v-interval is one _affine_interval call over them.
     affine_interval = constraints_module._affine_interval
 
     def counting_affine_interval(pairs, lo, hi):
-        if (lo, hi) == box.chi:
-            chi_steps.append(lo)
+        if (lo, hi) in steps:
+            steps[lo, hi] += 1
         return affine_interval(pairs, lo, hi)
 
     monkeypatch.setitem(vars(cfg), "_kernel", counting_kernel)
@@ -179,6 +181,8 @@ def test_scan_kernel_calls_grow_with_rows_not_cells(monkeypatch, spec,
     axes = [range(lo, hi + 1) for lo, hi in box.ranges()]
     rows = list(product(*axes[:2]))
     dropped = [(d, delta) for d, delta in rows if d * d - 3 * d - delta < 0]
+    read = [(d, delta) for d, delta in rows
+            if delta <= max(box.delta[0], d * d - 3 * d + 1)]
     h1 = cfg.constraint_ids.index("H1")
     corners = list(product(*box.ranges()[2:]))
     reached = [(d, delta) for d, delta in rows if (d, delta) not in dropped
@@ -189,10 +193,15 @@ def test_scan_kernel_calls_grow_with_rows_not_cells(monkeypatch, spec,
              if all(e.satisfied for e in evaluate(
                  InvariantTuple(*cell, 0), GEOMETRIC).entries
                  if e.id not in ("S5", "S6", "H1"))]
-    assert (len(dropped), len(rows) - len(dropped), len(reached), len(cells),
-            result.feasible, count) == counts
-    assert len(chi_steps) == len(reached)
-    assert count == 15 + len(rows) + result.feasible
+    v_cells = [cell for cell in cells
+               if evaluate(InvariantTuple(*cell, box.v[1]),
+                           GEOMETRIC).value_of("S5") >= 0
+               and evaluate(InvariantTuple(*cell, box.v[0]),
+                            GEOMETRIC).value_of("S6") >= 0]
+    assert (len(dropped), len(rows) - len(dropped), len(read), len(reached),
+            len(cells), len(v_cells), result.feasible, count) == counts
+    assert steps == {box.chi: len(reached), box.v: len(v_cells)}
+    assert count == 15 + len(read) + result.feasible
 
 
 def test_hot_path_builds_no_constraint_records(monkeypatch):
