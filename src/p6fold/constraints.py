@@ -34,19 +34,9 @@ cached.  The kernel is left out of a config's pickled and copied state, so
 a config stays a plain value.
 
 :func:`feasible_cells` is the one walk of the feasible region of a box.
-Every kernel entry is a function of (d, delta) plus a polynomial of total
-degree <= 2 in (chi, u, v) with no chi*v or u*v term, and its chi, u and v
-coefficients are affine in (d, delta) (all pinned in tests).  So it reads
-each constraint's quadratic part and those coefficients once per call, and
-one kernel call per (d, delta) row gives every constraint exactly.  Only
-H1 and H2 have slopes that move with (d, delta); every other form with no
-quadratic part is largest on the box at one fixed corner, so its offset
-there is also computed once per call, and a row on which one of them is
-below 0 at that corner is dropped at once.  Each degree's delta sweep ends
-at the first delta where S2 + S4 = d^2 - 3d - delta < 0, since no later
-delta of that degree can hold a cell.  Its cost thus grows with the rows
-where S2 + S4 >= 0, plus one per degree, plus the cells left by the
-u-intervals, not with the box volume.
+It yields exactly the feasible cells, in lex order, at a cost that grows
+with the rows where S2 + S4 >= 0, plus the cells, not with the box
+volume; its docstring gives the walk.
 
 :func:`evaluate` and :func:`is_feasible` read their tuple through the gate
 ``invariants.five_ints``; every other number passes ``require_ints``.
@@ -247,16 +237,18 @@ def feasible_cells(ranges, cfg: HypothesisConfig) -> Iterator[tuple]:
     Where a, b and c do not move with (d, delta), as on every such form
     but H2, the part after e is one offset per call (0 on a flat form), so
     the row is dropped by comparing its kernel values with those offsets,
-    before its forms are built; H2 gets the same test per row.  On the
-    rows left, every form with no quadratic part, taken at its best v
-    (``e + a*chi + b*u + max(c*v0, c*v1)``, only S5 and S6 have v), must
-    hold for some real u in the box: each with b = 0 bounds chi by itself,
-    and each pair with ``b_i > 0 > b_j``, among them and the box's ``u -
-    u_lo`` and ``u_hi - u``, gives the u-free form ``-b_j*f_i + b_i*f_j``
-    (one Fourier-Motzkin step), so together they give one chi-interval.
-    At each such chi they give the u-interval, and at each u S5, S6 and H1
-    give the cell's exact v-interval, with no kernel call.  Every test
-    before the v-interval is a necessary condition, so the walk is exact.
+    before its forms are built.  On the rows left, every form with no
+    quadratic part, taken at its best v (``e + a*chi + b*u + max(c*v0,
+    c*v1)``, only S5 and S6 have v), must hold for some real u in the box:
+    each with b = 0 bounds chi by itself, and each pair with ``b_i > 0 >
+    b_j``, among them and the box's ``u - u_lo`` and ``u_hi - u``, gives
+    the u-free form ``-b_j*f_i + b_i*f_j`` (one Fourier-Motzkin step), so
+    together they give one chi-interval; it is empty where H2 is below 0 at
+    every corner.  At each such chi they give the u-interval.  Only on a
+    row with a chi left are the forms with v or a quadratic part (S5, S6
+    and H1) built, and at each u they give the cell's exact v-interval,
+    with no kernel call.  Every test before the v-interval is a necessary
+    condition, so the walk is exact.
 
     >>> raw = HypothesisConfig(geometric_mode=False)
     >>> list(feasible_cells(((2, 2), (-4, -4), (-5, 5), (-20, 20),
@@ -279,29 +271,30 @@ def feasible_cells(ranges, cfg: HypothesisConfig) -> Iterator[tuple]:
     s2, s4 = ids.index("S2"), ids.index("S4")
     # Per constraint: its chi, u and v coefficients, each as x0 + xd*d +
     # xt*delta off the rows (0, 0), (1, 0) and (0, 1), then its chi^2, u^2
-    # and chi*u coefficients; the flat ones have none of these.  A form
-    # with no quadratic part goes to ``fixed`` with its best-corner offset
-    # if its slopes are the same on every row, else to ``moving``.
+    # and chi*u coefficients.  A form with no quadratic part goes to
+    # ``fixed`` with its best-corner offset if its slopes are the same on
+    # every row, and to ``linear`` if it has a slope.  A form with v or a
+    # quadratic part (S5, S6 and H1) goes to ``curved``.
     points = [(*row, *p) for row in ((0, 0), (1, 0), (0, 1))
               for p in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))]
     points += [(0, 0, 2, 0, 0), (0, 0, 0, 2, 0), (0, 0, 1, 1, 0)]
-    fixed, moving, sloped = [], [], []
+    fixed, linear, curved = [], [], []
     for i, (e, x, y, z, ed, xd, yd, zd, et, xt, yt, zt, xx, yy, xy) in (
             enumerate(zip(*(kernel(*p) for p in points)))):
         cc, uu = (e + xx) // 2 - x, (e + yy) // 2 - y
         a, b, c = x - e - cc, y - e - uu, z - e
-        shape = (a, xd - ed - x + e, xt - et - x + e,
-                 b, yd - ed - y + e, yt - et - y + e,
-                 c, zd - ed - z + e, zt - et - z + e,
-                 cc, uu, e - x - y + xy)
-        if not any(shape[9:]):
-            if any(shape[1:3] + shape[4:6] + shape[7:9]):
-                moving.append(len(sloped))
-            else:
+        slopes = (a, xd - ed - x + e, xt - et - x + e,
+                  b, yd - ed - y + e, yt - et - y + e,
+                  c, zd - ed - z + e, zt - et - z + e)
+        quadratic = (cc, uu, e - x - y + xy)
+        if not any(quadratic):
+            if not any(slopes[1:3] + slopes[4:6] + slopes[7:9]):
                 fixed.append((i, max(a * chi0, a * chi1) + max(b * u0, b * u1)
                               + max(c * v0, c * v1)))
-        if any(shape):
-            sloped.append((i, *shape))
+            if any(slopes):
+                linear.append((i, *slopes))
+        if any(slopes[6:] + quadratic):
+            curved.append((i, *slopes, *quadratic))
     for d in range(d0, d1 + 1):
         for delta in range(delta0, delta1 + 1):
             at000 = kernel(d, delta, 0, 0, 0)
@@ -310,22 +303,13 @@ def feasible_cells(ranges, cfg: HypothesisConfig) -> Iterator[tuple]:
                 break
             if any(at000[i] + offset < 0 for i, offset in fixed):
                 continue
-            # Each sloped form on this row, as e + a*chi + b*u + c*v plus
-            # its quadratic part.
-            row = [(at000[i], a0 + ad * d + at * delta,
-                    b0 + bd * d + bt * delta, c0 + cd * d + ct * delta,
-                    cc, uu, cu)
-                   for i, a0, ad, at, b0, bd, bt, c0, cd, ct, cc, uu, cu
-                   in sloped]
-            if any(e + a * (chi1 if a > 0 else chi0)
-                   + b * (u1 if b > 0 else u0) + c * (v1 if c > 0 else v0) < 0
-                   for e, a, b, c, *_ in (row[j] for j in moving)):
-                continue
-            # Every form with no quadratic part, at its best v: S5 and S6
-            # join the U-forms as necessary conditions on (chi, u).
-            forms = [(e + c * (v1 if c > 0 else v0), a, b)
-                     for e, a, b, c, cc, uu, cu in row
-                     if not (cc or uu or cu)]
+            # Every form with no quadratic part on this row, at its best v,
+            # as e + a*chi + b*u: S5 and S6 join the U-forms as necessary
+            # conditions on (chi, u).
+            forms = [(at000[i] + c * (v1 if c > 0 else v0),
+                      a0 + ad * d + at * delta, b0 + bd * d + bt * delta)
+                     for i, a0, ad, at, b0, bd, bt, c0, cd, ct in linear
+                     for c in [c0 + cd * d + ct * delta]]
             direct = ((e, e + a) for e, a, b in forms if b == 0)
             with_box = forms + [(-u0, 0, 1), (u1, 0, -1)]
             combined = ((bi * ej - bj * ei, bi * (ej + aj) - bj * (ei + ai))
@@ -334,7 +318,13 @@ def feasible_cells(ranges, cfg: HypothesisConfig) -> Iterator[tuple]:
             chis = _affine_interval(chain(direct, combined), chi0, chi1)
             if not chis:
                 continue
-            v_forms = [form for form in row if any(form[3:])]
+            # Each form with v or a quadratic part on this row, as
+            # e + a*chi + b*u + c*v plus cc*chi^2 + uu*u^2 + cu*chi*u.
+            v_forms = [(at000[i], a0 + ad * d + at * delta,
+                        b0 + bd * d + bt * delta, c0 + cd * d + ct * delta,
+                        cc, uu, cu)
+                       for i, a0, ad, at, b0, bd, bt, c0, cd, ct, cc, uu, cu
+                       in curved]
             for chi in chis:
                 at_chi = [(e + a * chi, e + a * chi + b) for e, a, b in forms]
                 # Each form with v or a quadratic part at this chi, as

@@ -258,8 +258,9 @@ def cells_box(rng, i):
             return tuple(spans)
 
 
-# Rows that only H2 empties at its best corner, rare in the random boxes:
-# one at d = 3, and one at d = -1 that raw mode reaches.
+# Rows on which H2 is below 0 at every corner of the box and every other
+# constraint but H1 holds at some corner, rare in the random boxes: one at
+# d = 3, and one at d = -1 that raw mode reaches.
 H2_CORNER_BOXES = (((3, 3), (0, 0), (2, 2), (8, 14), (91, 122)),
                    ((-1, -1), (2, 2), (-2, -2), (-8, 1), (-160, -90)))
 
@@ -290,7 +291,7 @@ def test_feasible_cells_are_exactly_the_cells_with_a_feasible_v(cfg):
             ("single value", any(lo == hi for lo, hi in ranges)),
             ("empty", any(lo > hi for lo, hi in ranges))) if hit)
         if all(lo <= hi for lo, hi in ranges):
-            seen.update(row_branches(cfg, ranges, rows, got))
+            seen.update(row_classes(cfg, ranges, rows, got))
     assert seen == {"cells", "d <= 0", "2d + delta = 0", "S2 + S4 < 0",
                     "single value", "empty", "S2 + S4 stop", "flat form",
                     "fixed-slope corner", "H2 corner",
@@ -298,36 +299,34 @@ def test_feasible_cells_are_exactly_the_cells_with_a_feasible_v(cfg):
                         set() if cfg.geometric_mode else {"H2 corner, d < 0"})
 
 
-def row_branches(cfg, ranges, rows, got):
-    """How feasible_cells leaves each row of the box: unread past the
-    S2 + S4 stop, as S2 + S4 = d^2 - 3d - delta is already below 0 on the
-    row before; emptied by a flat constraint (B1, B2, B3 or S1), or by
-    another constraint with slopes that are the same on every row (all but
-    H1 and H2), below 0 at every corner of the box; emptied by H2, whose
-    slopes move with (d, delta), at every corner, also where d < 0 makes
-    its chi coefficient -10d positive; or with no cell although every
-    constraint but H1 holds at some corner."""
+def row_classes(cfg, ranges, rows, got):
+    """Which constraint leaves each row of the box without a cell: S2 + S4
+    = d^2 - 3d - delta, below 0 on the row and on the row before; a flat
+    constraint (B1, B2, B3 or S1), or another one but H1 and H2, below 0
+    at every corner of the box; H2 below 0 at every corner, also where
+    d < 0 makes its chi coefficient -10d positive; or none of these,
+    although the row has no cell."""
     kernel, ids = cfg._kernel, cfg.constraint_ids
     corners = list(product(*ranges[2:]))
-    branches = set()
+    classes = set()
     for d, delta in rows:
         if d * d - 3 * d - delta < 0:
             if d * d - 3 * d - delta < -1 and delta > ranges[1][0]:
-                branches.add("S2 + S4 stop")
+                classes.add("S2 + S4 stop")
             continue
         best = {cid: max(values) for cid, *values in zip(
             ids, *(kernel(d, delta, *corner) for corner in corners))}
         if any(best.get(cid, 0) < 0 for cid in ("B1", "B2", "B3", "S1")):
-            branches.add("flat form")
+            classes.add("flat form")
         elif any(value < 0 for cid, value in best.items()
                  if cid not in ("H1", "H2")):
-            branches.add("fixed-slope corner")
+            classes.add("fixed-slope corner")
         elif best["H2"] < 0:
-            branches.update({"H2 corner"} | ({"H2 corner, d < 0"} if d < 0
-                                              else set()))
+            classes.update({"H2 corner"} | ({"H2 corner, d < 0"} if d < 0
+                                             else set()))
         elif all(cell[:2] != (d, delta) for cell in got):
-            branches.add("no cell past the corners")
-    return branches
+            classes.add("no cell past the corners")
+    return classes
 
 
 @pytest.mark.parametrize("axis", range(5))

@@ -143,6 +143,10 @@ DENSE_BOX = "d=20..20,delta=40..60,chi=1..3,u=13..33,v=641..661"
 @pytest.mark.parametrize("spec, counts", [
     (SPARSE_BOX, (140, 170, 176, 15, 283, 19, 44, 235)),
     (DENSE_BOX, (0, 21, 21, 11, 693, 691, 14346, 14382)),
+    # H2 is below 0 at every corner of this box's one row; the chi-step
+    # empties it.
+    ("d=3..3,delta=0..0,chi=2..2,u=8..14,v=91..122",
+     (0, 1, 1, 1, 0, 0, 0, 16)),
 ])
 def test_scan_kernel_calls_grow_with_rows_not_cells(monkeypatch, spec,
                                                     counts):
@@ -151,9 +155,9 @@ def test_scan_kernel_calls_grow_with_rows_not_cells(monkeypatch, spec,
     # reads each d's rows up to the first delta past S2 + S4 = d^2 - 3d -
     # delta >= 0, and stops there; is_feasible reads each emitted row
     # once.  Only a row that S2 + S4 keeps, and on which every constraint
-    # but H1 holds at some corner of the (chi, u, v) box, reaches the
-    # chi-interval.  Of the cells that satisfy every constraint but S5, S6
-    # and H1, only those where S5 and S6 hold at their best v get a
+    # but H1 and H2 holds at some corner of the (chi, u, v) box, reaches
+    # the chi-interval.  Of the cells that satisfy every constraint but S5,
+    # S6 and H1, only those where S5 and S6 hold at their best v get a
     # v-interval.
     cfg = HypothesisConfig()
     kernel = cfg._kernel
@@ -183,12 +187,12 @@ def test_scan_kernel_calls_grow_with_rows_not_cells(monkeypatch, spec,
     dropped = [(d, delta) for d, delta in rows if d * d - 3 * d - delta < 0]
     read = [(d, delta) for d, delta in rows
             if delta <= max(box.delta[0], d * d - 3 * d + 1)]
-    h1 = cfg.constraint_ids.index("H1")
     corners = list(product(*box.ranges()[2:]))
     reached = [(d, delta) for d, delta in rows if (d, delta) not in dropped
-               and all(max(values) >= 0 for i, values in enumerate(zip(*(
-                   kernel(d, delta, *corner) for corner in corners)))
-                   if i != h1)]
+               and all(max(values) >= 0 for cid, *values in zip(
+                   cfg.constraint_ids, *(kernel(d, delta, *corner)
+                                         for corner in corners))
+                   if cid not in ("H1", "H2"))]
     cells = [cell for cell in product(*axes[:4])
              if all(e.satisfied for e in evaluate(
                  InvariantTuple(*cell, 0), GEOMETRIC).entries

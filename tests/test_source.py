@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import doctest
+import importlib
 import os
 import re
 import shlex
@@ -25,6 +27,22 @@ def _trees():
     for path in sorted(PACKAGE.glob("*.py")):
         yield path, ast.parse(path.read_text(encoding="utf-8"),
                               filename=str(path))
+
+
+def test_every_docstring_example_runs():
+    # Each module's examples print what they show, and doctest tries one
+    # example per ">>>" line, so none is skipped unseen.
+    tried, shown, failed = {}, {}, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "p6fold" if path.stem == "__init__" else f"p6fold.{path.stem}"
+        result = doctest.testmod(importlib.import_module(name), report=False)
+        tried[name] = result.attempted
+        shown[name] = sum(line.lstrip().startswith(">>>") for line in
+                          path.read_text(encoding="utf-8").splitlines())
+        if result.failed:
+            failed.append(name)
+    assert failed == []
+    assert tried == shown
 
 
 def test_no_assert_statements_in_the_package():
