@@ -62,6 +62,12 @@ def _add_format_flags(parser, choices, default):
     parser.set_defaults(fmt=default)
 
 
+# The cover flags, the paper's extra hypotheses: each forces K_S^2 <= 9, so
+# each sets ks2_cap=9 unless --kappa gives the cap.
+_COVER_FLAGS = ("covered_by_lines", "kx_plus_h_empty",
+                "section_not_general_type")
+
+
 def _add_hypothesis_flags(parser):
     parser.add_argument("--kappa", type=int, default=None, metavar="K",
                         help="enforce K_S^2 <= K")
@@ -69,7 +75,7 @@ def _add_hypothesis_flags(parser):
                         help="skip the basic geometric constraints B1-B5")
     parser.add_argument("--min-degree", type=int, default=1, metavar="D",
                         help="minimal degree required by B1 (default 1)")
-    for flag in sorted(constraints.COVER_FLAGS):
+    for flag in _COVER_FLAGS:
         parser.add_argument(f"--{flag.replace('_', '-')}",
                             dest="cover_flags", action="append_const",
                             const=flag,
@@ -78,15 +84,14 @@ def _add_hypothesis_flags(parser):
 
 
 def _config_from_args(args) -> constraints.HypothesisConfig:
-    flags = frozenset(args.cover_flags or ())
+    flags = sorted(set(args.cover_flags or ()))
     action = ("applying that cap" if args.kappa is None
               else f"--kappa {args.kappa} overrides it")
-    for flag in sorted(flags):
+    for flag in flags:
         print(f"note: {flag} forces K_S^2 <= 9; {action}", file=sys.stderr)
     return constraints.HypothesisConfig(
         geometric_mode=not args.raw,
-        ks2_cap=args.kappa,
-        cover_flags=flags,
+        ks2_cap=9 if flags and args.kappa is None else args.kappa,
         min_degree=args.min_degree,
     )
 
@@ -308,6 +313,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "raw", False) and args.min_degree != 1:
+            parser.error("--min-degree sets B1, which --raw skips")
+        if getattr(args, "workers", 1) < 1:
+            parser.error(f"--workers must be at least 1, got {args.workers}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -44,16 +44,12 @@ volume; its docstring gives the walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
 from typing import Iterator, Optional
 
 from .invariants import InvariantTuple, five_ints, invariants, require_ints
-
-COVER_FLAGS = frozenset(
-    {"covered_by_lines", "section_not_general_type", "kx_plus_h_empty"}
-)
 
 _BASIC_IDS = ("B1", "B2", "B3", "B4", "B5")
 _SCHUR_IDS = ("S1", "S2", "S3", "S4", "S5", "S6")
@@ -64,60 +60,40 @@ _HODGE_IDS = ("H1", "H2")
 class HypothesisConfig:
     """Which optional hypotheses to enforce on top of the Schur/Hodge system.
 
-    Any cover flag expresses a geometric condition that forces
-    K_S^2 <= 9, so setting one implies a cap of 9 unless an explicit
-    ``ks2_cap`` overrides it.  The flags are stored as a frozenset.
-    """
+    Each extra hypothesis of the paper forces K_S^2 <= 9: ``ks2_cap=9``.
+    Only B1 reads ``min_degree``, so raw mode keeps it at 1."""
 
     geometric_mode: bool = True
     ks2_cap: Optional[int] = None
-    cover_flags: frozenset = field(default_factory=frozenset)
     min_degree: int = 1
 
     def __post_init__(self):
         if type(self.geometric_mode) is not bool:
             raise ValueError("geometric_mode must be a bool, got "
                              f"{self.geometric_mode!r}")
-        flags = self.cover_flags
-        try:
-            # A string is one flag name, not a collection of them.
-            if isinstance(flags, str):
-                raise TypeError
-            object.__setattr__(self, "cover_flags", frozenset(flags))
-        except TypeError:  # not iterable, or holds an unhashable item
-            raise ValueError("cover_flags must be a collection of flag "
-                             f"names, got {flags!r}") from None
         require_ints("min_degree must be an integer", self.min_degree)
         if self.ks2_cap is not None:
             require_ints("ks2_cap must be an integer or None", self.ks2_cap)
-        unknown = self.cover_flags - COVER_FLAGS
-        if unknown:
-            raise ValueError("unknown cover flags: "
-                             f"{sorted(unknown, key=repr)}")
+        if not self.geometric_mode and self.min_degree != 1:
+            raise ValueError("raw mode has no B1, so min_degree must be 1")
 
     def __getstate__(self):
         # Only the fields: the cached kernel is a closure, which pickle
         # cannot send, and every cached value is rebuilt on first use.
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @property
-    def effective_cap(self) -> Optional[int]:
-        if self.ks2_cap is not None:
-            return self.ks2_cap
-        return 9 if self.cover_flags else None
-
     @cached_property
     def constraint_ids(self) -> tuple:
         """The ids of the enforced constraints, in report order."""
         return ((_BASIC_IDS if self.geometric_mode else ()) + _SCHUR_IDS
-                + _HODGE_IDS + (() if self.effective_cap is None else ("K",)))
+                + _HODGE_IDS + (() if self.ks2_cap is None else ("K",)))
 
     @cached_property
     def _kernel(self):
         """Every value of :attr:`constraint_ids` at ``(d, delta, chi, u,
         v)``, in that order, as a tuple of ints; each holds iff it is >= 0,
         so B2 is -(delta mod 2)."""
-        min_degree, cap = self.min_degree, self.effective_cap
+        min_degree, cap = self.min_degree, self.ks2_cap
         if not self.geometric_mode:
             if cap is None:
                 return invariants

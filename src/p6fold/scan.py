@@ -171,8 +171,8 @@ def scan(box: ScanBox, cfg: HypothesisConfig, sink,
 
     ``fmt`` is ``"csv"`` or ``"jsonl"``.  ``with_profile`` appends profile
     columns to CSV rows only: a JSONL row always carries every profile
-    key.  Output order is lexicographic.  ``workers`` is accepted for
-    compatibility; the scan runs in one process.
+    key.  Output order is lexicographic.  ``workers``, an int of at least
+    1, is accepted for compatibility; the scan runs in one process.
 
     The rows reach ``sink.write`` in chunks of at most 64 KiB, or of one
     slice of a cell where that alone is longer, so memory stays bounded
@@ -182,6 +182,10 @@ def scan(box: ScanBox, cfg: HypothesisConfig, sink,
     """
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown scan format {fmt!r}")
+    if type(workers) is not int or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    if type(with_profile) is not bool:
+        raise ValueError(f"with_profile must be a bool, got {with_profile!r}")
     chunk, size = [], 0
     if fmt == "jsonl":
         keys, templates = _SLOTS, _JSONL_ROWS

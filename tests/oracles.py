@@ -239,7 +239,7 @@ def _intersection_numbers(d, delta, chi, u, v):
 def constraint_values(t, cfg):
     """``[(id, value, ok), ...]`` for every constraint of ``cfg``, in
     report order, from the definitions in the ``p6fold.constraints``
-    docstring.  Reads only the four fields of ``cfg``."""
+    docstring.  Reads only the three fields of ``cfg``."""
     d, delta, chi, u, v = t
     numbers = _intersection_numbers(d, delta, chi, u, v)
     rows = []
@@ -257,8 +257,6 @@ def constraint_values(t, cfg):
                        ("H2", h2d * h2d - d * hd2)):
         rows.append((cid, value, value >= 0))
     cap = cfg.ks2_cap
-    if cap is None and cfg.cover_flags:
-        cap = 9
     if cap is not None:
         rows.append(("K", cap - (10 * chi - u), 10 * chi - u <= cap))
     return rows

@@ -381,32 +381,73 @@ def test_check_raw_skips_basic_constraints(capsys):
     assert "B2" not in ids
 
 
-def test_check_cover_flag_sets_cap_and_notes(capsys):
-    code, out, err = run_cli(
-        ["check", "--tuple", "2,-2,1,2,2", "--covered-by-lines", "--json"],
-        capsys)
-    assert code == 0
-    data = json.loads(out)
-    k_entry = next(c for c in data["constraints"] if c["id"] == "K")
-    assert k_entry["value"] == "1"
-    assert "K_S^2 <= 9" in err
+COVER_FLAGS = ("covered_by_lines", "kx_plus_h_empty",
+               "section_not_general_type")
+CHECK_4_0_1_6_32 = ["check", "--tuple", "4,0,1,6,32", "--json"]
 
 
-def test_check_cover_flag_note_names_an_explicit_kappa(capsys):
+def _cli_flag(flag):
+    return "--" + flag.replace("_", "-")
+
+
+def _k_value(out):
+    return next(c["value"] for c in json.loads(out)["constraints"]
+                if c["id"] == "K")
+
+
+@pytest.mark.parametrize("flag", COVER_FLAGS)
+def test_check_cover_flag_sets_cap_and_notes(flag, capsys):
+    # Each flag gives the stdout of --kappa 9: K = 9 - K_S^2, K_S^2 = 4.
+    code, out, err = run_cli(CHECK_4_0_1_6_32 + [_cli_flag(flag)], capsys)
+    assert err == f"note: {flag} forces K_S^2 <= 9; applying that cap\n"
+    assert (code, out) == run_cli(CHECK_4_0_1_6_32 + ["--kappa", "9"],
+                                  capsys)[:2]
+    assert _k_value(out) == "5"
+
+
+@pytest.mark.parametrize("flag", COVER_FLAGS)
+def test_check_cover_flag_note_names_an_explicit_kappa(flag, capsys):
     # An explicit --kappa overrides the flag's cap of 9, and the note says
     # so instead of claiming to apply the 9; stdout is that of --kappa alone.
-    tuple_args = ["check", "--tuple", "4,0,1,6,32", "--json"]
-    code, out, err = run_cli(tuple_args + ["--kappa", "12",
-                                           "--covered-by-lines"], capsys)
-    assert err == ("note: covered_by_lines forces K_S^2 <= 9; "
-                   "--kappa 12 overrides it\n")
-    assert (code, out) == run_cli(tuple_args + ["--kappa", "12"], capsys)[:2]
-    k_entry = next(c for c in json.loads(out)["constraints"]
-                   if c["id"] == "K")
-    assert k_entry["value"] == "8"  # 12 - K_S^2 with K_S^2 = 4; cap 9 gives 5
-    _, _, err = run_cli(tuple_args + ["--covered-by-lines"], capsys)
-    assert err == ("note: covered_by_lines forces K_S^2 <= 9; "
-                   "applying that cap\n")
+    code, out, err = run_cli(CHECK_4_0_1_6_32 + ["--kappa", "12",
+                                                 _cli_flag(flag)], capsys)
+    assert err == f"note: {flag} forces K_S^2 <= 9; --kappa 12 overrides it\n"
+    assert (code, out) == run_cli(CHECK_4_0_1_6_32 + ["--kappa", "12"],
+                                  capsys)[:2]
+    assert _k_value(out) == "8"  # 12 - K_S^2 with K_S^2 = 4; cap 9 gives 5
+
+
+@pytest.mark.parametrize("flags", [COVER_FLAGS[:2], COVER_FLAGS[1:],
+                                   COVER_FLAGS[::-2]])
+def test_check_two_cover_flags_give_one_cap_and_two_notes(flags, capsys):
+    code, out, err = run_cli(CHECK_4_0_1_6_32 + [_cli_flag(f) for f in flags],
+                             capsys)
+    assert err == "".join(f"note: {f} forces K_S^2 <= 9; applying that cap\n"
+                          for f in sorted(flags))
+    assert (code, out) == run_cli(CHECK_4_0_1_6_32 + ["--kappa", "9"],
+                                  capsys)[:2]
+    assert [c["id"] for c in json.loads(out)["constraints"]].count("K") == 1
+
+
+@pytest.mark.parametrize("command", [["check", "--tuple", "4,0,1,6,32"],
+                                     ["scan", "--box", "d=4,delta=0,chi=1,"
+                                                       "u=6,v=32"]])
+def test_raw_with_a_min_degree_is_usage_error(command, capsys):
+    # The raw kernel has no B1, so --min-degree 5 used to check no degree.
+    code, out, err = run_cli(command + ["--raw", "--min-degree", "5",
+                                        "--covered-by-lines"], capsys)
+    assert (code, out) == (2, "")
+    assert "--min-degree sets B1, which --raw skips" in err
+    assert "note:" not in err and "# box volume" not in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_scan_workers_below_1_is_usage_error(workers, capsys):
+    code, out, err = run_cli(["scan", "--box", "d=4,delta=0,chi=1,u=6,v=32",
+                              "--workers", workers], capsys)
+    assert (code, out) == (2, "")
+    assert f"--workers must be at least 1, got {workers}" in err
+    assert "# box volume" not in err
 
 
 def test_malformed_tuple_names_the_field(capsys):

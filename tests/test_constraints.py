@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import pickle
 import random
@@ -14,7 +15,6 @@ import pytest
 
 from oracles import constraint_values
 from p6fold.constraints import (
-    COVER_FLAGS,
     ConstraintReport,
     HypothesisConfig,
     evaluate,
@@ -110,32 +110,6 @@ def test_s2_plus_s3_closed_form():
             3 * d + 6 * delta + 10 * chi - u
 
 
-def test_cover_flags_default_the_cap():
-    cfg = HypothesisConfig(cover_flags=frozenset({"covered_by_lines"}))
-    assert cfg.effective_cap == 9
-    report = evaluate(InvariantTuple(2, -2, 1, 2, 2), cfg)
-    assert report.value_of("K") == 1
-
-
-def test_explicit_cap_overrides_cover_flags():
-    cfg = HypothesisConfig(ks2_cap=8,
-                           cover_flags=frozenset({"kx_plus_h_empty"}))
-    assert cfg.effective_cap == 8
-    report = evaluate(InvariantTuple(2, -2, 1, 2, 2), cfg)
-    assert report.value_of("K") == 0
-
-
-def test_all_cover_flags_are_accepted():
-    for flag in COVER_FLAGS:
-        cfg = HypothesisConfig(cover_flags=frozenset({flag}))
-        assert cfg.effective_cap == 9
-
-
-def test_unknown_cover_flag_rejected():
-    with pytest.raises(ValueError):
-        HypothesisConfig(cover_flags=frozenset({"proper"}))
-
-
 @pytest.mark.parametrize("kwargs, name", [
     ({"ks2_cap": 9.5}, "ks2_cap"),
     ({"ks2_cap": "9"}, "ks2_cap"),
@@ -148,48 +122,28 @@ def test_config_rejects_non_integer_numbers(kwargs, name):
         HypothesisConfig(**kwargs)
 
 
-def test_config_stores_cover_flags_as_a_frozenset():
-    # A list used to be stored as given, and hash(cfg) then raised TypeError.
-    cfg = HypothesisConfig(cover_flags=["covered_by_lines"])
-    assert cfg.cover_flags == frozenset({"covered_by_lines"})
-    assert type(cfg.cover_flags) is frozenset
-    assert cfg == HypothesisConfig(cover_flags=frozenset({"covered_by_lines"}))
-    assert hash(cfg) == hash(
-        HypothesisConfig(cover_flags=frozenset({"covered_by_lines"})))
-
-
-@pytest.mark.parametrize("flags", [None, 5, "covered_by_lines"])
-def test_config_rejects_cover_flags_that_are_not_a_collection(flags):
-    # None and 5 used to raise a bare TypeError from frozenset, and a string
-    # was split into its characters and refused as unknown flags.
-    with pytest.raises(ValueError,
-                       match=f"cover_flags must be a collection of flag "
-                             f"names, got {flags!r}"):
-        HypothesisConfig(cover_flags=flags)
-
-
-def test_config_rejects_cover_flags_with_an_unhashable_item():
-    # A nested list used to raise a bare "unhashable type: 'list'".
-    flags = [["covered_by_lines"]]
-    with pytest.raises(ValueError,
-                       match=re.escape("cover_flags must be a collection of "
-                                       f"flag names, got {flags!r}")):
-        HypothesisConfig(cover_flags=flags)
-
-
-def test_config_names_unknown_cover_flags_of_mixed_types():
-    # Sorting {5, "proper"} for the message used to raise a bare TypeError.
-    with pytest.raises(ValueError,
-                       match=re.escape("unknown cover flags: ['proper', 5]")):
-        HypothesisConfig(cover_flags=[5, "proper"])
-
-
 @pytest.mark.parametrize("mode", ["no", 0, 1, None])
 def test_config_rejects_a_geometric_mode_that_is_not_a_bool(mode):
     # geometric_mode="no" used to select geometric mode: the string is truthy.
     with pytest.raises(ValueError,
                        match=f"geometric_mode must be a bool, got {mode!r}"):
         HypothesisConfig(geometric_mode=mode)
+
+
+def test_config_has_exactly_the_fields_its_kernel_reads():
+    # A cover flag is written ks2_cap=9: the config has no second spelling.
+    assert [f.name for f in dataclasses.fields(HypothesisConfig)] == [
+        "geometric_mode", "ks2_cap", "min_degree"]
+
+
+@pytest.mark.parametrize("min_degree", [0, 2, 5])
+def test_raw_config_refuses_a_min_degree(min_degree):
+    # The raw kernel has no B1, so min_degree=5 used to check no degree.
+    with pytest.raises(ValueError,
+                       match="raw mode has no B1, so min_degree must be 1"):
+        HypothesisConfig(geometric_mode=False, min_degree=min_degree)
+    assert HypothesisConfig(geometric_mode=False, min_degree=1) == \
+        HypothesisConfig(geometric_mode=False)
 
 
 def test_value_of_an_unknown_constraint_is_a_key_error():
@@ -226,7 +180,7 @@ ORACLE_CONFIGS = (
     GEOMETRIC,
     HypothesisConfig(geometric_mode=False),
     HypothesisConfig(ks2_cap=9),
-    HypothesisConfig(min_degree=3, cover_flags=frozenset({"covered_by_lines"})),
+    HypothesisConfig(min_degree=3, ks2_cap=9),
     HypothesisConfig(geometric_mode=False, ks2_cap=7),
 )
 
@@ -671,8 +625,7 @@ def test_evaluate_matches_the_constraint_oracle(cfg):
 def test_config_stays_a_plain_value_after_use(cfg):
     # Each config caches its constraint kernel, a closure, on first use;
     # pickle could not send the config once it held one.
-    fresh = HypothesisConfig(cfg.geometric_mode, cfg.ks2_cap, cfg.cover_flags,
-                             cfg.min_degree)
+    fresh = HypothesisConfig(cfg.geometric_mode, cfg.ks2_cap, cfg.min_degree)
     t = ORACLE_ANCHORS[0]
     assert is_feasible(t, fresh)
     cell = tuple((x, x) for x in t[:4])

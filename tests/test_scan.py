@@ -7,6 +7,7 @@ import importlib
 import io
 import json
 import random
+import re
 import tracemalloc
 from itertools import product
 from pathlib import Path
@@ -81,7 +82,7 @@ ANCHORS = ((3, 0, 1, 7, 24), (4, 0, 1, 6, 28), (4, 2, 1, 11, 45),
 WIDE_V_CONFIGS = (
     HypothesisConfig(geometric_mode=False),
     HypothesisConfig(ks2_cap=9),
-    HypothesisConfig(min_degree=3, cover_flags=frozenset({"covered_by_lines"})),
+    HypothesisConfig(min_degree=3, ks2_cap=9),
 )
 
 
@@ -482,6 +483,23 @@ def test_unknown_format_is_rejected_before_scanning(box):
     sink = _FailingSink()
     with pytest.raises(ValueError, match="unknown scan format 'xml'"):
         scan(box, GEOMETRIC, sink, fmt="xml")
+    assert sink.calls == 0
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    *(({"workers": w}, f"workers must be an integer >= 1, got {w!r}")
+      for w in ("x", None, 2.5, True, -3, 0)),
+    *(({"with_profile": p}, f"with_profile must be a bool, got {p!r}")
+      for p in ("no", 0, 1, None)),
+])
+def test_ignored_arguments_are_still_checked_before_scanning(kwargs,
+                                                             message):
+    # workers=0 used to run, and with_profile="no" appended the profile
+    # columns: the string is truthy.
+    sink = _FailingSink()
+    box = ScanBox.of(d=(1, 2), delta=-2, chi=1, u=(1, 2), v=(0, 2))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        scan(box, GEOMETRIC, sink, **kwargs)
     assert sink.calls == 0
 
 

@@ -125,6 +125,20 @@ def test_readme_quick_start_runs_and_prints_its_comments():
         proc.stderr
 
 
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos")
+               .glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_exits_0(demo):
+    # Each demo runs under this interpreter's -O and -W options, so a demo
+    # that an API change breaks fails here and not only in CI.
+    flags = ["-O"] * sys.flags.optimize + [f"-W{w}" for w in sys.warnoptions]
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run([sys.executable, *flags, str(demo)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
 
 def _readme_cli_lines():
     readme = Path(__file__).resolve().parent.parent / "README.md"
