@@ -163,7 +163,7 @@ def _emit_json(obj) -> None:
 
 
 def _cmd_verify(args) -> int:
-    if args.identity_id and not args.all:
+    if args.identity_id is not None and not args.all:
         results = [identities.verify_identity(args.identity_id)]
     else:
         results = identities.verify_all()
@@ -317,6 +317,8 @@ def main(argv=None) -> int:
             parser.error("--min-degree sets B1, which --raw skips")
         if getattr(args, "workers", 1) < 1:
             parser.error(f"--workers must be at least 1, got {args.workers}")
+        if getattr(args, "out", None) == "":
+            parser.error("--out needs a file name, got ''")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -97,10 +97,7 @@ class _Poly:
     def __init__(self, terms=None):
         clean = {}
         for mono, coeff in (terms or {}).items():
-            mono = tuple(mono)
-            if len(mono) != len(self._NAMES) or any(e < 0 for e in mono):
-                raise ValueError(
-                    f"bad {type(self).__name__} monomial {mono!r}")
+            mono = self._monomial(mono)
             if self._TOP is not None and self._degree(mono) > self._TOP:
                 raise ValueError(f"monomial {mono!r} exceeds total degree "
                                  f"{self._TOP}")
@@ -117,12 +114,23 @@ class _Poly:
         return poly
 
     @classmethod
+    def _monomial(cls, mono) -> tuple:
+        """``mono`` as an exponent tuple: one int >= 0 per variable."""
+        exps = tuple(mono) if isinstance(mono, (tuple, list)) else ()
+        if len(exps) != len(cls._NAMES) or any(
+                type(e) is not int or e < 0 for e in exps):
+            raise ValueError(f"bad {cls.__name__} monomial {mono!r}")
+        return exps
+
+    @classmethod
     def _degree(cls, mono) -> int:
         return sum(map(mul, mono, cls._WEIGHTS))
 
     @classmethod
     def constant(cls, value):
-        return cls({(0,) * len(cls._NAMES): value})
+        # The zero monomial is valid: check the coefficient only.
+        return cls._make({(0,) * len(cls._NAMES):
+                          _exact(value, "coefficient")})
 
     @classmethod
     def _coerce(cls, other):
@@ -196,7 +204,7 @@ class _Poly:
     # -- structure, equality, rendering --------------------------------------
 
     def coefficient(self, mono) -> Fraction:
-        return Fraction(self._terms.get(tuple(mono), 0))
+        return Fraction(self._terms.get(self._monomial(mono), 0))
 
     def monomials(self):
         return {m: Fraction(c) for m, c in self._terms.items()}
@@ -322,12 +330,18 @@ SUBSTITUTIONS = {
 }
 
 
+def _require_graded(value, what: str) -> None:
+    if not isinstance(value, GradedPoly):
+        raise ValueError(f"{what} must be a GradedPoly, got {value!r}")
+
+
 def invert_unit(c: GradedPoly) -> GradedPoly:
     """Multiplicative inverse of a total class with constant term 1.
 
     ``invert_unit(1 + a) = 1 - a + a^2 - a^3`` truncated above degree 3, so
     ``c * invert_unit(c) == 1``.
     """
+    _require_graded(c, "c")
     if c.constant_term() != 1:
         raise DomainError("invert_unit requires constant term 1, got "
                           f"{c.constant_term()}")
@@ -360,6 +374,7 @@ def normal_chern() -> tuple[GradedPoly, GradedPoly, GradedPoly]:
 
 def _require_degree(poly: GradedPoly, degree: int, what: str,
                     allow_constant: bool = False):
+    _require_graded(poly, what)
     for mono in poly._terms:
         deg = GradedPoly._degree(mono)
         if deg == degree:
@@ -399,6 +414,8 @@ def schur_values(c1: GradedPoly, c2_: GradedPoly, c3_: GradedPoly):
     For a globally generated bundle each one pairs non-negatively with
     subvarieties; that is the source of the S-constraints.
     """
+    for what, c in zip(("c1", "c2", "c3"), (c1, c2_, c3_)):
+        _require_graded(c, what)
     s1 = c1
     s20 = c2_
     s300 = c3_
@@ -416,6 +433,7 @@ def reduce_to_params(p: GradedPoly) -> ParamExpr:
     degree-1 or degree-2 components have no parameter value and raise
     :class:`DomainError`.
     """
+    _require_graded(p, "p")
     terms = {}
     for mono, coeff in p._terms.items():
         deg = GradedPoly._degree(mono)

@@ -43,10 +43,13 @@ def test_verify_single_with_show(capsys):
     assert "1*d^2" in out
 
 
-def test_verify_unknown_id_is_usage_error(capsys):
-    code, _, err = run_cli(["verify", "--id", "L8.1"], capsys)
-    assert code == 2
-    assert "unknown identity" in err
+# An empty --id used to run the whole registry and exit 0.
+@pytest.mark.parametrize("identity_id", ["L8.1", ""])
+def test_verify_unknown_id_is_usage_error(identity_id, capsys):
+    code, out, err = run_cli(["verify", "--id", identity_id], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(
+        f"error: unknown identity id {identity_id!r}; known ids: L3.4, ")
 
 
 def test_verify_json_round_trip(capsys):
@@ -450,6 +453,15 @@ def test_scan_workers_below_1_is_usage_error(workers, capsys):
     assert "# box volume" not in err
 
 
+def test_scan_empty_out_is_usage_error(capsys):
+    # An empty --out used to write the scan to stdout and exit 0.
+    code, out, err = run_cli(["scan", "--box", "d=4,delta=0,chi=1,u=6,v=32",
+                              "--out", ""], capsys)
+    assert (code, out) == (2, "")
+    assert "--out" in err
+    assert "# box volume" not in err
+
+
 def test_malformed_tuple_names_the_field(capsys):
     code, _, err = run_cli(["check", "--tuple", "1,-2,zzz,1,0"], capsys)
     assert code == 2
@@ -581,6 +593,23 @@ def test_verify_all_json_golden(capsys):
     assert (code, err, len(out)) == (0, "", 6169)
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "e379c088c4f51544d282d371158c31a9b29b0dec8938aadca251d72139abee78")
+
+
+@pytest.mark.parametrize("args, size, digest", [
+    (["--all"], 2856,
+     "e0cd0ed18b826c5783f285e1e7d1a718a8b15d0de9c857481c9abff792338c27"),
+    (["--id", "L3.4.1"], 120,
+     "a00b0c1eeb0e23acb18d01e24c125c3be813f3d50165fb2ac06a9f92464126cd"),
+    (["--id", "L3.4.2"], 160,
+     "8b1b648b7df0f4d64c56fa2df49e820ab83345b5cb3536252fb7a5deac55ccb9"),
+    (["--id", "L3.4.3"], 214,
+     "0ec1c4108a55f36c5673bc539469ff1ed8e8f6e2343320680b488e5ac6ebe7db"),
+])
+def test_verify_show_golden(args, size, digest, capsys):
+    # The human report pins every description and every side's text.
+    code, out, err = run_cli(["verify", *args, "--show"], capsys)
+    assert (code, err, len(out.encode())) == (0, "", size)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_bound_sharp_flag(capsys):

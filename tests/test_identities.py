@@ -103,9 +103,11 @@ def test_combined_normal_bundle_identity_has_three_components():
     assert [c.label for c in result.comparisons] == ["n1", "n2", "n3"]
 
 
-def test_unknown_id_raises():
+# An unhashable id used to raise a bare TypeError from the lookup.
+@pytest.mark.parametrize("identity_id", ["L9.9", ["L3.4"]])
+def test_unknown_id_raises(identity_id):
     with pytest.raises(UnknownIdentityError):
-        verify_identity("L9.9")
+        verify_identity(identity_id)
 
 
 def test_schur_s300_matches_stated_form():

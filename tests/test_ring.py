@@ -324,10 +324,45 @@ def test_substitute_rejects_an_unknown_parameter():
      "coefficient must be an int or a Fraction, got True"),
     (lambda: ParamExpr.constant(0.5),
      "coefficient must be an int or a Fraction, got 0.5"),
+    # A float exponent used to render as h^2.0 yet equal h^2, and 0.5 as d^0;
+    # a bool exponent is refused like a bool coefficient.
+    (lambda: GradedPoly({(2.0, 0, 0, 0): 1}), "bad GradedPoly monomial"),
+    (lambda: ParamExpr({(0.5, 0, 0, 0, 0): 1}), "bad ParamExpr monomial"),
+    (lambda: GradedPoly({(True, 0, 0, 0): 1}), "bad GradedPoly monomial"),
+    # A string monomial used to raise a bare TypeError.
+    (lambda: GradedPoly({"abcd": 1}), "bad GradedPoly monomial"),
+    (lambda: ParamExpr({5: 1}), "bad ParamExpr monomial"),
+    # A monomial of the wrong length used to read as a zero coefficient.
+    (lambda: h.coefficient((1, 0, 0)), "bad GradedPoly monomial"),
+    (lambda: d.coefficient((1, 0, 0, 0, 0, 0)), "bad ParamExpr monomial"),
+    (lambda: h.coefficient((1.0, 0, 0, 0)), "bad GradedPoly monomial"),
 ])
 def test_malformed_polynomials_are_value_errors(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("bad", [None, 1.5])
+@pytest.mark.parametrize("call, args, slot, name", [
+    (invert_unit, [1 + h], 0, "c"),
+    (reduce_to_params, [h ** 3], 0, "p"),
+    (twist_rank3, [k, c2, c3, h], 0, "c1"),
+    (twist_rank3, [k, c2, c3, h], 1, "c2"),
+    (twist_rank3, [k, c2, c3, h], 2, "c3"),
+    (twist_rank3, [k, c2, c3, h], 3, "twist class"),
+    (schur_values, [k, c2, c3], 0, "c1"),
+    (schur_values, [k, c2, c3], 1, "c2"),
+    (schur_values, [k, c2, c3], 2, "c3"),
+])
+def test_ring_entry_points_refuse_a_non_graded_argument(call, args, slot,
+                                                        name, bad):
+    # Each used to raise AttributeError (schur_values: TypeError) from
+    # inside the ring.
+    call(*args)
+    args = [*args[:slot], bad, *args[slot + 1:]]
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be a GradedPoly, got {bad!r}$"):
+        call(*args)
 
 
 @pytest.mark.parametrize("scalar", [True, False, 0.5, "1"])
