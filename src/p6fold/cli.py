@@ -106,10 +106,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser(
         "verify", help="run the symbolic identity registry")
-    p_verify.add_argument("--id", dest="identity_id", metavar="ID",
-                          help="verify a single identity")
-    p_verify.add_argument("--all", action="store_true",
-                          help="verify the whole registry (default)")
+    which = p_verify.add_mutually_exclusive_group()
+    which.add_argument("--id", dest="identity_id", metavar="ID",
+                       help="verify a single identity")
+    which.add_argument("--all", action="store_true",
+                       help="verify the whole registry (default)")
     p_verify.add_argument("--show", action="store_true",
                           help="print each side in canonical text form")
     _add_format_flags(p_verify, ("human", "json"), "human")
@@ -163,7 +164,7 @@ def _emit_json(obj) -> None:
 
 
 def _cmd_verify(args) -> int:
-    if args.identity_id is not None and not args.all:
+    if args.identity_id is not None:
         results = [identities.verify_identity(args.identity_id)]
     else:
         results = identities.verify_all()

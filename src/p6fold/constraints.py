@@ -35,8 +35,10 @@ a config stays a plain value.
 
 :func:`feasible_cells` is the one walk of the feasible region of a box.
 It yields exactly the feasible cells, in lex order, at a cost that grows
-with the rows where S2 + S4 >= 0, plus the cells, not with the box
-volume; its docstring gives the walk.
+with the degrees, the rows of each degree's delta-interval and the cells,
+not with the box volume: one kernel call per degree gives that interval,
+one per row reads it, and the kernel's coefficients are read once per
+config.  Its docstring gives the walk.
 
 :func:`evaluate` and :func:`is_feasible` read their tuple through the gate
 ``invariants.five_ints``; every other number passes ``require_ints``.
@@ -111,6 +113,41 @@ class HypothesisConfig:
                          u - 1) + invariants(d, delta, chi, u, v)
                         + (cap - (10 * chi - u),))
         return kernel
+
+    @cached_property
+    def _forms(self) -> tuple:
+        """The kernel read as forms once per config, by fifteen kernel calls
+        (:func:`feasible_cells` gives the shape): ``(fixed, linear,
+        curved)``.  Each entry's chi, u and v coefficients are read as
+        ``slopes``, each as x0, xd and xt in x0 + xd*d + xt*delta.
+        ``fixed`` holds ``(i, a, b, c, t)`` for each entry but B2 with no
+        quadratic part and slopes that do not move with (d, delta): a, b and
+        c are its coefficients and t its delta coefficient.  ``linear``
+        holds ``(i, *slopes)`` for each entry with a slope and no quadratic
+        part, ``curved`` ``(i, *slopes, cc, uu, cu)`` for each with v or a
+        quadratic part (S5, S6 and H1)."""
+        kernel, ids = self._kernel, self.constraint_ids
+        points = [(*row, *p) for row in ((0, 0), (1, 0), (0, 1))
+                  for p in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        points += [(0, 0, 2, 0, 0), (0, 0, 0, 2, 0), (0, 0, 1, 1, 0)]
+        fixed, linear, curved = [], [], []
+        for i, (e, x, y, z, ed, xd, yd, zd, et, xt, yt, zt, xx, yy, xy) in (
+                enumerate(zip(*(kernel(*p) for p in points)))):
+            cc, uu = (e + xx) // 2 - x, (e + yy) // 2 - y
+            a, b, c = x - e - cc, y - e - uu, z - e
+            slopes = (a, xd - ed - x + e, xt - et - x + e,
+                      b, yd - ed - y + e, yt - et - y + e,
+                      c, zd - ed - z + e, zt - et - z + e)
+            quadratic = (cc, uu, e - x - y + xy)
+            if not any(quadratic):
+                if ids[i] != "B2" and not any(
+                        slopes[1:3] + slopes[4:6] + slopes[7:9]):
+                    fixed.append((i, a, b, c, et - e))
+                if any(slopes):
+                    linear.append((i, *slopes))
+            if any(slopes[6:] + quadratic):
+                curved.append((i, *slopes, *quadratic))
+        return tuple(fixed), tuple(linear), tuple(curved)
 
 
 @dataclass(frozen=True)
@@ -201,38 +238,41 @@ def feasible_cells(ranges, cfg: HypothesisConfig) -> Iterator[tuple]:
     function of (d, delta), where q, its chi^2, u^2 and chi*u part, does
     not depend on (d, delta), and a, b and c are affine in (d, delta).  So
     fifteen kernel calls on the rows (0, 0), (1, 0) and (0, 1) read q, a, b
-    and c once per call, and one call at (chi, u, v) = (0, 0, 0) reads the
-    rest of each row.  A box with an empty axis costs no kernel call.
+    and c once per config, and one call at (chi, u, v) = (0, 0, 0) reads
+    the rest of each row.  A box with an empty axis costs no kernel call.
 
-    Within each d, delta runs up from its low bound, and the sweep stops at
-    the first delta where S2 + S4 = d^2 - 3d - delta < 0: that sum has no
-    chi, u or v term and falls by 1 per step of delta, so no later delta of
-    that d holds a cell.  A form with no quadratic part is largest on the
-    box at its best corner, ``e + max(a*chi0, a*chi1) + max(b*u0, b*u1) +
-    max(c*v0, c*v1)``, and if that is below 0 it holds nowhere in the box.
-    Where a, b and c do not move with (d, delta), as on every such form
-    but H2, the part after e is one offset per call (0 on a flat form), so
-    the row is dropped by comparing its kernel values with those offsets,
-    before its forms are built.  On the rows left, every form with no
-    quadratic part, taken at its best v (``e + a*chi + b*u + max(c*v0,
-    c*v1)``, only S5 and S6 have v), must hold for some real u in the box:
-    each with b = 0 bounds chi by itself, and each pair with ``b_i > 0 >
-    b_j``, among them and the box's ``u - u_lo`` and ``u_hi - u``, gives
-    the u-free form ``-b_j*f_i + b_i*f_j`` (one Fourier-Motzkin step), so
-    together they give one chi-interval; it is empty where H2 is below 0 at
-    every corner.  At each such chi they give the u-interval.  Only on a
-    row with a chi left are the forms with v or a quadratic part (S5, S6
-    and H1) built, and at each u they give the cell's exact v-interval,
-    with no kernel call.  Every test before the v-interval is a necessary
-    condition, so the walk is exact.
+    A form with no quadratic part is largest on the box at its best corner,
+    ``e + max(a*chi0, a*chi1) + max(b*u0, b*u1) + max(c*v0, c*v1)``, and if
+    that is below 0 it holds nowhere in the box.  On the fixed forms, every
+    such form but H2, a, b and c do not move with (d, delta), so the part
+    after e is one offset per call (0 on a flat form), and e is g(d) +
+    t*delta with t the same on every degree; B2 only says that delta is
+    even.  S2 + S4 = d^2 - 3d - delta has no chi, u or v term.  So one
+    kernel call at (d, 0, 0, 0, 0) gives each degree's delta-interval, the
+    delta of the box at which S2 + S4 and every fixed form at its best
+    corner hold (the even ones under B2), and no row outside it holds a
+    cell.  On each row of that interval, every form with no quadratic part,
+    taken at its best v (``e + a*chi + b*u + max(c*v0, c*v1)``, only S5
+    and S6 have v), must hold for some real u in the box: each with b = 0
+    bounds chi by itself, and each pair with ``b_i > 0 > b_j``, among them
+    and the box's ``u - u_lo`` and ``u_hi - u``, gives the u-free form
+    ``-b_j*f_i + b_i*f_j`` (one Fourier-Motzkin step), so together they
+    give one chi-interval; it is empty where H2 is below 0 at every corner.
+    At each such chi they give the u-interval.  Only on a row with a chi
+    left are the forms with v or a quadratic part (S5, S6 and H1) built,
+    and at each u they give the cell's exact v-interval, with no kernel
+    call.  Every test before the v-interval is a necessary condition, so
+    the walk is exact, and its cost grows with the degrees, the rows of
+    their delta-intervals and the cells: one kernel call per degree and one
+    per row.
 
     >>> raw = HypothesisConfig(geometric_mode=False)
     >>> list(feasible_cells(((2, 2), (-4, -4), (-5, 5), (-20, 20),
     ...                      (-5000, 5000)), raw))
     [(2, -4, 2, 2, range(26, 51))]
 
-    A delta-range 10^8 wide costs two rows per degree, the last one past
-    S2 + S4 >= 0:
+    A delta-range 10^8 wide costs one kernel call per degree and one per row
+    of its delta-interval, here the row (1, -2) alone:
 
     >>> list(feasible_cells(((1, 2), (-2, 10 ** 8), (1, 1), (1, 1),
     ...                      (0, 0)), raw))
@@ -244,41 +284,20 @@ def feasible_cells(ranges, cfg: HypothesisConfig) -> Iterator[tuple]:
     if d0 > d1 or delta0 > delta1 or chi0 > chi1 or u0 > u1 or v0 > v1:
         return
     kernel, ids = cfg._kernel, cfg.constraint_ids
+    fixed, linear, curved = cfg._forms
     s2, s4 = ids.index("S2"), ids.index("S4")
-    # Per constraint: its chi, u and v coefficients, each as x0 + xd*d +
-    # xt*delta off the rows (0, 0), (1, 0) and (0, 1), then its chi^2, u^2
-    # and chi*u coefficients.  A form with no quadratic part goes to
-    # ``fixed`` with its best-corner offset if its slopes are the same on
-    # every row, and to ``linear`` if it has a slope.  A form with v or a
-    # quadratic part (S5, S6 and H1) goes to ``curved``.
-    points = [(*row, *p) for row in ((0, 0), (1, 0), (0, 1))
-              for p in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    points += [(0, 0, 2, 0, 0), (0, 0, 0, 2, 0), (0, 0, 1, 1, 0)]
-    fixed, linear, curved = [], [], []
-    for i, (e, x, y, z, ed, xd, yd, zd, et, xt, yt, zt, xx, yy, xy) in (
-            enumerate(zip(*(kernel(*p) for p in points)))):
-        cc, uu = (e + xx) // 2 - x, (e + yy) // 2 - y
-        a, b, c = x - e - cc, y - e - uu, z - e
-        slopes = (a, xd - ed - x + e, xt - et - x + e,
-                  b, yd - ed - y + e, yt - et - y + e,
-                  c, zd - ed - z + e, zt - et - z + e)
-        quadratic = (cc, uu, e - x - y + xy)
-        if not any(quadratic):
-            if not any(slopes[1:3] + slopes[4:6] + slopes[7:9]):
-                fixed.append((i, max(a * chi0, a * chi1) + max(b * u0, b * u1)
-                              + max(c * v0, c * v1)))
-            if any(slopes):
-                linear.append((i, *slopes))
-        if any(slopes[6:] + quadratic):
-            curved.append((i, *slopes, *quadratic))
+    # Each fixed form at its best corner, as g(d) + offset + t*delta.
+    best = [(i, max(a * chi0, a * chi1) + max(b * u0, b * u1)
+             + max(c * v0, c * v1), t) for i, a, b, c, t in fixed]
+    even = "B2" in ids
     for d in range(d0, d1 + 1):
-        for delta in range(delta0, delta1 + 1):
+        at_d = kernel(d, 0, 0, 0, 0)
+        s24 = at_d[s2] + at_d[s4]  # S2 + S4 = d^2 - 3d - delta
+        deltas = _affine_interval(chain(
+            ((at_d[i] + offset, at_d[i] + offset + t)
+             for i, offset, t in best), [(s24, s24 - 1)]), delta0, delta1)
+        for delta in deltas[deltas.start % 2::2] if even else deltas:
             at000 = kernel(d, delta, 0, 0, 0)
-            # S2 + S4 = d^2 - 3d - delta is below 0 on every later delta.
-            if at000[s2] + at000[s4] < 0:
-                break
-            if any(at000[i] + offset < 0 for i, offset in fixed):
-                continue
             # Every form with no quadratic part on this row, at its best v,
             # as e + a*chi + b*u: S5 and S6 join the U-forms as necessary
             # conditions on (chi, u).

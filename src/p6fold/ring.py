@@ -95,8 +95,13 @@ class _Poly:
     _TOP = None
 
     def __init__(self, terms=None):
+        if terms is None:
+            terms = {}
+        elif not isinstance(terms, dict):
+            raise ValueError(f"{type(self).__name__} terms must be a dict "
+                             f"of monomials, got {terms!r}")
         clean = {}
-        for mono, coeff in (terms or {}).items():
+        for mono, coeff in terms.items():
             mono = self._monomial(mono)
             if self._TOP is not None and self._degree(mono) > self._TOP:
                 raise ValueError(f"monomial {mono!r} exceeds total degree "

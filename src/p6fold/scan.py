@@ -1,22 +1,24 @@
 """Lattice scan over invariant boxes, streaming the feasible tuples.
 
 The cells of the box and their v-intervals come from
-:func:`constraints.feasible_cells`, whose cost grows with the (d, delta)
-rows and the cells it leaves, not with the box volume; this module only
-renders them.  Output is always lexicographic in (d, delta, chi, u, v),
-and every row is kept only if :func:`constraints.is_feasible` holds at it.
+:func:`constraints.feasible_cells`, whose cost grows with the degrees, the
+rows of each degree's delta-interval and the cells, not with the box
+volume; this module only renders them.  Output is always lexicographic in
+(d, delta, chi, u, v), and every row is kept only if
+:func:`constraints.is_feasible` holds at it.
 
 Rows are rendered one slice of a cell ``(d, delta, chi, u)`` at a time, a
 slice being at most :data:`_SLICE_ROWS` consecutive v of the cell.  Each
 format has a row template, built from :data:`invariants.PROFILE_KEYS`,
 whose ``%s`` slots take the tuple's five ints and then (some of)
-:func:`invariants.profile_numbers`.  With the cell fixed every slot is
-affine in v, so the slots are computed at the first v of the slice and the
-next: those that agree are baked into a slice template by one ``%``, and
-each that moves becomes a ``range`` column with that step.  The slice's
-rows that :func:`constraints.is_feasible` keeps are then rendered
-together, by one ``%`` of the slice template repeated once per kept row,
-with no ``Profile``, dict or JSON encoder.  The rendered slices are
+:func:`invariants.profile_numbers`, which a plain CSV scan never calls.
+With the cell fixed every slot is affine in v, so the slots are computed
+at the first v of the slice and the next: those that agree are baked into
+a slice template by one ``%``, and each that moves becomes a ``range``
+column with that step.  The slice's rows that
+:func:`constraints.is_feasible` keeps are then rendered together, by one
+``%`` of the slice template repeated once per kept row, with no
+``Profile``, dict or JSON encoder.  The rendered slices are
 gathered up to :data:`_WRITE_BUDGET` characters and written to the sink a
 chunk at a time, so a scan holds a bounded part of its output whatever
 the box; a write that fails leaves the chunks before it in the sink.
@@ -195,12 +197,13 @@ def scan(box: ScanBox, cfg: HypothesisConfig, sink,
         chunk.append(",".join((CSV_HEADER,) + keys[len(_AXES):]) + "\n")
         size = len(chunk[0])
     pick = itemgetter(*map(_SLOTS.index, keys))
+    # A plain CSV row reads none of the profile numbers.
+    numbers = profile_numbers if keys != _AXES else lambda *t: ()
     feasible = 0
     for d, delta, chi, u, vs, keep in _feasible_cells(box, cfg):
         # Every slot is affine in v (tests/test_invariants.py checks it), so
         # its values at two v give its value and its step along vs.
-        at0, at1 = (pick((d, delta, chi, u, v)
-                         + profile_numbers(d, delta, chi, u, v))
+        at0, at1 = (pick((d, delta, chi, u, v) + numbers(d, delta, chi, u, v))
                     for v in (vs[0], vs[0] + 1))
         row = templates[delta % 2] % tuple(
             a if a == b else "%s" for a, b in zip(at0, at1)) + "\n"

@@ -52,6 +52,16 @@ def test_verify_unknown_id_is_usage_error(identity_id, capsys):
         f"error: unknown identity id {identity_id!r}; known ids: L3.4, ")
 
 
+@pytest.mark.parametrize("args", [["--id", "L8.1", "--all"],
+                                  ["--all", "--id", "DP"]])
+def test_verify_id_with_all_is_usage_error(args, capsys):
+    # --all used to override --id: --id L8.1 --all printed 17/17 and exited
+    # 0, and the unknown id was never reported.
+    code, out, err = run_cli(["verify", *args], capsys)
+    assert (code, out) == (2, "")
+    assert "not allowed with argument" in err
+
+
 def test_verify_json_round_trip(capsys):
     code, out, _ = run_cli(["verify", "--json"], capsys)
     assert code == 0
@@ -653,9 +663,11 @@ def test_scan_stdout_and_summary(capsys):
 def test_scan_of_a_delta_range_past_s2_plus_s4_reads_few_rows(monkeypatch,
                                                               capsys):
     # S2 + S4 = d^2 - 3d - delta < 0 on every delta > -2 of both degrees,
-    # so the scan reads two rows per degree of its 200000006 rows: 15
-    # kernel calls for the forms, 4 rows and 1 re-check of the emitted
-    # row.  In raw mode with no cap the kernel is invariants itself.
+    # and S4 < 0 at (2, -2, 1, 1, 0), so of the scan's 200000006 rows only
+    # (1, -2) is read.  Each run builds a fresh config: 15 kernel calls for
+    # its coefficients, one per degree, one per row read and one re-check
+    # of the emitted row.  In raw mode with no cap the kernel is invariants
+    # itself.
     real, calls = constraints.invariants, []
 
     def counting_invariants(*t):
@@ -663,12 +675,18 @@ def test_scan_of_a_delta_range_past_s2_plus_s4_reads_few_rows(monkeypatch,
         return real(*t)
 
     monkeypatch.setattr(constraints, "invariants", counting_invariants)
-    code, out, err = run_cli(
-        ["scan", "--raw", "--box", "d=1..2,delta=-2..100000000,chi=1,u=1,v=0"],
-        capsys)
-    assert (code, out) == (0, "d,delta,chi,u,v\n1,-2,1,1,0\n")
-    assert "# scanned 200000006 feasible 1" in err
-    assert len(calls) == 15 + 4 + 1
+    rows = [(d, delta) for d in (1, 2)
+            for delta in range(-2, max(-2, d * d - 3 * d) + 1)
+            if min(real(d, delta, 1, 1, 0)[:6]) >= 0]  # all but H1, H2
+    assert rows == [(1, -2)]
+    for _ in range(2):
+        calls.clear()
+        code, out, err = run_cli(
+            ["scan", "--raw", "--box",
+             "d=1..2,delta=-2..100000000,chi=1,u=1,v=0"], capsys)
+        assert (code, out) == (0, "d,delta,chi,u,v\n1,-2,1,1,0\n")
+        assert "# scanned 200000006 feasible 1" in err
+        assert len(calls) == 15 + 2 + len(rows) + 1
 
 
 def test_scan_to_file(tmp_path, capsys):

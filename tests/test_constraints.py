@@ -247,7 +247,7 @@ def test_feasible_cells_are_exactly_the_cells_with_a_feasible_v(cfg):
         if all(lo <= hi for lo, hi in ranges):
             seen.update(row_classes(cfg, ranges, rows, got))
     assert seen == {"cells", "d <= 0", "2d + delta = 0", "S2 + S4 < 0",
-                    "single value", "empty", "S2 + S4 stop", "flat form",
+                    "single value", "empty", "past S2 + S4", "flat form",
                     "fixed-slope corner", "H2 corner",
                     "no cell past the corners"} | (
                         set() if cfg.geometric_mode else {"H2 corner, d < 0"})
@@ -255,7 +255,8 @@ def test_feasible_cells_are_exactly_the_cells_with_a_feasible_v(cfg):
 
 def row_classes(cfg, ranges, rows, got):
     """Which constraint leaves each row of the box without a cell: S2 + S4
-    = d^2 - 3d - delta, below 0 on the row and on the row before; a flat
+    = d^2 - 3d - delta, below 0 on the row and on a row of the box before
+    it; a flat
     constraint (B1, B2, B3 or S1), or another one but H1 and H2, below 0
     at every corner of the box; H2 below 0 at every corner, also where
     d < 0 makes its chi coefficient -10d positive; or none of these,
@@ -266,7 +267,7 @@ def row_classes(cfg, ranges, rows, got):
     for d, delta in rows:
         if d * d - 3 * d - delta < 0:
             if d * d - 3 * d - delta < -1 and delta > ranges[1][0]:
-                classes.add("S2 + S4 stop")
+                classes.add("past S2 + S4")
             continue
         best = {cid: max(values) for cid, *values in zip(
             ids, *(kernel(d, delta, *corner) for corner in corners))}
@@ -305,11 +306,14 @@ def test_a_box_with_an_empty_axis_costs_no_kernel_call(monkeypatch, axis):
     assert calls == []
 
 
-def test_a_delta_range_past_the_s2_plus_s4_stop_costs_one_row_per_degree(
+def test_a_delta_range_past_the_s2_plus_s4_stop_costs_one_call_per_row(
         monkeypatch):
-    # S2 + S4 = d^2 - 3d - delta is 0 at delta = -2 for d = 1 and d = 2,
-    # and below 0 at every later delta: each degree reads its row at -2
-    # and the one after it, and no other of the 10^8 rows.
+    # S2 + S4 = d^2 - 3d - delta is below 0 at every delta > -2 of d = 1
+    # and d = 2, so of the 10^8 rows only those at -2 can be in a delta-
+    # interval, and S4 drops (2, -2) at the box's one (chi, u, v).  The walk
+    # makes one call per degree, at (d, 0, 0, 0, 0), and one per row left;
+    # a fresh config first reads its coefficients (15 calls), a reused one
+    # does not.
     cfg = HypothesisConfig(geometric_mode=False)
     kernel, calls = cfg._kernel, []
 
@@ -318,11 +322,17 @@ def test_a_delta_range_past_the_s2_plus_s4_stop_costs_one_row_per_degree(
         return kernel(*t)
 
     monkeypatch.setitem(vars(cfg), "_kernel", counting_kernel)
-    assert list(feasible_cells(((1, 2), (-2, 10 ** 8), (1, 1), (1, 1),
-                                (0, 0)), cfg)) == [(1, -2, 1, 1, range(1))]
-    assert len(calls) == 15 + 4
-    assert calls[15:] == [(d, delta, 0, 0, 0) for d in (1, 2)
-                          for delta in (-2, -1)]
+    rows = [(d, delta) for d in (1, 2)
+            for delta in range(-2, max(-2, d * d - 3 * d) + 1)
+            if min(kernel(d, delta, 1, 1, 0)[:6]) >= 0]  # all but H1, H2
+    assert rows == [(1, -2)]
+    expected = [(1, 0, 0, 0, 0), (1, -2, 0, 0, 0), (2, 0, 0, 0, 0)]
+    for table in (15, 0):  # a fresh config, then the same config reused
+        calls.clear()
+        assert list(feasible_cells(((1, 2), (-2, 10 ** 8), (1, 1), (1, 1),
+                                    (0, 0)), cfg)) == [(1, -2, 1, 1, range(1))]
+        assert len(calls) == table + 2 + len(rows)
+        assert calls[table:] == expected
 
 
 def forms_as_feasible_cells_reads_them(kernel, d, delta):
@@ -550,6 +560,55 @@ def test_an_s2_plus_s4_that_does_not_fall_with_delta_fails_the_check(term):
         return tuple(values)
 
     assert s2_plus_s4_problems(GEOMETRIC, perturbed, random.Random(31))
+
+
+def delta_slope_problems(cfg, kernel, rng):
+    """The rows (d, delta) at which some fixed kernel entry, every one but
+    B2, H1 and H2, is not ``e(d, 0) + delta*(e(0, 1) - e(0, 0))`` at (chi,
+    u, v) = (0, 0, 0), or B2 is not -(delta mod 2); empty when each is."""
+    ids = cfg.constraint_ids
+    slopes = [t - e for e, t in zip(kernel(0, 0, 0, 0, 0),
+                                    kernel(0, 1, 0, 0, 0))]
+    problems = []
+    for i in range(120):
+        d = rng.randint(-6, 30)
+        delta = -2 * d if i % 3 == 0 else rng.randint(-12, 90)
+        for cid, e, g, t in zip(ids, kernel(d, delta, 0, 0, 0),
+                                kernel(d, 0, 0, 0, 0), slopes):
+            expected = {"B2": -(delta % 2), "H1": e, "H2": e}.get(
+                cid, g + delta * t)
+            if e != expected:
+                problems.append((d, delta, cid))
+    return problems
+
+
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS)
+def test_each_fixed_form_moves_with_delta_by_one_slope_on_every_degree(cfg):
+    # feasible_cells reads each degree's delta-interval off one kernel call
+    # at (d, 0, 0, 0, 0): every fixed form, each with no quadratic part and
+    # chi, u and v coefficients that do not move with (d, delta), is
+    # g(d) + t*delta there, with t the same on every degree, and B2 keeps
+    # only even delta.
+    assert delta_slope_problems(cfg, cfg._kernel, random.Random(37)) == []
+    ids = cfg.constraint_ids
+    fixed = {ids[i] for i, *_ in cfg._forms[0]}
+    assert fixed == set(ids) - {"B2", "H1", "H2"}
+
+
+@pytest.mark.parametrize("term, cid", [
+    (lambda d, delta, chi, u, v: d * delta, "S3"),
+    (lambda d, delta, chi, u, v: delta * delta, "S4"),
+])
+def test_a_fixed_form_whose_delta_slope_moves_fails_the_check(term, cid):
+    i = GEOMETRIC.constraint_ids.index(cid)
+    kernel = GEOMETRIC._kernel
+
+    def perturbed(*t):
+        values = list(kernel(*t))
+        values[i] += term(*t)
+        return tuple(values)
+
+    assert delta_slope_problems(GEOMETRIC, perturbed, random.Random(37))
 
 
 # Each of the ten bounds of a box, in turn, as a float.

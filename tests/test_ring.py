@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import comb
 
@@ -340,6 +341,21 @@ def test_substitute_rejects_an_unknown_parameter():
 def test_malformed_polynomials_are_value_errors(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("kind, mono", [(GradedPoly, (1, 0, 0, 0)),
+                                        (ParamExpr, (1, 0, 0, 0, 0))])
+@pytest.mark.parametrize("terms", [5, 0, "", [], "abcd", 1.5])
+def test_terms_that_are_not_a_dict_are_value_errors(kind, mono, terms):
+    # GradedPoly(5) used to raise AttributeError, and GradedPoly(0) or
+    # GradedPoly("") to return zero.
+    for bad in (terms, [(mono, 1)]):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{kind.__name__} terms must be a dict of monomials, "
+                f"got {bad!r}")):
+            kind(bad)
+    assert kind() == kind({}) == kind({mono: 0})
+    assert not kind().monomials()
 
 
 @pytest.mark.parametrize("bad", [None, 1.5])

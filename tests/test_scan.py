@@ -142,35 +142,36 @@ DENSE_BOX = "d=20..20,delta=40..60,chi=1..3,u=13..33,v=641..661"
 
 
 @pytest.mark.parametrize("spec, counts", [
-    (SPARSE_BOX, (140, 170, 176, 15, 283, 19, 44, 235)),
-    (DENSE_BOX, (0, 21, 21, 11, 693, 691, 14346, 14382)),
+    (SPARSE_BOX, (140, 170, 15, 283, 19, 44, 84, 69)),
+    (DENSE_BOX, (0, 21, 11, 693, 691, 14346, 14373, 14358)),
     # H2 is below 0 at every corner of this box's one row; the chi-step
     # empties it.
     ("d=3..3,delta=0..0,chi=2..2,u=8..14,v=91..122",
-     (0, 1, 1, 1, 0, 0, 0, 16)),
+     (0, 1, 1, 0, 0, 0, 17, 2)),
 ])
 def test_scan_kernel_calls_grow_with_rows_not_cells(monkeypatch, spec,
                                                     counts):
     # feasible_cells reads each constraint's quadratic part and its chi, u
-    # and v coefficients once per call (15 kernel calls), and no cell.  It
-    # reads each d's rows up to the first delta past S2 + S4 = d^2 - 3d -
-    # delta >= 0, and stops there; is_feasible reads each emitted row
-    # once.  Only a row that S2 + S4 keeps, and on which every constraint
-    # but H1 and H2 holds at some corner of the (chi, u, v) box, reaches
-    # the chi-interval.  Of the cells that satisfy every constraint but S5,
-    # S6 and H1, only those where S5 and S6 hold at their best v get a
-    # v-interval.
+    # and v coefficients once per config (15 kernel calls), and no cell.
+    # Each degree costs one call, which gives its delta-interval: the rows
+    # that S2 + S4 = d^2 - 3d - delta keeps, and on which every constraint
+    # but H1 and H2 holds at some corner of the (chi, u, v) box.  Each row
+    # of it costs one call and reaches the chi-interval, and no other row
+    # is read; is_feasible reads each emitted row once.  Of the cells that
+    # satisfy every constraint but S5, S6 and H1, only those where S5 and
+    # S6 hold at their best v get a v-interval.
     cfg = HypothesisConfig()
     kernel = cfg._kernel
     box = ScanBox.parse(spec)
-    calls, steps = [], {box.chi: 0, box.v: 0}
+    calls, steps = [], {}
 
     def counting_kernel(*t):
         calls.append(t)
         return kernel(*t)
 
-    # On these boxes no other axis has the chi- or the v-axis's bounds, so
-    # each chi- or v-interval is one _affine_interval call over them.
+    # On these boxes no other axis has the delta-, the chi- or the v-axis's
+    # bounds, so each delta-, chi- or v-interval is one _affine_interval
+    # call over them.
     affine_interval = constraints_module._affine_interval
 
     def counting_affine_interval(pairs, lo, hi):
@@ -181,13 +182,9 @@ def test_scan_kernel_calls_grow_with_rows_not_cells(monkeypatch, spec,
     monkeypatch.setitem(vars(cfg), "_kernel", counting_kernel)
     monkeypatch.setattr(constraints_module, "_affine_interval",
                         counting_affine_interval)
-    result, _ = run_scan(box, cfg)
-    count = len(calls)
     axes = [range(lo, hi + 1) for lo, hi in box.ranges()]
     rows = list(product(*axes[:2]))
     dropped = [(d, delta) for d, delta in rows if d * d - 3 * d - delta < 0]
-    read = [(d, delta) for d, delta in rows
-            if delta <= max(box.delta[0], d * d - 3 * d + 1)]
     corners = list(product(*box.ranges()[2:]))
     reached = [(d, delta) for d, delta in rows if (d, delta) not in dropped
                and all(max(values) >= 0 for cid, *values in zip(
@@ -203,10 +200,18 @@ def test_scan_kernel_calls_grow_with_rows_not_cells(monkeypatch, spec,
                            GEOMETRIC).value_of("S5") >= 0
                and evaluate(InvariantTuple(*cell, box.v[0]),
                             GEOMETRIC).value_of("S6") >= 0]
-    assert (len(dropped), len(rows) - len(dropped), len(read), len(reached),
-            len(cells), len(v_cells), result.feasible, count) == counts
-    assert steps == {box.chi: len(reached), box.v: len(v_cells)}
-    assert count == 15 + len(read) + result.feasible
+    counted = []
+    for _ in range(2):  # a fresh config, then the same config reused
+        calls.clear()
+        steps.update(dict.fromkeys((box.delta, box.chi, box.v), 0))
+        result, _ = run_scan(box, cfg)
+        counted.append(len(calls))
+        assert steps == {box.delta: len(axes[0]), box.chi: len(reached),
+                         box.v: len(v_cells)}
+    assert (len(dropped), len(rows) - len(dropped), len(reached),
+            len(cells), len(v_cells), result.feasible, *counted) == counts
+    reused = len(axes[0]) + len(reached) + result.feasible
+    assert counted == [15 + reused, reused]
 
 
 def test_hot_path_builds_no_constraint_records(monkeypatch):
@@ -582,6 +587,37 @@ def test_streamed_goldens_keep_their_bytes(limits):
                                limits, fmt=fmt)
         assert (hashlib.sha256(out.encode()).hexdigest(), result.feasible
                 ) == (golden["sha256"], golden["rows"]), golden["box"]
+
+
+def test_a_plain_csv_scan_never_calls_profile_numbers(monkeypatch):
+    # A plain CSV row is the tuple's five ints, yet scan() used to compute
+    # every profile number twice per cell for it.  The profile columns and
+    # JSONL rows still read them, and keep their bytes.
+    def digest(out):
+        return hashlib.sha256(out.encode()).hexdigest()
+
+    real = scan_module.profile_numbers
+
+    def refuse(*t):
+        raise AssertionError(f"profile_numbers{t} called")
+
+    monkeypatch.setattr(scan_module, "profile_numbers", refuse)
+    for golden, fmt in GOLDEN_SCANS:
+        if fmt == "csv":
+            result, out = run_scan(ScanBox.parse(golden["box"]))
+            assert (digest(out), result.feasible) == (golden["sha256"],
+                                                      golden["rows"])
+    box = ScanBox.parse(GOLDENS["scan-sparse"][0]["box"])
+    for kwargs in ({"with_profile": True}, {"fmt": "jsonl"}):
+        with pytest.raises(AssertionError, match="profile_numbers"):
+            run_scan(box, **kwargs)
+    monkeypatch.setattr(scan_module, "profile_numbers", real)
+    _, csv = reference_lines(list(iter_feasible(box, GEOMETRIC)))
+    assert run_scan(box, with_profile=True)[1].splitlines() == csv
+    for golden in GOLDENS["scan-dense"][:2]:
+        result, out = run_scan(ScanBox.parse(golden["box"]), fmt="jsonl")
+        assert (digest(out), result.feasible) == (golden["sha256"],
+                                                  golden["rows"])
 
 
 @st.composite
