@@ -592,12 +592,8 @@ def test_streamed_goldens_keep_their_bytes(limits):
 def test_a_plain_csv_scan_never_calls_profile_numbers(monkeypatch):
     # A plain CSV row is the tuple's five ints, yet scan() used to compute
     # every profile number twice per cell for it.  The profile columns and
-    # JSONL rows still read them, and keep their bytes.
-    def digest(out):
-        return hashlib.sha256(out.encode()).hexdigest()
-
-    real = scan_module.profile_numbers
-
+    # JSONL rows still read them; test_streamed_goldens_keep_their_bytes
+    # and test_rows_are_the_profile_dict_byte_for_byte pin their bytes.
     def refuse(*t):
         raise AssertionError(f"profile_numbers{t} called")
 
@@ -605,19 +601,12 @@ def test_a_plain_csv_scan_never_calls_profile_numbers(monkeypatch):
     for golden, fmt in GOLDEN_SCANS:
         if fmt == "csv":
             result, out = run_scan(ScanBox.parse(golden["box"]))
-            assert (digest(out), result.feasible) == (golden["sha256"],
-                                                      golden["rows"])
+            assert (hashlib.sha256(out.encode()).hexdigest(), result.feasible
+                    ) == (golden["sha256"], golden["rows"]), golden["box"]
     box = ScanBox.parse(GOLDENS["scan-sparse"][0]["box"])
     for kwargs in ({"with_profile": True}, {"fmt": "jsonl"}):
         with pytest.raises(AssertionError, match="profile_numbers"):
             run_scan(box, **kwargs)
-    monkeypatch.setattr(scan_module, "profile_numbers", real)
-    _, csv = reference_lines(list(iter_feasible(box, GEOMETRIC)))
-    assert run_scan(box, with_profile=True)[1].splitlines() == csv
-    for golden in GOLDENS["scan-dense"][:2]:
-        result, out = run_scan(ScanBox.parse(golden["box"]), fmt="jsonl")
-        assert (digest(out), result.feasible) == (golden["sha256"],
-                                                  golden["rows"])
 
 
 @st.composite
