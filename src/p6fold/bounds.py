@@ -10,10 +10,12 @@ theorem past its own threshold), the reported bound is the applicability
 clamp ``max(s^3, ceil(threshold), crossing - 1)``; for s = 34, kappa = 9
 that is 34^3 = 39304, driven by the clamp rather than the crossing.
 
-Every step runs the one forced quadratic :func:`section5_quadratic`, which
-registry id S5.QUAD proves.  Everything is exact, no floats: integer sign
-analysis, one ``isqrt`` for sharp :func:`delta_lower`, and bisection over
-integer degrees for the sharp crossing.  The crossing arithmetic is integer:
+Every step runs the one forced quadratic
+:func:`invariants.forced_quadratic`, which registry id S5.QUAD proves, on
+ints already checked; :func:`section5_quadratic` is its gated public
+name.  Everything is exact, no floats: integer sign analysis, one
+``isqrt`` for sharp :func:`delta_lower`, and bisection over integer
+degrees for the sharp crossing.  The crossing arithmetic is integer:
 both crossings compare the bounds scaled by a positive multiple of s, so
 ``Fraction`` appears only in reported values (the lifting threshold, the
 genus bound and :func:`delta_lower`).
@@ -26,7 +28,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .invariants import require_ints
+from .invariants import forced_quadratic, require_ints
 
 #: rounding grid of sharp-mode :func:`delta_lower`
 SHARP_TOLERANCE = Fraction(1, 10 ** 6)
@@ -90,17 +92,12 @@ def genus_upper_delta(d: int, s: int) -> Fraction:
     return Fraction(_genus_bound_times_4s(d, s_eff), 4 * s_eff)
 
 
-def section5_quadratic(d, kappa):
-    """Coefficients (A, B, C) of the forced quadratic in delta.
-
-    Expanding ``(3d + 6*delta + kappa)^2 - (2d + delta)(d^2 - 4d + 3*delta + 9)``
-    gives A = 33, B = -d^2 + 34d + 12*kappa - 9,
-    C = -2d^3 + 17d^2 + (6*kappa - 18)d + kappa^2.  Plain arithmetic: ints
-    for an int d, and the registry runs it on the ``ParamExpr`` generator d.
-    """
-    return (33,
-            -d * d + 34 * d + 12 * kappa - 9,
-            -2 * d ** 3 + 17 * d * d + (6 * kappa - 18) * d + kappa * kappa)
+def section5_quadratic(d: int, kappa: int) -> tuple:
+    """Coefficients (A, B, C) of the forced quadratic in delta, as
+    :func:`invariants.forced_quadratic` gives them.  Raises
+    :class:`ValueError` unless ``d`` and ``kappa`` are integers."""
+    require_ints("section5_quadratic needs two integers", d, kappa)
+    return forced_quadratic(d, kappa)
 
 
 def delta_lower(d: int, kappa: int, mode: str = "paper") -> Fraction:
@@ -115,7 +112,7 @@ def delta_lower(d: int, kappa: int, mode: str = "paper") -> Fraction:
     require_ints("d and kappa must be integers", d, kappa)
     if mode not in ("paper", "sharp"):
         raise ValueError(f"mode must be 'paper' or 'sharp', got {mode!r}")
-    a, b, c = section5_quadratic(d, kappa)
+    a, b, c = forced_quadratic(d, kappa)
     if c >= 0:
         raise DomainError(
             "no forced lower bound: the quadratic's constant term "
@@ -140,7 +137,7 @@ def _crossing_paper(s_eff: int, kappa: int) -> int:
 
     def gap(dd: int, k: int = kappa) -> int:
         # 132*s_eff*(-B/A - t), with A = 33
-        b = section5_quadratic(dd, k)[1]
+        b = forced_quadratic(dd, k)[1]
         return -m * b - 33 * _genus_bound_times_4s(dd, s_eff)
 
     g0, g1, g2 = gap(0), gap(1), gap(2)
@@ -172,8 +169,8 @@ def _crossing_paper(s_eff: int, kappa: int) -> int:
     # d = 0 to d = 1 and 2, so d* > 2, and for d >= 2 the second difference
     # of C is 22 - 12d < 0; so C(d*) < 0 and a falling step from d* keep C
     # negative at every integer d >= d*.
-    c_at = section5_quadratic(d_star, kappa)[2]
-    c_next = section5_quadratic(d_star + 1, kappa)[2]
+    c_at = forced_quadratic(d_star, kappa)[2]
+    c_next = forced_quadratic(d_star + 1, kappa)[2]
     if c_at >= 0 or c_next >= c_at:
         raise DomainError(
             f"kappa = {kappa} is out of range for effective degree "
@@ -192,7 +189,7 @@ def _crossing_sharp(s_eff: int, kappa: int, hi: int) -> int:
     m = 4 * s_eff
 
     def exceeds(dd: int) -> bool:
-        a, b, c = section5_quadratic(dd, kappa)
+        a, b, c = forced_quadratic(dd, kappa)
         n = _genus_bound_times_4s(dd, s_eff)
         return c < 0 and (a * n + b * m) * n + c * m * m < 0
 
@@ -248,7 +245,7 @@ def proof_trace(report: BoundReport) -> str:
     s_eff = _effective_even(report.s)
     genus_const = Fraction(3 * s_eff * s_eff - 28, 4)
     genus_lin = Fraction(s_eff, 2) - 3
-    a, b0, _ = section5_quadratic(0, report.kappa)
+    a, b0, _ = forced_quadratic(0, report.kappa)
     lines = [
         f"degree bound for s = {report.s} (effective even degree {s_eff}), "
         f"K_S^2 cap {report.kappa} [{report.delta_mode} mode]",

@@ -27,21 +27,18 @@ mode and reads no property when it runs; the S and H values are the tuple
 of :func:`invariants.invariants`.  It stores B2 as -(delta mod 2), so that
 "holds" means ">= 0" for every entry.  :func:`is_feasible` and
 :func:`feasible_cells` read only that tuple, and :func:`evaluate` keeps it
-in its :class:`ConstraintReport` as it is.  The report's JSON and
-``value_of`` read those ints directly, giving B2 back its sign; its
-``entries`` are :class:`ConstraintValue` records built on first read and
-cached.  The kernel is left out of a config's pickled and copied state, so
-a config stays a plain value.
+in its :class:`ConstraintReport` as it is; the report's JSON, ``value_of``
+and ``entries`` (new :class:`ConstraintValue` records on each read) read
+those ints through one helper, which gives B2 back its sign.  The kernel
+is left out of a config's pickled and copied state, so a config stays a
+plain value.
 
-:func:`feasible_cells` is the one walk of the feasible region of a box.
-It yields exactly the feasible cells, in lex order, at a cost that grows
-with the degrees, the rows of each degree's delta-interval and the cells,
-not with the box volume: one kernel call per degree gives that interval,
-one per row reads it, and the kernel's coefficients are read once per
-config.  Its docstring gives the walk.
+:func:`feasible_cells` is the one walk of the feasible region of a box;
+its docstring gives the walk and what it costs.
 
 :func:`evaluate` and :func:`is_feasible` read their tuple through the gate
-``invariants.five_ints``; every other number passes ``require_ints``.
+``invariants.five_ints``, every other number passes ``require_ints``, and
+every config :func:`require_config`.
 """
 
 from __future__ import annotations
@@ -122,10 +119,10 @@ class HypothesisConfig:
         ``slopes``, each as x0, xd and xt in x0 + xd*d + xt*delta.
         ``fixed`` holds ``(i, a, b, c, t)`` for each entry but B2 with no
         quadratic part and slopes that do not move with (d, delta): a, b and
-        c are its coefficients and t its delta coefficient.  ``linear``
-        holds ``(i, *slopes)`` for each entry with a slope and no quadratic
-        part, ``curved`` ``(i, *slopes, cc, uu, cu)`` for each with v or a
-        quadratic part (S5, S6 and H1)."""
+        c are its coefficients and t its delta coefficient.  ``curved``
+        holds ``(i, *slopes, cc, uu, cu)`` for each entry with v or a
+        quadratic part (S5, S6 and H1), ``linear`` the chi and u ``slopes``
+        ``(i, a0, ad, at, b0, bd, bt)`` of each other entry with one."""
         kernel, ids = self._kernel, self.constraint_ids
         points = [(*row, *p) for row in ((0, 0), (1, 0), (0, 1))
                   for p in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))]
@@ -139,14 +136,13 @@ class HypothesisConfig:
                       b, yd - ed - y + e, yt - et - y + e,
                       c, zd - ed - z + e, zt - et - z + e)
             quadratic = (cc, uu, e - x - y + xy)
-            if not any(quadratic):
-                if ids[i] != "B2" and not any(
-                        slopes[1:3] + slopes[4:6] + slopes[7:9]):
-                    fixed.append((i, a, b, c, et - e))
-                if any(slopes):
-                    linear.append((i, *slopes))
+            if ids[i] != "B2" and not any(
+                    quadratic + slopes[1:3] + slopes[4:6] + slopes[7:9]):
+                fixed.append((i, a, b, c, et - e))
             if any(slopes[6:] + quadratic):
                 curved.append((i, *slopes, *quadratic))
+            elif any(slopes):
+                linear.append((i, *slopes[:6]))
         return tuple(fixed), tuple(linear), tuple(curved)
 
 
@@ -160,68 +156,74 @@ class ConstraintValue:
 @dataclass(frozen=True)
 class ConstraintReport:
     """The config's ``constraint_ids`` and the kernel's ``kernel_values`` at
-    ``tuple``, in the same order; the kernel stores B2 as -(delta mod 2),
-    and everything read from the report gives it as delta mod 2."""
+    ``tuple``, in the same order."""
 
     tuple: InvariantTuple
     feasible: bool
     constraint_ids: tuple
     kernel_values: tuple
 
-    @cached_property
+    def _shown(self):
+        """``(id, value, holds)`` per constraint, as every read of the
+        report gives it: B2, stored as -(delta mod 2), as delta mod 2."""
+        for cid, value in zip(self.constraint_ids, self.kernel_values):
+            yield cid, -value if cid == "B2" else value, value >= 0
+
+    @property
     def entries(self) -> tuple:
-        """One :class:`ConstraintValue` per constraint, built on first read."""
-        return tuple(
-            ConstraintValue(cid, -value if cid == "B2" else value, value >= 0)
-            for cid, value in zip(self.constraint_ids, self.kernel_values))
+        """One :class:`ConstraintValue` per constraint."""
+        return tuple(ConstraintValue(*row) for row in self._shown())
 
     def value_of(self, constraint_id: str) -> int:
-        try:
-            i = self.constraint_ids.index(constraint_id)
-        except ValueError:
-            raise KeyError(constraint_id) from None
-        value = self.kernel_values[i]
-        return -value if constraint_id == "B2" else value
+        for cid, value, _ in self._shown():
+            if cid == constraint_id:
+                return value
+        raise KeyError(constraint_id)
 
     def to_json_dict(self) -> dict:
-        return {
-            "tuple": dict(zip(InvariantTuple._fields, self.tuple)),
-            "constraints": [
-                {"id": cid, "value": str(-value if cid == "B2" else value),
-                 "ok": value >= 0}
-                for cid, value in zip(self.constraint_ids, self.kernel_values)
-            ],
-            "feasible": self.feasible,
-        }
+        return {"tuple": dict(zip(InvariantTuple._fields, self.tuple)),
+                "constraints": [{"id": cid, "value": str(value), "ok": ok}
+                                for cid, value, ok in self._shown()],
+                "feasible": self.feasible}
+
+
+def require_config(fn: str, cfg) -> None:
+    """Raise a ``ValueError`` naming ``fn`` unless ``cfg`` is a config."""
+    if not isinstance(cfg, HypothesisConfig):
+        raise ValueError(f"{fn} needs a HypothesisConfig, got {cfg!r}")
 
 
 def evaluate(t: InvariantTuple, cfg: HypothesisConfig) -> ConstraintReport:
-    """Evaluate every constraint; the report keeps all exact slacks.
-    Raises :class:`ValueError` unless ``t`` is five integers."""
+    """Every constraint at ``t``, with its exact slack; a ``ValueError``
+    unless ``t`` is five integers and ``cfg`` a :class:`HypothesisConfig`."""
+    require_config("evaluate", cfg)
     t = InvariantTuple(*five_ints("evaluate", t))
     values = cfg._kernel(*t)
     return ConstraintReport(t, min(values) >= 0, cfg.constraint_ids, values)
 
 
 def is_feasible(t: InvariantTuple, cfg: HypothesisConfig) -> bool:
-    """True iff every constraint holds at ``t``.  Raises
-    :class:`ValueError` unless ``t`` is five integers."""
-    return min(cfg._kernel(*five_ints("is_feasible", t))) >= 0
+    """True iff every constraint holds at ``t``; a ``ValueError`` unless
+    ``t`` is five integers and ``cfg`` a :class:`HypothesisConfig`."""
+    try:  # it runs once per scan row, so no type check on the way in
+        return min(cfg._kernel(*five_ints("is_feasible", t))) >= 0
+    except AttributeError:
+        require_config("is_feasible", cfg)
+        raise
 
 
 def _affine_interval(pairs, lo: int, hi: int) -> range:
-    """The x in ``lo..hi`` at which every constraint holds, given each one's
-    values at x = 0 and x = 1 as ``(e0, e1)`` and affine in x.  A sloped
+    """The x in ``lo..hi`` at which every constraint holds, given each one
+    as ``(offset, slope)``, its value being offset + slope*x.  A sloped
     constraint ``value >= 0`` bounds x on one side; a flat one either holds
     for every x or empties the interval."""
     lower, upper = lo, hi
-    for e0, e1 in pairs:
-        slope = e1 - e0
+    for offset, slope in pairs:
         if slope > 0:
-            lower = max(lower, -(e0 // slope))  # ceil(-e0 / slope)
+            lower = max(lower, -(offset // slope))  # ceil(-offset / slope)
         elif slope < 0:
-            upper = min(upper, e0 // -slope)
-        elif e0 < 0:
+            upper = min(upper, offset // -slope)
+        elif offset < 0:
             return range(0)
     return range(lower, upper + 1)
 
@@ -232,7 +234,7 @@ def feasible_cells(ranges, cfg: HypothesisConfig) -> Iterator[tuple]:
     ``ScanBox.ranges()`` gives them) that has a feasible v; ``vs`` is
     exactly the v in its range at which every constraint holds.  Raises
     :class:`ValueError` on the first ``next()`` unless all ten bounds are
-    integers.
+    integers and ``cfg`` is a :class:`HypothesisConfig`.
 
     Each kernel entry is ``q(chi, u) + a*chi + b*u + c*v`` plus a
     function of (d, delta), where q, its chi^2, u^2 and chi*u part, does
@@ -251,20 +253,18 @@ def feasible_cells(ranges, cfg: HypothesisConfig) -> Iterator[tuple]:
     kernel call at (d, 0, 0, 0, 0) gives each degree's delta-interval, the
     delta of the box at which S2 + S4 and every fixed form at its best
     corner hold (the even ones under B2), and no row outside it holds a
-    cell.  On each row of that interval, every form with no quadratic part,
-    taken at its best v (``e + a*chi + b*u + max(c*v0, c*v1)``, only S5
-    and S6 have v), must hold for some real u in the box: each with b = 0
-    bounds chi by itself, and each pair with ``b_i > 0 > b_j``, among them
-    and the box's ``u - u_lo`` and ``u_hi - u``, gives the u-free form
-    ``-b_j*f_i + b_i*f_j`` (one Fourier-Motzkin step), so together they
-    give one chi-interval; it is empty where H2 is below 0 at every corner.
-    At each such chi they give the u-interval.  Only on a row with a chi
-    left are the forms with v or a quadratic part (S5, S6 and H1) built,
-    and at each u they give the cell's exact v-interval, with no kernel
-    call.  Every test before the v-interval is a necessary condition, so
-    the walk is exact, and its cost grows with the degrees, the rows of
-    their delta-intervals and the cells: one kernel call per degree and one
-    per row.
+    cell.  On each row of that interval, every form ``e + a*chi + b*u``
+    with no v and no quadratic part must hold for some real u in the box:
+    each with b = 0 bounds chi by itself, and each pair with ``b_i > 0 >
+    b_j``, among them and the box's ``u - u_lo`` and ``u_hi - u``, gives
+    the u-free form ``-b_j*f_i + b_i*f_j`` (one Fourier-Motzkin step), so
+    together they give one chi-interval; it is empty where H2 is below 0 at
+    every corner.  At each such chi they give the u-interval.  Only on a
+    row with a chi left are the forms with v or a quadratic part (S5, S6
+    and H1) built, and at each u they give the cell's exact v-interval,
+    with no kernel call.  Every test before the v-interval is a necessary
+    condition, so the walk is exact, and its cost grows with the degrees,
+    the rows of their delta-intervals and the cells, not the box volume.
 
     >>> raw = HypothesisConfig(geometric_mode=False)
     >>> list(feasible_cells(((2, 2), (-4, -4), (-5, 5), (-20, 20),
@@ -281,6 +281,7 @@ def feasible_cells(ranges, cfg: HypothesisConfig) -> Iterator[tuple]:
     (d0, d1), (delta0, delta1), (chi0, chi1), (u0, u1), (v0, v1) = ranges
     require_ints("feasible_cells needs ten integers", d0, d1, delta0, delta1,
                  chi0, chi1, u0, u1, v0, v1)
+    require_config("feasible_cells", cfg)
     if d0 > d1 or delta0 > delta1 or chi0 > chi1 or u0 > u1 or v0 > v1:
         return
     kernel, ids = cfg._kernel, cfg.constraint_ids
@@ -294,20 +295,18 @@ def feasible_cells(ranges, cfg: HypothesisConfig) -> Iterator[tuple]:
         at_d = kernel(d, 0, 0, 0, 0)
         s24 = at_d[s2] + at_d[s4]  # S2 + S4 = d^2 - 3d - delta
         deltas = _affine_interval(chain(
-            ((at_d[i] + offset, at_d[i] + offset + t)
-             for i, offset, t in best), [(s24, s24 - 1)]), delta0, delta1)
+            ((at_d[i] + offset, t) for i, offset, t in best), [(s24, -1)]),
+            delta0, delta1)
         for delta in deltas[deltas.start % 2::2] if even else deltas:
             at000 = kernel(d, delta, 0, 0, 0)
-            # Every form with no quadratic part on this row, at its best v,
-            # as e + a*chi + b*u: S5 and S6 join the U-forms as necessary
-            # conditions on (chi, u).
-            forms = [(at000[i] + c * (v1 if c > 0 else v0),
-                      a0 + ad * d + at * delta, b0 + bd * d + bt * delta)
-                     for i, a0, ad, at, b0, bd, bt, c0, cd, ct in linear
-                     for c in [c0 + cd * d + ct * delta]]
-            direct = ((e, e + a) for e, a, b in forms if b == 0)
+            # Each form with no v and no quadratic part on this row, as
+            # e + a*chi + b*u.
+            forms = [(at000[i], a0 + ad * d + at * delta,
+                      b0 + bd * d + bt * delta)
+                     for i, a0, ad, at, b0, bd, bt in linear]
+            direct = ((e, a) for e, a, b in forms if b == 0)
             with_box = forms + [(-u0, 0, 1), (u1, 0, -1)]
-            combined = ((bi * ej - bj * ei, bi * (ej + aj) - bj * (ei + ai))
+            combined = ((bi * ej - bj * ei, bi * aj - bj * ai)
                         for ei, ai, bi in with_box if bi > 0
                         for ej, aj, bj in with_box if bj < 0)
             chis = _affine_interval(chain(direct, combined), chi0, chi1)
@@ -321,14 +320,14 @@ def feasible_cells(ranges, cfg: HypothesisConfig) -> Iterator[tuple]:
                        for i, a0, ad, at, b0, bd, bt, c0, cd, ct, cc, uu, cu
                        in curved]
             for chi in chis:
-                at_chi = [(e + a * chi, e + a * chi + b) for e, a, b in forms]
                 # Each form with v or a quadratic part at this chi, as
                 # e + b*u + uu*u^2 + c*v.
                 v_at_chi = [(e + (a + cc * chi) * chi, b + cu * chi, uu, c)
                             for e, a, b, c, cc, uu, cu in v_forms]
-                for u in _affine_interval(at_chi, u0, u1):
-                    vs = _affine_interval(
-                        [(q, q + c) for e, b, uu, c in v_at_chi
-                         for q in [e + (b + uu * u) * u]], v0, v1)
+                us = ((e + a * chi, b) for e, a, b in forms)
+                for u in _affine_interval(us, u0, u1):
+                    vs = _affine_interval([(e + (b + uu * u) * u, c)
+                                           for e, b, uu, c in v_at_chi],
+                                          v0, v1)
                     if vs:
                         yield d, delta, chi, u, vs

@@ -8,9 +8,9 @@ time from first principles through the ring machinery (:func:`normal_chern`,
 compared coefficient-by-coefficient against its stated right side.  The
 Schur and Hodge right sides are the closed forms of :mod:`p6fold.invariants`
 that ``profile`` and the constraint system run, and the S5.QUAD right side
-is :func:`p6fold.bounds.section5_quadratic`, which the bound solver runs; so
-the registry proves that code.  S5.QUAD builds its left side from the same
-Schur and Hodge forms, eliminating v at chi = u = 1.
+is :func:`p6fold.invariants.forced_quadratic`, which the bound solver runs;
+so the registry proves that code.  S5.QUAD builds its left side from the
+same Schur and Hodge forms, eliminating v at chi = u = 1.
 
 The normal bundle and the Schur classes of its twist N(-1) are derived once
 per process, by the first check that needs them, and shared by every later
@@ -41,9 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .bounds import section5_quadratic
 from .errors import UnknownIdentityError
-from .invariants import hodge_numbers, schur_numbers
+from .invariants import forced_quadratic, hodge_numbers, schur_numbers
 from .ring import (
     chi,
     d,
@@ -103,7 +102,7 @@ def _closing_quadratic():
     # Hodge form eliminates v and leaves the quadratic in delta that the
     # bound solver runs, at cap 9.
     v0 = -schur_numbers(d, delta, 1, 1, 0)[4]
-    a, b, c = section5_quadratic(d, 9)
+    a, b, c = forced_quadratic(d, 9)
     return hodge_numbers(d, delta, 1, 1, v0)[0], a * delta ** 2 + b * delta + c
 
 

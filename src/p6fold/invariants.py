@@ -3,11 +3,12 @@
 The five integers ``(d, delta, chi, u, v)`` determine every Chern and
 intersection number in scope.  :func:`degree3_numbers` and
 :func:`invariants` are the only copy of these closed forms;
-:func:`schur_numbers` and :func:`hodge_numbers` are slices of the latter.
-They are plain arithmetic, so the same function runs on ints (in
-:func:`profile` and the constraint system) and on the ring's
-``ParamExpr`` generators (in the substitution table and the identity
-registry, which proves them).
+:func:`schur_numbers` and :func:`hodge_numbers` are slices of the latter,
+and :func:`forced_quadratic` is the closing quadratic that two of them
+force.  They are plain arithmetic, so the same function runs on ints (in
+:func:`profile`, the constraint system and the bound solver) and on the
+ring's ``ParamExpr`` generators (in the substitution table and the
+identity registry, which proves them).
 
 :data:`PROFILE_KEYS` and :func:`profile_numbers` are the only copy of the
 profile's key order and of its derived numbers; :class:`Profile`, its JSON
@@ -149,6 +150,20 @@ def hodge_numbers(d, delta, chi, u, v):
     """The last two numbers of :func:`invariants`: the Hodge-index
     expressions."""
     return invariants(d, delta, chi, u, v)[6:]
+
+
+def forced_quadratic(d, kappa):
+    """Coefficients (A, B, C) of the forced quadratic in delta, which
+    registry id S5.QUAD derives from S5 and H1 at cap 9.
+
+    Expanding ``(3d + 6*delta + kappa)^2 - (2d + delta)(d^2 - 4d + 3*delta + 9)``
+    gives A = 33, B = -d^2 + 34d + 12*kappa - 9,
+    C = -2d^3 + 17d^2 + (6*kappa - 18)d + kappa^2.  Checks nothing: the
+    bound solver runs it on ints it has checked, and registry id S5.QUAD
+    on the ``ParamExpr`` generator d."""
+    return (33,
+            -d * d + 34 * d + 12 * kappa - 9,
+            -2 * d ** 3 + 17 * d * d + (6 * kappa - 18) * d + kappa * kappa)
 
 
 def from_geometry(d: int, g: int, chi: int, u: int, v: int) -> InvariantTuple:

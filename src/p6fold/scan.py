@@ -32,7 +32,8 @@ from math import prod
 from operator import itemgetter
 from typing import Iterator, Tuple
 
-from .constraints import HypothesisConfig, feasible_cells, is_feasible
+from .constraints import (HypothesisConfig, feasible_cells, is_feasible,
+                          require_config)
 from .invariants import (PROFILE_KEYS, InvariantTuple, Profile, profile,
                          profile_numbers)
 
@@ -143,6 +144,14 @@ class ScanResult:
     feasible: int
 
 
+def _require_inputs(fn: str, box, cfg) -> None:
+    """Raise a ``ValueError`` naming ``fn`` unless ``box`` is a
+    :class:`ScanBox` and ``cfg`` a :class:`HypothesisConfig`."""
+    if not isinstance(box, ScanBox):
+        raise ValueError(f"{fn} needs a ScanBox, got {box!r}")
+    require_config(fn, cfg)
+
+
 def _feasible_cells(box: ScanBox, cfg: HypothesisConfig
                     ) -> Iterator[Tuple[int, int, int, int, range, list]]:
     """Each cell of :func:`constraints.feasible_cells`, in slices of at most
@@ -159,7 +168,10 @@ def _feasible_cells(box: ScanBox, cfg: HypothesisConfig
 
 def iter_feasible(box: ScanBox, cfg: HypothesisConfig
                   ) -> Iterator[Tuple[InvariantTuple, Profile]]:
-    """Lazily yield each feasible tuple with its profile, in lex order."""
+    """Lazily yield each feasible tuple with its profile, in lex order.
+    Raises :class:`ValueError` on the first ``next()`` unless ``box`` is a
+    :class:`ScanBox` and ``cfg`` a :class:`HypothesisConfig`."""
+    _require_inputs("iter_feasible", box, cfg)
     for d, delta, chi, u, vs, keep in _feasible_cells(box, cfg):
         for v in compress(vs, keep):
             t = InvariantTuple(d, delta, chi, u, v)
@@ -180,8 +192,11 @@ def scan(box: ScanBox, cfg: HypothesisConfig, sink,
     slice of a cell where that alone is longer, so memory stays bounded
     however large the output.  The first write that raises ends the scan,
     and the exception propagates; the chunks written before it stay in the
-    sink, so a failing sink may hold part of the output.
+    sink, so a failing sink may hold part of the output.  A ``box`` that is
+    not a :class:`ScanBox`, or a ``cfg`` that is not a
+    :class:`HypothesisConfig`, raises ``ValueError`` before any write.
     """
+    _require_inputs("scan", box, cfg)
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown scan format {fmt!r}")
     if type(workers) is not int or workers < 1:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -23,6 +24,7 @@ from p6fold.bounds import (
 from p6fold.constraints import HypothesisConfig, feasible_cells, is_feasible
 from p6fold.errors import DomainError
 from p6fold.identities import verify_identity
+from p6fold.invariants import forced_quadratic
 from p6fold.ring import d as d_sym, delta as delta_sym
 
 
@@ -187,6 +189,18 @@ def test_bounds_reject_non_integer_arguments():
     for call, names in calls:
         with pytest.raises(ValueError, match=f"{names} .*integer"):
             call()
+
+
+@pytest.mark.parametrize("dd", [1.5, True, "x"])
+def test_section5_quadratic_takes_ints_only(dd):
+    # 1.5 used to give floats, (33, 147.75, 166.5), True ints, and "x" a
+    # bare TypeError.  The registry proves the ungated closed form,
+    # invariants.forced_quadratic, on the ParamExpr generator d.
+    with pytest.raises(ValueError, match=re.escape(
+            f"section5_quadratic needs two integers, got {(dd, 9)!r}")):
+        section5_quadratic(dd, 9)
+    assert section5_quadratic(34, 9) == forced_quadratic(34, 9) == (
+        33, 99, -57651)
 
 
 def test_delta_lower_rejects_unknown_mode():

@@ -146,6 +146,21 @@ def test_raw_config_refuses_a_min_degree(min_degree):
         HypothesisConfig(geometric_mode=False)
 
 
+@pytest.mark.parametrize("cfg", ["x", None, (True, 9, 1)])
+@pytest.mark.parametrize("fn, call", [
+    ("evaluate", lambda cfg: evaluate((4, 0, 1, 6, 32), cfg)),
+    ("is_feasible", lambda cfg: is_feasible((4, 0, 1, 6, 32), cfg)),
+    ("feasible_cells", lambda cfg: list(feasible_cells(
+        ((4, 4), (0, 0), (1, 1), (6, 6), (32, 32)), cfg))),
+])
+def test_a_config_that_is_not_a_hypothesis_config_is_a_value_error(
+        fn, call, cfg):
+    # Each used to raise AttributeError on cfg._kernel.
+    with pytest.raises(ValueError, match=re.escape(
+            f"{fn} needs a HypothesisConfig, got {cfg!r}")):
+        call(cfg)
+
+
 def test_value_of_an_unknown_constraint_is_a_key_error():
     report = evaluate(InvariantTuple(4, 0, 1, 6, 32), GEOMETRIC)
     with pytest.raises(KeyError, match="Z9"):
@@ -595,6 +610,19 @@ def test_each_fixed_form_moves_with_delta_by_one_slope_on_every_degree(cfg):
     assert fixed == set(ids) - {"B2", "H1", "H2"}
 
 
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS)
+def test_each_kernel_entry_has_one_shape_in_the_walk(cfg):
+    # The chi- and u-steps read linear, the chi and u slopes of each form
+    # with no v and no quadratic part; S5, S6 and H1 are read only in the
+    # v-step, from curved.  The flat forms are only in fixed.
+    ids = cfg.constraint_ids
+    _, linear, curved = cfg._forms
+    assert {len(entry) for entry in linear} == {7}
+    assert [ids[i] for i, *_ in curved] == ["S5", "S6", "H1"]
+    assert {ids[i] for i, *_ in linear} == set(ids) - {
+        "B1", "B2", "B3", "S1", "S5", "S6", "H1"}
+
+
 @pytest.mark.parametrize("term, cid", [
     (lambda d, delta, chi, u, v: d * delta, "S3"),
     (lambda d, delta, chi, u, v: delta * delta, "S4"),
@@ -701,9 +729,9 @@ def test_config_stays_a_plain_value_after_use(cfg):
 
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS)
 def test_report_stays_a_plain_value_after_entries_are_read(cfg):
-    # The first read of entries caches the records in the report's
-    # __dict__; that cache must not enter == or hash, nor break pickle or
-    # deepcopy.
+    # Reading entries builds the records and keeps none of them in the
+    # report's __dict__, so == and hash, pickle and deepcopy stay as they
+    # were.
     for t in (ORACLE_ANCHORS[0], InvariantTuple(1, -1, 1, 1, 0)):
         report = evaluate(t, cfg)
 
@@ -719,7 +747,7 @@ def test_report_stays_a_plain_value_after_entries_are_read(cfg):
                                   for c in copies]
 
         before = observed()
-        assert "entries" not in vars(report)
         entries = report.entries
-        assert vars(report)["entries"] is entries
+        assert "entries" not in vars(report)
+        assert report.entries == entries
         assert observed() == before

@@ -142,8 +142,8 @@ DENSE_BOX = "d=20..20,delta=40..60,chi=1..3,u=13..33,v=641..661"
 
 
 @pytest.mark.parametrize("spec, counts", [
-    (SPARSE_BOX, (140, 170, 15, 283, 19, 44, 84, 69)),
-    (DENSE_BOX, (0, 21, 11, 693, 691, 14346, 14373, 14358)),
+    (SPARSE_BOX, (140, 170, 15, 283, 47, 44, 84, 69)),
+    (DENSE_BOX, (0, 21, 11, 693, 693, 14346, 14373, 14358)),
     # H2 is below 0 at every corner of this box's one row; the chi-step
     # empties it.
     ("d=3..3,delta=0..0,chi=2..2,u=8..14,v=91..122",
@@ -157,9 +157,9 @@ def test_scan_kernel_calls_grow_with_rows_not_cells(monkeypatch, spec,
     # that S2 + S4 = d^2 - 3d - delta keeps, and on which every constraint
     # but H1 and H2 holds at some corner of the (chi, u, v) box.  Each row
     # of it costs one call and reaches the chi-interval, and no other row
-    # is read; is_feasible reads each emitted row once.  Of the cells that
-    # satisfy every constraint but S5, S6 and H1, only those where S5 and
-    # S6 hold at their best v get a v-interval.
+    # is read; is_feasible reads each emitted row once.  Each cell of a
+    # reached row that satisfies every constraint but S5, S6 and H1 gets a
+    # v-interval.
     cfg = HypothesisConfig()
     kernel = cfg._kernel
     box = ScanBox.parse(spec)
@@ -195,11 +195,7 @@ def test_scan_kernel_calls_grow_with_rows_not_cells(monkeypatch, spec,
              if all(e.satisfied for e in evaluate(
                  InvariantTuple(*cell, 0), GEOMETRIC).entries
                  if e.id not in ("S5", "S6", "H1"))]
-    v_cells = [cell for cell in cells
-               if evaluate(InvariantTuple(*cell, box.v[1]),
-                           GEOMETRIC).value_of("S5") >= 0
-               and evaluate(InvariantTuple(*cell, box.v[0]),
-                            GEOMETRIC).value_of("S6") >= 0]
+    v_cells = [cell for cell in cells if cell[:2] in reached]
     counted = []
     for _ in range(2):  # a fresh config, then the same config reused
         calls.clear()
@@ -214,9 +210,50 @@ def test_scan_kernel_calls_grow_with_rows_not_cells(monkeypatch, spec,
     assert counted == [15 + reused, reused]
 
 
+# A corner of the first sparse box: the cells (5, 0, 1, 9) and
+# (6, 0, 1, 7..10) satisfy every constraint but S5, S6 and H1, so they pass
+# the chi- and u-steps, but S5 needs a v above the box there.
+S5_CUT_BOX = "d=5..6,delta=0..0,chi=1..1,u=4..10,v=-4..36"
+
+
+def test_s5_and_s6_cut_only_in_the_v_step(monkeypatch):
+    box = ScanBox.parse(S5_CUT_BOX)
+    kernel, ids = GEOMETRIC._kernel, GEOMETRIC.constraint_ids
+    s5, s6 = ids.index("S5"), ids.index("S6")
+    axes = [range(lo, hi + 1) for lo, hi in box.ranges()]
+    past_u = [cell for cell in product(*axes[:4])
+              if all(value >= 0 for cid, value in zip(ids, kernel(*cell, 0))
+                     if cid not in ("S5", "S6", "H1"))]
+    no_v = [cell for cell in past_u
+            if not any(is_feasible((*cell, v), GEOMETRIC) for v in axes[4])]
+    s5_or_s6 = [cell for cell in no_v
+                if all(min(kernel(*cell, v)[s5], kernel(*cell, v)[s6]) < 0
+                       for v in axes[4])]
+    assert s5_or_s6 == [(5, 0, 1, 9), (6, 0, 1, 7), (6, 0, 1, 8),
+                        (6, 0, 1, 9), (6, 0, 1, 10)]
+    # Each cell past the u-step costs one v-solve, which is empty exactly
+    # where the cell has no feasible v.
+    affine_interval, solves = constraints_module._affine_interval, []
+
+    def recording_affine_interval(pairs, lo, hi):
+        got = affine_interval(pairs, lo, hi)
+        if (lo, hi) == box.v:
+            solves.append(got)
+        return got
+
+    monkeypatch.setattr(constraints_module, "_affine_interval",
+                        recording_affine_interval)
+    result, out = run_scan(box)
+    expected = naive_feasible_rows(box, GEOMETRIC)
+    assert out.strip().splitlines()[1:] == expected
+    assert result.feasible == len(expected) > 0
+    assert len(solves) == len(past_u)
+    assert sum(not vs for vs in solves) == len(no_v)
+
+
 def test_hot_path_builds_no_constraint_records(monkeypatch):
     # Only a report's entries turn the kernel's tuple of ints into
-    # ConstraintValue records, once, on first read; the scan, is_feasible,
+    # ConstraintValue records, afresh on each read; the scan, is_feasible,
     # feasible_cells, evaluate and the report's JSON never do.
     built = []
     real = constraints_module.ConstraintValue
@@ -241,10 +278,10 @@ def test_hot_path_builds_no_constraint_records(monkeypatch):
     report.value_of("S1")
     assert report.feasible
     assert built == []
-    entries = report.entries  # the count sees what the first read builds
+    entries = report.entries  # the count sees what each read builds
     assert len(built) == len(GEOMETRIC.constraint_ids) == 13
-    assert report.entries is entries
-    assert len(built) == 13
+    assert report.entries == entries
+    assert len(built) == 26
 
 
 def test_worker_counts_produce_identical_bytes():
@@ -506,6 +543,26 @@ def test_ignored_arguments_are_still_checked_before_scanning(kwargs,
     with pytest.raises(ValueError, match=re.escape(message)):
         scan(box, GEOMETRIC, sink, **kwargs)
     assert sink.calls == 0
+
+
+@pytest.mark.parametrize("box, cfg, message", [
+    ("d=1..2,delta=-2,chi=1,u=1..2,v=0..2", GEOMETRIC, "needs a ScanBox, "
+     "got 'd=1..2,delta=-2,chi=1,u=1..2,v=0..2'"),
+    (((1, 2), (-2, -2), (1, 1), (1, 2), (0, 2)), GEOMETRIC,
+     "needs a ScanBox, got ((1, 2), (-2, -2), (1, 1), (1, 2), (0, 2))"),
+    (ScanBox.of(d=(1, 2), delta=-2, chi=1, u=(1, 2), v=(0, 2)), None,
+     "needs a HypothesisConfig, got None"),
+])
+def test_scan_and_iter_feasible_check_box_and_config_first(box, cfg,
+                                                           message):
+    # Each used to raise AttributeError on box.ranges or cfg._kernel.
+    sink = _FailingSink()
+    with pytest.raises(ValueError, match=re.escape("scan " + message)):
+        scan(box, cfg, sink)
+    assert sink.calls == 0
+    with pytest.raises(ValueError,
+                       match=re.escape("iter_feasible " + message)):
+        next(iter_feasible(box, cfg))
 
 
 class _FailingSink:
