@@ -13,12 +13,13 @@ that is 34^3 = 39304, driven by the clamp rather than the crossing.
 Every step runs the one forced quadratic
 :func:`invariants.forced_quadratic`, which registry id S5.QUAD proves, on
 ints already checked; :func:`section5_quadratic` is its gated public
-name.  Everything is exact, no floats: integer sign analysis, one
-``isqrt`` for sharp :func:`delta_lower`, and bisection over integer
-degrees for the sharp crossing.  The crossing arithmetic is integer:
-both crossings compare the bounds scaled by a positive multiple of s, so
-``Fraction`` appears only in reported values (the lifting threshold, the
-genus bound and :func:`delta_lower`).
+name.  Everything is exact, no floats: integer sign analysis, one exact
+integer root (the floor of a quadratic's larger root, by ``isqrt``) for
+sharp :func:`delta_lower` and the paper crossing, and bisection over
+integer degrees for the sharp crossing.  The crossing arithmetic is
+integer: both crossings compare the bounds scaled by a positive multiple
+of s, so ``Fraction`` appears only in reported values (the lifting
+threshold, the genus bound and :func:`delta_lower`).
 """
 
 from __future__ import annotations
@@ -100,6 +101,12 @@ def section5_quadratic(d: int, kappa: int) -> tuple:
     return forced_quadratic(d, kappa)
 
 
+def _root_floor(a: int, b: int, c: int) -> int:
+    # Floor of the larger root of a*x^2 + b*x + c (a > 0, real roots); the
+    # floor of the square root leaves the floor of the quotient unchanged.
+    return (-b + math.isqrt(b * b - 4 * a * c)) // (2 * a)
+
+
 def delta_lower(d: int, kappa: int, mode: str = "paper") -> Fraction:
     """Lower bound on delta forced by the quadratic (needs C < 0, which makes
     the roots straddle zero).
@@ -120,19 +127,16 @@ def delta_lower(d: int, kappa: int, mode: str = "paper") -> Fraction:
         )
     if mode == "paper":
         return Fraction(-b, a)
-    # floor(n * root) = floor((-b*n + sqrt(n^2 * disc)) / 2a), and flooring
-    # the square root first leaves the floor of the quotient unchanged.
+    # n * root is the larger root of a*x^2 + b*n*x + c*n^2.
     n = SHARP_TOLERANCE.denominator
-    return Fraction((-b * n + math.isqrt(n * n * (b * b - 4 * a * c)))
-                    // (2 * a), n)
+    return Fraction(_root_floor(a, b * n, c * n * n), n)
 
 
 def _crossing_paper(s_eff: int, kappa: int) -> int:
     # The gap between -B/A and the genus bound t is a quadratic in d with
     # positive leading coefficient 1/33 - 1/s_eff.  Scaled by 132*s_eff it
     # is an integer; read it off its values at d = 0, 1, 2 (times 2, which
-    # keeps every coefficient an integer) and bracket its upper root with
-    # isqrt.
+    # keeps every coefficient an integer).
     m = 4 * s_eff
 
     def gap(dd: int, k: int = kappa) -> int:
@@ -151,19 +155,9 @@ def _crossing_paper(s_eff: int, kappa: int) -> int:
             f"kappa = {kappa} is out of range for effective degree "
             f"{s_eff}: the crossing argument needs kappa >= {least}"
         )
-
-    disc = ib * ib - 4 * ia * ic
-    root_hint = (-ib + math.isqrt(disc)) // (2 * ia)
-
-    def positive(x: int) -> bool:
-        return ia * x * x + ib * x + ic > 0
-
-    # ic < 0 puts the lower root below 0, and isqrt rounds down, so the walk
-    # starts in [0, upper root], where the quadratic is not positive, and
-    # stops at the first integer past the upper root.
-    d_star = max(root_hint - 2, 0)
-    while not positive(d_star):
-        d_star += 1
+    # ic < 0 puts the lower root below 0, so the crossing, the first
+    # integer d >= 0 with a positive gap, is the one past the upper root.
+    d_star = _root_floor(ia, ib, ic) + 1
 
     # -B/A bounds delta from below only where C(d) < 0.  The gap falls from
     # d = 0 to d = 1 and 2, so d* > 2, and for d >= 2 the second difference
@@ -194,7 +188,9 @@ def _crossing_sharp(s_eff: int, kappa: int, hi: int) -> int:
         return c < 0 and (a * n + b * m) * n + c * m * m < 0
 
     # exceeds(hi) holds: C(hi) < 0 puts the true root above -B/A, which
-    # exceeds the genus bound at the paper crossing hi.
+    # exceeds the genus bound at the paper crossing hi.  The bisection takes
+    # exceeds to turn true once in d; test_bounds.py's
+    # test_true_root_exceeds_flips_once_at_the_sharp_crossing checks that.
     lo = 1  # exceeds(1) is False: the genus bound is >= 860 there
     while hi - lo > 1:
         mid = (lo + hi) // 2

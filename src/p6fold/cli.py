@@ -170,15 +170,9 @@ def _cmd_verify(args) -> int:
         results = identities.verify_all()
 
     if args.fmt == "json":
-        _emit_json([
-            {
-                "id": r.id,
-                "description": r.description,
-                "pass": r.passed,
-                "comparisons": [dataclasses.asdict(c) for c in r.comparisons],
-            }
-            for r in results
-        ])
+        _emit_json([{"pass" if key == "passed" else key: value
+                     for key, value in dataclasses.asdict(r).items()}
+                    for r in results])
     else:
         for r in results:
             print(f"{'PASS' if r.passed else 'FAIL'}  {r.id:8s} "

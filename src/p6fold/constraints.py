@@ -21,17 +21,17 @@ delta mod 2, which is satisfied iff it is 0.
 
 Each :class:`HypothesisConfig` builds one kernel, once, and caches it: a
 function of ``(d, delta, chi, u, v)`` that returns every value of
-``constraint_ids`` as a plain tuple of ints in that order.  There are four
-shapes, geometric or raw and with or without a cap, so the kernel tests no
-mode and reads no property when it runs; the S and H values are the tuple
-of :func:`invariants.invariants`.  It stores B2 as -(delta mod 2), so that
-"holds" means ">= 0" for every entry.  :func:`is_feasible` and
-:func:`feasible_cells` read only that tuple, and :func:`evaluate` keeps it
-in its :class:`ConstraintReport` as it is; the report's JSON, ``value_of``
-and ``entries`` (new :class:`ConstraintValue` records on each read) read
-those ints through one helper, which gives B2 back its sign.  The kernel
-is left out of a config's pickled and copied state, so a config stays a
-plain value.
+``constraint_ids`` as a plain tuple of ints in that order.  It is one
+base per mode, :func:`invariants.invariants` itself (the S and H values)
+in raw mode and the five basic values before it in geometric mode, and a
+cap adds one wrapper that appends K; so a call tests no mode and reads no
+property.  It stores B2 as -(delta mod 2), so that "holds" means ">= 0"
+for every entry.  :func:`is_feasible` and :func:`feasible_cells` read only
+that tuple, and :func:`evaluate` keeps it in its :class:`ConstraintReport`
+as it is; the report's JSON, ``value_of`` and ``entries`` (new
+:class:`ConstraintValue` records on each read) read those ints through one
+helper, which gives B2 back its sign.  The kernel is left out of a
+config's pickled and copied state, so a config stays a plain value.
 
 :func:`feasible_cells` is the one walk of the feasible region of a box;
 its docstring gives the walk and what it costs.
@@ -93,22 +93,16 @@ class HypothesisConfig:
         v)``, in that order, as a tuple of ints; each holds iff it is >= 0,
         so B2 is -(delta mod 2)."""
         min_degree, cap = self.min_degree, self.ks2_cap
-        if not self.geometric_mode:
-            if cap is None:
-                return invariants
-
-            def kernel(d, delta, chi, u, v):
-                return (invariants(d, delta, chi, u, v)
-                        + (cap - (10 * chi - u),))
-        elif cap is None:
-            def kernel(d, delta, chi, u, v):
+        base = invariants
+        if self.geometric_mode:
+            def base(d, delta, chi, u, v):
                 return ((d - min_degree, -(delta % 2), delta + 2, chi - 1,
                          u - 1) + invariants(d, delta, chi, u, v))
-        else:
-            def kernel(d, delta, chi, u, v):
-                return ((d - min_degree, -(delta % 2), delta + 2, chi - 1,
-                         u - 1) + invariants(d, delta, chi, u, v)
-                        + (cap - (10 * chi - u),))
+        if cap is None:
+            return base
+
+        def kernel(d, delta, chi, u, v):
+            return base(d, delta, chi, u, v) + (cap - (10 * chi - u),)
         return kernel
 
     @cached_property

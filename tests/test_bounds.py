@@ -14,6 +14,7 @@ import pytest
 
 from p6fold.bounds import (
     SHARP_TOLERANCE,
+    _root_floor,
     degree_bound,
     delta_lower,
     genus_upper_delta,
@@ -127,6 +128,33 @@ def test_delta_lower_sharp_brackets_the_root():
         assert quadratic_at(dd, 9, sharp + SHARP_TOLERANCE) > 0
         # ... on the tolerance grid
         assert (sharp / SHARP_TOLERANCE).denominator == 1
+
+
+def root_floor_holds(a, b, c, r):
+    # r is at or below the larger root of a*x^2 + b*x + c (a > 0) and r + 1
+    # is past it, with no square root: with x = 2a*r + b, the root is
+    # (-b + sqrt(disc)) / 2a, so r <= root iff x <= sqrt(disc).
+    disc = b * b - 4 * a * c
+    x = 2 * a * r + b
+    return ((x <= 0 or x * x <= disc)
+            and x + 2 * a > 0 and (x + 2 * a) ** 2 > disc)
+
+
+def test_root_floor_matches_a_square_root_free_oracle():
+    import random
+    rng = random.Random(5)
+    for _ in range(3000):
+        a = rng.randint(1, 10 ** rng.choice((1, 3, 10, 30)))
+        top = 10 ** rng.choice((1, 3, 10, 30))
+        b = rng.randint(-top, top)
+        # any c up to b^2 / 4a gives real roots
+        c = rng.randint(-top, b * b // (4 * a))
+        assert root_floor_holds(a, b, c, _root_floor(a, b, c)), (a, b, c)
+        # a*(x - p)*(x - q) has a perfect-square discriminant and larger
+        # root q, a double root when p = q
+        p, q = sorted(rng.randint(-top, top) for _ in range(2))
+        p = rng.choice((p, q))
+        assert _root_floor(a, -a * (p + q), a * p * q) == q, (a, p, q)
 
 
 # The least delta of a feasible tuple of degree d = 1..40 in geometric mode
@@ -347,6 +375,20 @@ def true_root_exceeds(dd, kappa, s_eff):
     if rhs < 0:
         return True
     return b * b - 4 * a * c > rhs * rhs
+
+
+@pytest.mark.parametrize("s, kappa, flip",
+                         [(40, 11, 3101), (89, 5, 2252), (200, 39, 4087)])
+def test_true_root_exceeds_flips_once_at_the_sharp_crossing(s, kappa, flip):
+    # The sharp crossing bisects on this predicate, which is right only if
+    # it turns from false to true once over d = 1..paper crossing.
+    s_eff = s if s % 2 == 0 else s - 1
+    paper = degree_bound(s, kappa).first_contradictory_degree
+    sharp = degree_bound(s, kappa, mode="sharp").first_contradictory_degree
+    seen = [true_root_exceeds(dd, kappa, s_eff) for dd in range(1, paper + 1)]
+    flips = [dd for dd in range(2, paper + 1) if seen[dd - 1] != seen[dd - 2]]
+    assert (seen[0], flips) == (False, [flip])
+    assert sharp == flip
 
 
 def test_no_false_contradiction_below_the_bound():

@@ -52,6 +52,43 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_nothing_the_package_imports_or_defines_goes_unused():
+    # A deletion that leaves an import or a private helper behind fails
+    # here: each top-level import is read in its module (or named in its
+    # __all__), and each top-level private name is read somewhere in the
+    # package, as a name, an attribute or an import.
+    trees = dict(_trees())
+    read, anywhere = {}, set()
+    for path, tree in trees.items():
+        here = read[path.name] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                here.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                anywhere.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                anywhere.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets):
+                here.update(e.value for e in node.value.elts)
+        anywhere |= here
+    found = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) != "__future__":
+                    found += [f"{path.name}: import {name}" for name in (
+                        (a.asname or a.name).partition(".")[0]
+                        for a in node.names) if name not in read[path.name]]
+                continue
+            for target in getattr(node, "targets", [node]):
+                name = getattr(target, "id", getattr(target, "name", ""))
+                if (name.startswith("_") and not name.startswith("__")
+                        and name not in anywhere):
+                    found.append(f"{path.name}: {name}")
+    assert found == []
+
+
 def test_integer_checks_do_not_use_isinstance():
     # isinstance(x, int) admits True and False; the modules that decide
     # whether an argument is an integer test type(x) is int.
