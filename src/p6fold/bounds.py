@@ -237,7 +237,10 @@ def degree_bound(s: int, kappa: int, mode: str = "paper") -> BoundReport:
 
 
 def proof_trace(report: BoundReport) -> str:
-    """Human-readable walk through the inequalities behind a report."""
+    """Human-readable walk through the inequalities behind a report;
+    :class:`ValueError` unless ``report`` is a :class:`BoundReport`."""
+    if not isinstance(report, BoundReport):
+        raise ValueError(f"proof_trace needs a BoundReport, got {report!r}")
     s_eff = _effective_even(report.s)
     genus_const = Fraction(3 * s_eff * s_eff - 28, 4)
     genus_lin = Fraction(s_eff, 2) - 3

@@ -114,12 +114,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--show", action="store_true",
                           help="print each side in canonical text form")
     _add_format_flags(p_verify, ("human", "json"), "human")
+    p_verify.set_defaults(run=_cmd_verify)
 
     p_profile = sub.add_parser(
         "profile", help="derived numbers of one invariant tuple")
     p_profile.add_argument("--tuple", type=parse_tuple, required=True,
                            metavar=_TUPLE_METAVAR, dest="invariants")
     _add_format_flags(p_profile, ("human", "json"), "human")
+    p_profile.set_defaults(run=_cmd_profile)
 
     p_check = sub.add_parser(
         "check", help="evaluate the constraint system on a tuple")
@@ -127,6 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar=_TUPLE_METAVAR, dest="invariants")
     _add_hypothesis_flags(p_check)
     _add_format_flags(p_check, ("human", "json"), "human")
+    p_check.set_defaults(run=_cmd_check)
 
     p_bound = sub.add_parser(
         "bound", help="compute the degree bound for an excluded "
@@ -140,6 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="use the exact quadratic root instead of the "
                               "published relaxation")
     _add_format_flags(p_bound, ("json", "human"), "json")
+    p_bound.set_defaults(run=_cmd_bound)
 
     p_scan = sub.add_parser(
         "scan", help="stream the feasible tuples of an integer box")
@@ -155,6 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--out", metavar="FILE", default=None,
                         help="write to FILE instead of stdout")
     _add_format_flags(p_scan, ("csv", "jsonl"), "csv")
+    p_scan.set_defaults(run=_cmd_scan)
 
     return parser
 
@@ -295,15 +300,6 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "verify": _cmd_verify,
-    "profile": _cmd_profile,
-    "check": _cmd_check,
-    "bound": _cmd_bound,
-    "scan": _cmd_scan,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -317,7 +313,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        code = _COMMANDS[args.command](args)
+        code = args.run(args)
         sys.stdout.flush()
         return code
     except OSError as exc:

@@ -169,6 +169,7 @@ class ConstraintReport:
         return tuple(ConstraintValue(*row) for row in self._shown())
 
     def value_of(self, constraint_id: str) -> int:
+        """The value of ``constraint_id``; KeyError if it is not checked."""
         for cid, value, _ in self._shown():
             if cid == constraint_id:
                 return value

@@ -12,12 +12,12 @@ is :func:`p6fold.invariants.forced_quadratic`, which the bound solver runs;
 so the registry proves that code.  S5.QUAD builds its left side from the
 same Schur and Hodge forms, eliminating v at chi = u = 1.
 
-The normal bundle and the Schur classes of its twist N(-1) are derived once
-per process, by the first check that needs them, and shared by every later
-check; ring values are immutable, so sharing them is safe.  Each check
-still reduces and diffs its own left side, and no result is cached.  A test
-that patches ``normal_chern``, ``twist_rank3`` or ``schur_values`` here must
-clear both caches (``_normal_bundle.cache_clear()`` and
+The normal bundle and the six Schur top classes of its twist N(-1) are
+derived once per process, by the first check that needs them, and shared
+by every later check; ring values are immutable, so sharing them is safe.
+Each check reduces and diffs its own left side, and no result is cached.
+A test that patches ``normal_chern``, ``twist_rank3`` or ``schur_values``
+here must clear both caches (``_normal_bundle.cache_clear()`` and
 ``_schur_of_twisted_normal.cache_clear()``) before and after.
 
 The 17 canonical ids:
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .errors import UnknownIdentityError
-from .invariants import forced_quadratic, hodge_numbers, schur_numbers
+from .invariants import forced_quadratic, invariants
 from .ring import (
     chi,
     d,
@@ -86,14 +86,10 @@ def _normal_bundle():
 
 @cache
 def _schur_of_twisted_normal():
-    return schur_values(*twist_rank3(*_normal_bundle(), -h))
-
-
-def _schur_number(i):
-    """The i-th Schur number of N(-1), in SCHUR_PARAM_FORMS order, reduced."""
-    s1, s20, s300, s11, s210, s111 = _schur_of_twisted_normal()
-    numbers = (s1 * h * h, s20 * h, s11 * h, s300, s210, s111)
-    return reduce_to_params(numbers[i])
+    """The six Schur top classes of N(-1), in SCHUR_PARAM_FORMS order."""
+    s1, s20, s300, s11, s210, s111 = schur_values(
+        *twist_rank3(*_normal_bundle(), -h))
+    return s1 * h * h, s20 * h, s11 * h, s300, s210, s111
 
 
 def _closing_quadratic():
@@ -101,9 +97,9 @@ def _closing_quadratic():
     # 10*chi - u = 9; putting that least v into the twisted-determinant
     # Hodge form eliminates v and leaves the quadratic in delta that the
     # bound solver runs, at cap 9.
-    v0 = -schur_numbers(d, delta, 1, 1, 0)[4]
+    v0 = -invariants(d, delta, 1, 1, 0)[4]
     a, b, c = forced_quadratic(d, 9)
-    return hodge_numbers(d, delta, 1, 1, v0)[0], a * delta ** 2 + b * delta + c
+    return invariants(d, delta, 1, 1, v0)[6], a * delta ** 2 + b * delta + c
 
 
 # Stated right sides.  The GradedPoly forms of the normal bundle n1, n2, n3:
@@ -116,8 +112,8 @@ _N_STATED = (7 * h + k,
 # The closed forms that profile() and the constraint system run on ints,
 # here on the parameter generators.  Schur order: s1*h^2, s20*h, s11*h,
 # s300, s210, s111; Hodge order: twisted determinant, hyperplane.
-SCHUR_PARAM_FORMS = schur_numbers(d, delta, chi, u, v)
-_HODGE_PARAM_FORMS = hodge_numbers(d, delta, chi, u, v)
+_PARAM_FORMS = invariants(d, delta, chi, u, v)
+SCHUR_PARAM_FORMS, _HODGE_PARAM_FORMS = _PARAM_FORMS[:6], _PARAM_FORMS[6:]
 _SCHUR_NAMES = ("s(1)*h^2", "s(20)*h", "s(11)*h", "s(300)", "s(210)",
                 "s(111)")
 
@@ -148,8 +144,9 @@ REGISTRY = {
                lambda: [("", reduce_to_params(c3),
                          reduce_to_params(_N_STATED[2] + c3) - d * d)]),
     **{f"L4.3.{i + 1}": (f"Schur number {name} of the twisted normal bundle",
-                         lambda i=i: [("", _schur_number(i),
-                                       SCHUR_PARAM_FORMS[i])])
+                         lambda i=i: [("", reduce_to_params(
+                             _schur_of_twisted_normal()[i]),
+                             SCHUR_PARAM_FORMS[i])])
        for i, name in enumerate(_SCHUR_NAMES)},
     "DP": ("double-point identity: n3 reduces to d^2",
            lambda: [("", reduce_to_params(_normal_bundle()[2]), d * d)]),
@@ -170,7 +167,8 @@ REGISTRY = {
     "S5.QUAD": ("closing quadratic in delta from the two v-bounds",
                 lambda: [("", *_closing_quadratic())]),
     "S5.SUM": ("s(20)*h + s(11)*h = 3d + 6*delta + 10*chi - u",
-               lambda: [("", _schur_number(1) + _schur_number(2),
+               lambda: [("", sum(map(reduce_to_params,
+                                     _schur_of_twisted_normal()[1:3])),
                          3 * d + 6 * delta + 10 * chi - u)]),
 }
 

@@ -2,10 +2,9 @@
 
 The five integers ``(d, delta, chi, u, v)`` determine every Chern and
 intersection number in scope.  :func:`degree3_numbers` and
-:func:`invariants` are the only copy of these closed forms;
-:func:`schur_numbers` and :func:`hodge_numbers` are slices of the latter,
-and :func:`forced_quadratic` is the closing quadratic that two of them
-force.  They are plain arithmetic, so the same function runs on ints (in
+:func:`invariants` are the only copy of these closed forms, and
+:func:`forced_quadratic` is the closing quadratic that two of them force.
+They are plain arithmetic, so the same function runs on ints (in
 :func:`profile`, the constraint system and the bound solver) and on the
 ring's ``ParamExpr`` generators (in the substitution table and the
 identity registry, which proves them).
@@ -141,17 +140,6 @@ def invariants(d, delta, chi, u, v):
     )
 
 
-def schur_numbers(d, delta, chi, u, v):
-    """The first six numbers of :func:`invariants`: the Schur numbers."""
-    return invariants(d, delta, chi, u, v)[:6]
-
-
-def hodge_numbers(d, delta, chi, u, v):
-    """The last two numbers of :func:`invariants`: the Hodge-index
-    expressions."""
-    return invariants(d, delta, chi, u, v)[6:]
-
-
 def forced_quadratic(d, kappa):
     """Coefficients (A, B, C) of the forced quadratic in delta, which
     registry id S5.QUAD derives from S5 and H1 at cap 9.
@@ -199,15 +187,15 @@ def five_ints(fn: str, t) -> tuple:
 
 def profile_numbers(d, delta, chi, u, v) -> tuple:
     """The 18 numbers of :data:`PROFILE_KEYS`, in that order, by the closed
-    forms above.  ``g`` is an int, or the text ``"p/2"`` when delta is odd
-    (raw mode only); every other number is an int.  Checks nothing: callers
-    pass five ints."""
+    forms above.  ``g`` is exact: an int, or a half-integer ``Fraction``
+    when delta is odd (raw mode only); every other number is an int.
+    Checks nothing: callers pass five ints."""
     pg = chi - 1
-    g = (delta + 2) // 2 if delta % 2 == 0 else f"{delta + 2}/2"
+    g = (delta + 2) // 2 if delta % 2 == 0 else Fraction(delta + 2, 2)
     return (degree3_numbers(d, delta, chi, u, v)
             + (d * d,  # n3, by the double-point identity (registry id DP)
                10 * chi - u, 2 * chi + u, pg, g)
-            + schur_numbers(d, delta, chi, u, v))
+            + invariants(d, delta, chi, u, v)[:6])
 
 
 def profile(t: InvariantTuple) -> Profile:
@@ -216,6 +204,4 @@ def profile(t: InvariantTuple) -> Profile:
     Raises :class:`ValueError` unless ``t`` is five integers.
     """
     numbers = profile_numbers(*five_ints("profile", t))
-    g = numbers[11]
-    return Profile(*numbers[:11], g if type(g) is int else Fraction(g),
-                   SchurNumbers(*numbers[12:]))
+    return Profile(*numbers[:12], SchurNumbers(*numbers[12:]))

@@ -32,7 +32,8 @@ from operator import add, mul
 from typing import NamedTuple
 
 from .errors import DomainError
-from .invariants import KC2_VALUE, InvariantTuple, degree3_numbers
+from .invariants import (KC2_VALUE, InvariantTuple, degree3_numbers,
+                         require_ints)
 
 
 def _exact(value, what: str):
@@ -221,6 +222,10 @@ class _Poly:
         return self._terms == other._terms
 
     def __hash__(self):
+        # A constant equals its scalar (see __eq__), so it hashes like it.
+        unit = (0,) * len(self._NAMES)
+        if self._terms.keys() <= {unit}:
+            return hash(self._terms.get(unit, 0))
         return hash(frozenset(self._terms.items()))
 
     def __bool__(self):
@@ -249,6 +254,7 @@ class GradedPoly(_Poly):
         return Fraction(self._terms.get((0, 0, 0, 0), 0))
 
     def degree_part(self, degree: int) -> "GradedPoly":
+        require_ints("degree_part needs an integer degree", degree)
         return GradedPoly._make({m: c for m, c in self._terms.items()
                                  if self._degree(m) == degree})
 

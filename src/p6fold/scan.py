@@ -45,8 +45,8 @@ CSV_PROFILE_COLUMNS = ("h2k", "hk2", "k3", "hc2", "c3", "KS2", "g",
 
 # A row's slots: the tuple's five ints, then its profile_numbers.  A JSONL
 # row fills every slot into the bytes json.dumps gives for the dict of
-# their keys: g is the text "p/2", a JSON string, when delta is odd, so
-# that case has its own template.
+# their keys: g, an exact Fraction that %s renders as p/2 when delta is
+# odd, is then a JSON string, so that case has its own template.
 _SLOTS = _AXES + PROFILE_KEYS
 
 
@@ -109,6 +109,8 @@ class ScanBox:
     @classmethod
     def parse(cls, text: str) -> "ScanBox":
         """Parse ``"d=1..2,delta=-2,chi=1,u=1..2,v=0..2"``."""
+        if not isinstance(text, str):
+            raise ValueError(f"ScanBox.parse needs a str, got {text!r}")
         axes = {}
         for chunk in text.split(","):
             if "=" not in chunk:

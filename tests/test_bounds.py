@@ -421,3 +421,12 @@ def test_proof_trace_mentions_the_numbers():
     assert "39304" in trace
     assert "1561/2" in trace
     assert "16922" in trace
+
+
+@pytest.mark.parametrize("report", [None, 34, (34, 9),
+                                    degree_bound(34, 9).to_json_dict()])
+def test_proof_trace_needs_a_bound_report(report):
+    # A non-report used to raise AttributeError on report.s.
+    with pytest.raises(ValueError, match=re.escape(
+            f"proof_trace needs a BoundReport, got {report!r}")):
+        proof_trace(report)

@@ -7,9 +7,11 @@ import hashlib
 import importlib
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -903,3 +905,17 @@ def test_console_script_end_to_end():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["final_bound"] == 39304
+
+
+def test_the_declared_console_script_runs(capsys, monkeypatch):
+    # The installed p6fold command calls the [project.scripts] target with
+    # no arguments, so a renamed or moved main would break it unseen.  Read
+    # by regex: Python 3.10 has no tomllib.
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, name = re.search(
+        r'^\[project\.scripts\]\n+p6fold = "([\w.]+):(\w+)"', text,
+        re.M).groups()
+    entry = getattr(importlib.import_module(module), name)
+    monkeypatch.setattr(sys, "argv", ["p6fold", "bound", "--s", "34"])
+    assert entry() == 0
+    assert json.loads(capsys.readouterr().out)["final_bound"] == 39304

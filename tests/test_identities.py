@@ -13,7 +13,7 @@ from p6fold.identities import (
     verify_all,
     verify_identity,
 )
-from p6fold.ring import ParamExpr, chi, d, delta, u, v
+from p6fold.ring import ParamExpr, _Poly, chi, d, delta, u, v
 
 EXPECTED_IDS = [
     "L3.4",
@@ -60,6 +60,26 @@ def test_registry_derives_the_normal_bundle_once_per_process(
     assert (normal[0], twist[0]) == (1, 1)
     # Each check still reduces its own left side.
     assert reduce[0] > 0
+
+
+def test_schur_checks_multiply_nothing_once_derived(fresh_derivations,
+                                                    monkeypatch):
+    # The Schur checks used to rebuild the six top classes (s1*h*h, ...)
+    # from the cached Schur values on every call.  Only a product of two
+    # polynomials counts: S5.SUM states its right side as 3*d + ...
+    assert all(r.passed for r in verify_all())
+    calls = [0]
+    mul = _Poly.__mul__
+
+    def counted(self, other):
+        calls[0] += isinstance(other, _Poly)
+        return mul(self, other)
+
+    monkeypatch.setattr(_Poly, "__mul__", counted)
+    monkeypatch.setattr(_Poly, "__rmul__", counted)
+    ids = [f"L4.3.{i}" for i in range(1, 7)] + ["S5.SUM"]
+    assert all(verify_identity(i).passed for i in ids)
+    assert calls[0] == 0
 
 
 def test_a_bad_derivation_still_fails_the_registry(fresh_derivations,

@@ -14,8 +14,8 @@ from p6fold.constraints import (HypothesisConfig, evaluate, feasible_cells,
                                 is_feasible)
 from p6fold.errors import DomainError
 from p6fold.invariants import (PROFILE_KEYS, InvariantTuple, degree3_numbers,
-                               from_geometry, profile, profile_numbers,
-                               schur_numbers)
+                               from_geometry, invariants, profile,
+                               profile_numbers)
 from p6fold.ring import (ParamExpr, chi, d, delta, h, normal_chern,
                          reduce_to_params, schur_values, twist_rank3, u, v)
 from p6fold.scan import ScanBox
@@ -115,7 +115,7 @@ def test_profile_numbers_are_affine_in_v():
     # The scanner renders a cell's rows from its slots at two values of v,
     # which is exact only while no profile number has a v^2 (or higher) term.
     forms = (degree3_numbers(d, delta, chi, u, v)
-             + schur_numbers(d, delta, chi, u, v))
+             + invariants(d, delta, chi, u, v)[:6])
     for form in forms:
         if isinstance(form, ParamExpr):  # k*c2 is the int -24
             assert all(mono[4] <= 1 for mono in form.monomials()), form.text()
@@ -126,10 +126,8 @@ def test_profile_numbers_are_affine_in_v():
         *cell, v0 = t
         at = [profile_numbers(*cell, v0 + step) for step in range(3)]
         for key, a, b, c in zip(PROFILE_KEYS, *at):
-            if isinstance(a, str):  # g of an odd delta, free of v
-                assert key == "g" and a == b == c
-            else:
-                assert a - 2 * b + c == 0, (key, t)
+            assert a - 2 * b + c == 0, (key, t)
+            assert key == "g" or type(a) is int, (key, t)
 
 
 @pytest.mark.parametrize("bad", [
@@ -216,6 +214,7 @@ def test_raw_mode_odd_delta_has_half_integral_genus():
     p = profile(InvariantTuple(3, 1, 1, 1, 0))
     assert p.g == Fraction(3, 2)
     assert p.to_json_dict()["g"] == "3/2"
+    assert profile_numbers(3, 1, 1, 1, 0)[11] == Fraction(3, 2)
 
 
 def test_json_field_names():

@@ -417,6 +417,32 @@ def test_param_power_and_equality_with_scalars():
     assert d ** 0 == 1
 
 
+@pytest.mark.parametrize("kind", [GradedPoly, ParamExpr])
+@pytest.mark.parametrize("scalar", [0, 3, -7, 10 ** 30, Fraction(3),
+                                    Fraction(3, 2), Fraction(-1, 7)])
+def test_a_constant_hashes_like_the_scalar_it_equals(kind, scalar):
+    # A constant compared equal to its scalar but hashed apart from it, so
+    # {3, GradedPoly.constant(3)} had two members and {0: 'x'}.get(h - h)
+    # found nothing.
+    const = kind.constant(scalar)
+    assert const == scalar and hash(const) == hash(scalar)
+    assert len({scalar, const}) == 1
+    assert {scalar: "x"}.get(const) == "x"
+    zero = kind.constant(1) - kind.constant(1)
+    assert zero == 0 and hash(zero) == hash(0) == hash(kind())
+
+
+def test_degree_part_needs_an_integer_degree():
+    # degree_part(True) used to give the degree-1 part, and 1.5, None or
+    # nan an empty part.
+    p = 1 + h + k * k
+    assert p.degree_part(1) == h and p.degree_part(2) == k * k
+    for bad in (True, 1.5, None, float("nan"), Fraction(1)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"degree_part needs an integer degree, got {bad!r}")):
+            p.degree_part(bad)
+
+
 def test_mixing_graded_and_parameter_polynomials_is_a_type_error():
     for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
         with pytest.raises(TypeError):

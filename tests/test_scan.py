@@ -480,6 +480,15 @@ def test_box_parse_rejects(spec):
         ScanBox.parse(spec)
 
 
+@pytest.mark.parametrize("text", [None, 5, b"d=1,delta=0,chi=1,u=1,v=0",
+                                  ["d=1"]])
+def test_box_parse_needs_a_str(text):
+    # A non-str used to raise AttributeError from text.split.
+    with pytest.raises(ValueError, match=re.escape(
+            f"ScanBox.parse needs a str, got {text!r}")):
+        ScanBox.parse(text)
+
+
 def test_box_of_rejects_unknown_axes():
     with pytest.raises(ValueError, match=r"unknown axes: \['w'\]"):
         ScanBox.of(d=1, delta=0, chi=1, u=1, v=0, w=1)
