@@ -20,13 +20,16 @@ integer degrees for the sharp crossing.  The crossing arithmetic is
 integer: both crossings compare the bounds scaled by a positive multiple
 of s, so ``Fraction`` appears only in reported values (the lifting
 threshold, the genus bound and :func:`delta_lower`).
+
+:func:`degree_bound` returns a :class:`BoundReport`, a NamedTuple: a plain
+value whose JSON is its ``_asdict()`` with the threshold as text.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError
 from .invariants import forced_quadratic, require_ints
@@ -35,8 +38,7 @@ from .invariants import forced_quadratic, require_ints
 SHARP_TOLERANCE = Fraction(1, 10 ** 6)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Outcome of the closing argument for one (s, kappa) pair."""
 
     s: int
@@ -50,7 +52,7 @@ class BoundReport:
     def to_json_dict(self) -> dict:
         """The fields in declaration order, ``lifting_threshold`` as
         ``"p/q"`` or ``"p"`` text."""
-        return dict(asdict(self),
+        return dict(self._asdict(),
                     lifting_threshold=str(self.lifting_threshold))
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import os
 import stat
@@ -176,7 +175,8 @@ def _cmd_verify(args) -> int:
 
     if args.fmt == "json":
         _emit_json([{"pass" if key == "passed" else key: value
-                     for key, value in dataclasses.asdict(r).items()}
+                     for key, value in r._asdict().items()}
+                    | {"comparisons": [c._asdict() for c in r.comparisons]}
                     for r in results])
     else:
         for r in results:

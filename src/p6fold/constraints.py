@@ -28,10 +28,13 @@ cap adds one wrapper that appends K; so a call tests no mode and reads no
 property.  It stores B2 as -(delta mod 2), so that "holds" means ">= 0"
 for every entry.  :func:`is_feasible` and :func:`feasible_cells` read only
 that tuple, and :func:`evaluate` keeps it in its :class:`ConstraintReport`
-as it is; the report's JSON, ``value_of`` and ``entries`` (new
-:class:`ConstraintValue` records on each read) read those ints through one
-helper, which gives B2 back its sign.  The kernel is left out of a
-config's pickled and copied state, so a config stays a plain value.
+as it is.  The report and its :class:`ConstraintValue` entries are
+NamedTuples, plain values with no ``__dict__``, so nothing is cached on a
+report: ``entries`` builds new records on each read.  Its JSON,
+``value_of`` and ``entries`` give B2 back its sign, the JSON in one pass
+over the ids and values.  The config is a dataclass, since it validates
+its fields and caches its kernel; the kernel is left out of its pickled
+and copied state, so a config stays a plain value.
 
 :func:`feasible_cells` is the one walk of the feasible region of a box;
 its docstring gives the walk and what it costs.
@@ -46,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .invariants import InvariantTuple, five_ints, invariants, require_ints
 
@@ -140,15 +143,13 @@ class HypothesisConfig:
         return tuple(fixed), tuple(linear), tuple(curved)
 
 
-@dataclass(frozen=True)
-class ConstraintValue:
+class ConstraintValue(NamedTuple):
     id: str
     value: int
     satisfied: bool
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
+class ConstraintReport(NamedTuple):
     """The config's ``constraint_ids`` and the kernel's ``kernel_values`` at
     ``tuple``, in the same order."""
 
@@ -176,9 +177,14 @@ class ConstraintReport:
         raise KeyError(constraint_id)
 
     def to_json_dict(self) -> dict:
+        # The rows of _shown(), inlined: this runs once per evaluated tuple,
+        # and a generator step per constraint was a measurable part of it.
         return {"tuple": dict(zip(InvariantTuple._fields, self.tuple)),
-                "constraints": [{"id": cid, "value": str(value), "ok": ok}
-                                for cid, value, ok in self._shown()],
+                "constraints": [
+                    {"id": cid, "value": str(-value if cid == "B2" else value),
+                     "ok": value >= 0}
+                    for cid, value in zip(self.constraint_ids,
+                                          self.kernel_values)],
                 "feasible": self.feasible}
 
 
@@ -191,9 +197,13 @@ def require_config(fn: str, cfg) -> None:
 def evaluate(t: InvariantTuple, cfg: HypothesisConfig) -> ConstraintReport:
     """Every constraint at ``t``, with its exact slack; a ``ValueError``
     unless ``t`` is five integers and ``cfg`` a :class:`HypothesisConfig`."""
-    require_config("evaluate", cfg)
+    try:  # as in is_feasible, the type check runs only if the read fails
+        kernel = cfg._kernel
+    except AttributeError:
+        require_config("evaluate", cfg)
+        raise
     t = InvariantTuple(*five_ints("evaluate", t))
-    values = cfg._kernel(*t)
+    values = kernel(*t)
     return ConstraintReport(t, min(values) >= 0, cfg.constraint_ids, values)
 
 

@@ -34,12 +34,17 @@ The 17 canonical ids:
 checking one normal-bundle component at a time: ``L3.4.k`` is the k-th
 comparison of the ``L3.4`` row.  They are not counted in the canonical
 listing.
+
+A check returns an :class:`IdentityResult` holding one :class:`Comparison`
+per compared pair, each side and their difference as canonical text; both
+are NamedTuples, plain values that ``verify --json`` writes by their
+``_asdict()``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .errors import UnknownIdentityError
 from .invariants import forced_quadratic, invariants
@@ -60,8 +65,7 @@ from .ring import (
 )
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(NamedTuple):
     """One recomputed-vs-stated pair inside an identity check."""
 
     label: str
@@ -71,8 +75,7 @@ class Comparison:
     equal: bool
 
 
-@dataclass(frozen=True)
-class IdentityResult:
+class IdentityResult(NamedTuple):
     id: str
     description: str
     passed: bool

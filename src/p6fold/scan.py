@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import chain, compress
 from math import prod
 from operator import itemgetter
-from typing import Iterator, Tuple
+from typing import Iterator, NamedTuple, Tuple
 
 from .constraints import (HypothesisConfig, feasible_cells, is_feasible,
                           require_config)
@@ -140,8 +140,7 @@ class ScanBox:
         return prod(hi - lo + 1 for lo, hi in self.ranges())
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     scanned: int
     feasible: int
 

@@ -262,6 +262,51 @@ def constraint_values(t, cfg):
     return rows
 
 
+# Ten points (chi, u, v) that fix a polynomial of degree at most 2: the
+# origin, each unit vector and its double, and each sum of two.
+_QUADRATIC_POINTS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0),
+                     (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
+
+
+def chis_with_a_real_u(d, delta, ranges, cfg):
+    """The chi of the box ``ranges`` (five inclusive ``(lo, hi)`` pairs) at
+    which some real u in its u-range satisfies every constraint of ``cfg``
+    that, on the row (d, delta), has no v and no quadratic part.
+
+    The forms come from :func:`constraint_values`: on a row each value is a
+    polynomial of degree at most 2 in (chi, u, v) (the Schur values are
+    affine in the intersection numbers, H1 and H2 products of two), so its
+    values at the ten points above show whether it is ``e + a*chi + b*u``.
+    A form with a = b = 0 holds or fails on the whole row, by its ``ok``
+    flag (B2's value is delta mod 2); every other one holds iff it is
+    >= 0.  Exact, in ``Fraction``s."""
+    (chi0, chi1), (u0, u1) = ranges[2], ranges[3]
+    columns = zip(*(constraint_values((d, delta, *p), cfg)
+                    for p in _QUADRATIC_POINTS))
+    forms = []
+    for rows in columns:
+        (_, e, ok), *others = rows
+        a, b = others[0][1] - e, others[1][1] - e
+        if all(value == e + a * x + b * y
+               for ((_, value, _), (x, y, _)) in zip(rows, _QUADRATIC_POINTS)):
+            if a == b == 0 and not ok:
+                return []
+            forms.append((e, a, b))
+    chis = []
+    for chi in range(chi0, chi1 + 1):
+        lower, upper, holds = Fraction(u0), Fraction(u1), True
+        for e, a, b in forms:
+            if b > 0:
+                lower = max(lower, Fraction(-(e + a * chi), b))
+            elif b < 0:
+                upper = min(upper, Fraction(e + a * chi, -b))
+            else:
+                holds = holds and e + a * chi >= 0
+        if holds and lower <= upper:
+            chis.append(chi)
+    return chis
+
+
 def naive_feasible_rows(box, cfg):
     """Reference enumeration: plain nested loop + is_feasible, CSV cells."""
     from p6fold.constraints import is_feasible

@@ -607,6 +607,16 @@ def test_verify_all_json_golden(capsys):
         "e379c088c4f51544d282d371158c31a9b29b0dec8938aadca251d72139abee78")
 
 
+def test_verify_one_id_json_golden(capsys):
+    # --show changes only the human report, so this pins one record and its
+    # comparisons byte for byte.
+    code, out, err = run_cli(["verify", "--id", "L4.3.1", "--show", "--json"],
+                             capsys)
+    assert (code, err, len(out.encode())) == (0, "", 296)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2f959d07b6e60d25d1bcd27fbfe87bd15e364854a035b51878e7674d53c3412f")
+
+
 @pytest.mark.parametrize("args, size, digest", [
     (["--all"], 2856,
      "e0cd0ed18b826c5783f285e1e7d1a718a8b15d0de9c857481c9abff792338c27"),

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import naive_feasible_rows
+from oracles import chis_with_a_real_u, naive_feasible_rows
 from p6fold.constraints import (HypothesisConfig, evaluate, feasible_cells,
                                 is_feasible)
 from p6fold.invariants import InvariantTuple
@@ -673,6 +673,80 @@ def test_a_plain_csv_scan_never_calls_profile_numbers(monkeypatch):
     for kwargs in ({"with_profile": True}, {"fmt": "jsonl"}):
         with pytest.raises(AssertionError, match="profile_numbers"):
             run_scan(box, **kwargs)
+
+
+def walk_reads(ranges, cfg):
+    """Run feasible_cells on ``ranges`` and return, for each row it reaches,
+    the chi it reads there.  Each _affine_interval call is matched to its
+    stage by the walk's nesting, which this requires: per degree one
+    delta-solve, per row of its delta-interval (even rows only under B2)
+    one chi-solve, per chi read one u-solve and per u one v-solve, each
+    over its own axis of the box."""
+    calls = []
+    affine_interval = constraints_module._affine_interval
+
+    def recording_affine_interval(pairs, lo, hi):
+        got = affine_interval(pairs, lo, hi)
+        calls.append(((lo, hi), got))
+        return got
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(constraints_module, "_affine_interval",
+                      recording_affine_interval)
+        list(feasible_cells(ranges, cfg))
+    calls = iter(calls)
+
+    def solve(axis):
+        at, got = next(calls)
+        assert at == axis
+        return got
+
+    (d0, d1), delta_axis, chi_axis, u_axis, v_axis = ranges
+    reads = {}
+    for d in range(d0, d1 + 1):
+        deltas = solve(delta_axis)
+        if "B2" in cfg.constraint_ids:
+            deltas = deltas[deltas.start % 2::2]
+        for delta in deltas:
+            chis = reads[d, delta] = list(solve(chi_axis))
+            for _ in chis:
+                for _ in solve(u_axis):
+                    solve(v_axis)
+    assert next(calls, None) is None
+    return reads
+
+
+def cut_boxes():
+    """Every benchmark box under the default config, and seeded small boxes
+    under the configs of the oracle tests."""
+    cases = [(ScanBox.parse(golden["box"]), GEOMETRIC)
+             for golden, _ in GOLDEN_SCANS]
+    rng = random.Random(20261020)
+    cases += [(random_box(rng), GEOMETRIC) for _ in range(12)]
+    for cfg in WIDE_V_CONFIGS:
+        cases += [(draw(rng), cfg) for draw in (wide_u_box, sign_flip_box)
+                  for _ in range(3)]
+    return cases
+
+
+def test_the_walk_reads_exactly_the_chi_with_a_real_u():
+    # On each row the walk reaches, the chi-step's Fourier-Motzkin cut
+    # (with the box's u-bounds) is exact: the walk reads the chi at which
+    # some real u of the box satisfies every form with no v and no
+    # quadratic part, no more, and solves one u-interval at each.  A looser
+    # cut keeps the output (the u-step is exact) but does more work.
+    rows = trimmed = solves = 0
+    for box, cfg in cut_boxes():
+        ranges = box.ranges()
+        for (d, delta), chis in walk_reads(ranges, cfg).items():
+            assert chis == chis_with_a_real_u(d, delta, ranges, cfg), (
+                box, cfg, d, delta)
+            rows += 1
+            trimmed += 0 < len(chis) < box.chi[1] - box.chi[0] + 1
+            solves += len(chis)  # walk_reads requires one u-solve per chi
+    # The rows reached, those whose cut keeps some chi but not all, and the
+    # u-solves.
+    assert (rows, trimmed, solves) == (292, 161, 514)
 
 
 @st.composite

@@ -12,6 +12,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -129,6 +130,29 @@ def test_scan_box_fields_are_the_invariant_axes():
     assert fields == InvariantTuple._fields
 
 
+# A record with no behaviour is a NamedTuple; a class that validates or
+# caches is a dataclass.
+RECORDS = ("constraints.ConstraintReport", "constraints.ConstraintValue",
+           "bounds.BoundReport", "scan.ScanResult",
+           "identities.IdentityResult", "identities.Comparison")
+
+
+def test_plain_records_are_named_tuples_and_three_classes_dataclasses():
+    modules = [importlib.import_module(
+        "p6fold" if path.stem == "__init__" else f"p6fold.{path.stem}")
+        for path in PACKAGE.glob("*.py")]
+    classes = {f"{module.__name__.removeprefix('p6fold.')}.{name}": cls
+               for module in modules for name, cls in vars(module).items()
+               if isinstance(cls, type) and cls.__module__ == module.__name__}
+    for name in RECORDS:
+        cls = classes[name]
+        assert issubclass(cls, tuple) and NamedTuple in cls.__orig_bases__, \
+            name
+    assert sorted(name for name, cls in classes.items()
+                  if dataclasses.is_dataclass(cls)) == [
+        "constraints.HypothesisConfig", "invariants.Profile", "scan.ScanBox"]
+
+
 def test_import_leaves_out_concurrent_futures():
     # The scan runs in one process; importing the package must not pay for
     # the process-pool machinery.
@@ -138,6 +162,25 @@ def test_import_leaves_out_concurrent_futures():
          "import sys, p6fold; print('concurrent.futures' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+def test_import_loads_the_modules_the_benchmark_times():
+    # bench/worker.py's _parse_importtime reads the -X importtime line of
+    # each of these modules and raises KeyError if one is missing, which
+    # ends every --trace 1 run (the FOUND line on _parse_importtime in
+    # CHANGES.md).  A lazy import of any of them (ROADMAP item 11) needs
+    # that parser fixed first (ROADMAP item 1(a)).
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    names = ("p6fold.scan", "p6fold.identities", "p6fold.bounds")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, p6fold; print([n in sys.modules for n in {names}])"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[True, True, True]\n"), (
+        "import p6fold must import p6fold.scan, p6fold.identities and "
+        "p6fold.bounds until bench/worker.py's _parse_importtime reports a "
+        "missing module as absent (CHANGES.md FOUND line on "
+        "_parse_importtime; ROADMAP item 1(a))", proc.stderr)
 
 
 def test_every_exported_name_resolves():
