@@ -191,8 +191,10 @@ def _crossing_sharp(s_eff: int, kappa: int, hi: int) -> int:
 
     # exceeds(hi) holds: C(hi) < 0 puts the true root above -B/A, which
     # exceeds the genus bound at the paper crossing hi.  The bisection takes
-    # exceeds to turn true once in d; test_bounds.py's
-    # test_true_root_exceeds_flips_once_at_the_sharp_crossing checks that.
+    # exceeds to turn true once in d.  test_bounds.py's
+    # test_the_sharp_crossing_is_the_one_sign_change_of_the_quartic proves
+    # that by Sturm's theorem on (34, 9) and a seeded grid of (s_eff,
+    # kappa); no symbolic proof covers every pair yet.
     lo = 1  # exceeds(1) is False: the genus bound is >= 860 there
     while hi - lo > 1:
         mid = (lo + hi) // 2

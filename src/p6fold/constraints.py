@@ -112,14 +112,13 @@ class HypothesisConfig:
     def _forms(self) -> tuple:
         """The kernel read as forms once per config, by fifteen kernel calls
         (:func:`feasible_cells` gives the shape): ``(fixed, linear,
-        curved)``.  Each entry's chi, u and v coefficients are read as
-        ``slopes``, each as x0, xd and xt in x0 + xd*d + xt*delta.
-        ``fixed`` holds ``(i, a, b, c, t)`` for each entry but B2 with no
-        quadratic part and slopes that do not move with (d, delta): a, b and
-        c are its coefficients and t its delta coefficient.  ``curved``
-        holds ``(i, *slopes, cc, uu, cu)`` for each entry with v or a
-        quadratic part (S5, S6 and H1), ``linear`` the chi and u ``slopes``
-        ``(i, a0, ad, at, b0, bd, bt)`` of each other entry with one."""
+        curved)``.  An entry's chi, u and v coefficients are a + ad*d +
+        at*delta, b + bd*d + bt*delta and c + cd*d + ct*delta.  ``fixed``
+        holds ``(i, a, b, c, t)``, t the delta coefficient, for each entry
+        but B2 with no quadratic part whose coefficients do not move.
+        ``curved`` holds ``(i, a, ad, at, b, bd, bt, c, cd, ct, cc, uu,
+        cu)`` for each with v, a quadratic part, at or bt (S5, S6 and H1),
+        ``linear`` ``(i, a, ad, b, bd)`` for each other one with chi or u."""
         kernel, ids = self._kernel, self.constraint_ids
         points = [(*row, *p) for row in ((0, 0), (1, 0), (0, 1))
                   for p in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))]
@@ -129,17 +128,16 @@ class HypothesisConfig:
                 enumerate(zip(*(kernel(*p) for p in points)))):
             cc, uu = (e + xx) // 2 - x, (e + yy) // 2 - y
             a, b, c = x - e - cc, y - e - uu, z - e
-            slopes = (a, xd - ed - x + e, xt - et - x + e,
-                      b, yd - ed - y + e, yt - et - y + e,
-                      c, zd - ed - z + e, zt - et - z + e)
+            ad, bd, cd = xd - ed - x + e, yd - ed - y + e, zd - ed - z + e
+            at, bt, ct = xt - et - x + e, yt - et - y + e, zt - et - z + e
             quadratic = (cc, uu, e - x - y + xy)
             if ids[i] != "B2" and not any(
-                    quadratic + slopes[1:3] + slopes[4:6] + slopes[7:9]):
+                    quadratic + (ad, at, bd, bt, cd, ct)):
                 fixed.append((i, a, b, c, et - e))
-            if any(slopes[6:] + quadratic):
-                curved.append((i, *slopes, *quadratic))
-            elif any(slopes):
-                linear.append((i, *slopes[:6]))
+            if any(quadratic + (at, bt, c, cd, ct)):
+                curved.append((i, a, ad, at, b, bd, bt, c, cd, ct, *quadratic))
+            elif a or ad or b or bd:
+                linear.append((i, a, ad, b, bd))
         return tuple(fixed), tuple(linear), tuple(curved)
 
 
@@ -238,8 +236,8 @@ def feasible_cells(ranges, cfg: HypothesisConfig) -> Iterator[tuple]:
     box ``ranges`` (five inclusive ``(lo, hi)`` int pairs, as
     ``ScanBox.ranges()`` gives them) that has a feasible v; ``vs`` is
     exactly the v in its range at which every constraint holds.  Raises
-    :class:`ValueError` on the first ``next()`` unless all ten bounds are
-    integers and ``cfg`` is a :class:`HypothesisConfig`.
+    :class:`ValueError` on the first ``next()`` unless ``ranges`` is ten
+    integers in five pairs and ``cfg`` is a :class:`HypothesisConfig`.
 
     Each kernel entry is ``q(chi, u) + a*chi + b*u + c*v`` plus a
     function of (d, delta), where q, its chi^2, u^2 and chi*u part, does
@@ -250,26 +248,26 @@ def feasible_cells(ranges, cfg: HypothesisConfig) -> Iterator[tuple]:
 
     A form with no quadratic part is largest on the box at its best corner,
     ``e + max(a*chi0, a*chi1) + max(b*u0, b*u1) + max(c*v0, c*v1)``, and if
-    that is below 0 it holds nowhere in the box.  On the fixed forms, every
-    such form but H2, a, b and c do not move with (d, delta), so the part
-    after e is one offset per call (0 on a flat form), and e is g(d) +
-    t*delta with t the same on every degree; B2 only says that delta is
-    even.  S2 + S4 = d^2 - 3d - delta has no chi, u or v term.  So one
-    kernel call at (d, 0, 0, 0, 0) gives each degree's delta-interval, the
-    delta of the box at which S2 + S4 and every fixed form at its best
-    corner hold (the even ones under B2), and no row outside it holds a
-    cell.  On each row of that interval, every form ``e + a*chi + b*u``
-    with no v and no quadratic part must hold for some real u in the box:
-    each with b = 0 bounds chi by itself, and each pair with ``b_i > 0 >
-    b_j``, among them and the box's ``u - u_lo`` and ``u_hi - u``, gives
-    the u-free form ``-b_j*f_i + b_i*f_j`` (one Fourier-Motzkin step), so
-    together they give one chi-interval; it is empty where H2 is below 0 at
-    every corner.  At each such chi they give the u-interval.  Only on a
-    row with a chi left are the forms with v or a quadratic part (S5, S6
-    and H1) built, and at each u they give the cell's exact v-interval,
-    with no kernel call.  Every test before the v-interval is a necessary
-    condition, so the walk is exact, and its cost grows with the degrees,
-    the rows of their delta-intervals and the cells, not the box volume.
+    that is below 0 it holds nowhere in the box.  On a fixed form, one such
+    form but B2 whose a, b and c do not move (all but H2), the part after e is
+    one offset per call (0 on a flat form), and e is g(d) + t*delta with t the
+    same on every degree; B2 only says that delta is even.  S2 + S4 =
+    d^2 - 3d - delta has no chi, u or v term.  So one kernel call at
+    (d, 0, 0, 0, 0) gives each degree's delta-interval, the delta of the box at
+    which S2 + S4 and every fixed form at its best corner hold (the even ones
+    under B2), and no row outside it holds a cell.  On each row in it, every
+    linear form ``e + a*chi + b*u``, one with no v and no quadratic part whose
+    a and b move with d alone (read once per degree), must hold for some real u
+    in the box: each with b = 0 bounds chi by itself, and each pair with
+    ``b_i > 0 > b_j``, among them and the box's ``u - u_lo`` and ``u_hi - u``,
+    gives the u-free form ``-b_j*f_i + b_i*f_j`` (one Fourier-Motzkin step), so
+    they give one chi-interval; it is empty where H2 is below 0 at every
+    corner.  At each such chi they give the u-interval.  Only on a row with a
+    chi left are the curved forms built, S5, S6 and H1 and any whose a or b
+    moves with delta, and at each u they give the cell's exact v-interval, with
+    no kernel call.  Each test before the v-interval is necessary, so the walk
+    is exact, and its cost grows with the degrees, the rows of their
+    delta-intervals and the cells, not the box volume.
 
     >>> raw = HypothesisConfig(geometric_mode=False)
     >>> list(feasible_cells(((2, 2), (-4, -4), (-5, 5), (-20, 20),
@@ -283,7 +281,11 @@ def feasible_cells(ranges, cfg: HypothesisConfig) -> Iterator[tuple]:
     ...                      (0, 0)), raw))
     [(1, -2, 1, 1, range(0, 1))]
     """
-    (d0, d1), (delta0, delta1), (chi0, chi1), (u0, u1), (v0, v1) = ranges
+    try:
+        (d0, d1), (delta0, delta1), (chi0, chi1), (u0, u1), (v0, v1) = ranges
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"feasible_cells needs ten integers, got {ranges!r}") from None
     require_ints("feasible_cells needs ten integers", d0, d1, delta0, delta1,
                  chi0, chi1, u0, u1, v0, v1)
     require_config("feasible_cells", cfg)
@@ -302,31 +304,28 @@ def feasible_cells(ranges, cfg: HypothesisConfig) -> Iterator[tuple]:
         deltas = _affine_interval(chain(
             ((at_d[i] + offset, t) for i, offset, t in best), [(s24, -1)]),
             delta0, delta1)
+        slopes = [(i, a + ad * d, b + bd * d) for i, a, ad, b, bd in linear]
         for delta in deltas[deltas.start % 2::2] if even else deltas:
             at000 = kernel(d, delta, 0, 0, 0)
-            # Each form with no v and no quadratic part on this row, as
-            # e + a*chi + b*u.
-            forms = [(at000[i], a0 + ad * d + at * delta,
-                      b0 + bd * d + bt * delta)
-                     for i, a0, ad, at, b0, bd, bt in linear]
+            forms = [(at000[i], a, b) for i, a, b in slopes]  # e + a*chi + b*u
             direct = ((e, a) for e, a, b in forms if b == 0)
             with_box = forms + [(-u0, 0, 1), (u1, 0, -1)]
+            # No b = 0 pair: each is 0 or a positive multiple of a direct form.
             combined = ((bi * ej - bj * ei, bi * aj - bj * ai)
                         for ei, ai, bi in with_box if bi > 0
                         for ej, aj, bj in with_box if bj < 0)
             chis = _affine_interval(chain(direct, combined), chi0, chi1)
             if not chis:
                 continue
-            # Each form with v or a quadratic part on this row, as
-            # e + a*chi + b*u + c*v plus cc*chi^2 + uu*u^2 + cu*chi*u.
-            v_forms = [(at000[i], a0 + ad * d + at * delta,
-                        b0 + bd * d + bt * delta, c0 + cd * d + ct * delta,
+            # Each curved form on this row, as e + a*chi + b*u + c*v plus
+            # cc*chi^2 + uu*u^2 + cu*chi*u.
+            v_forms = [(at000[i], a + ad * d + at * delta,
+                        b + bd * d + bt * delta, c + cd * d + ct * delta,
                         cc, uu, cu)
-                       for i, a0, ad, at, b0, bd, bt, c0, cd, ct, cc, uu, cu
+                       for i, a, ad, at, b, bd, bt, c, cd, ct, cc, uu, cu
                        in curved]
             for chi in chis:
-                # Each form with v or a quadratic part at this chi, as
-                # e + b*u + uu*u^2 + c*v.
+                # Each curved form at this chi, as e + b*u + uu*u^2 + c*v.
                 v_at_chi = [(e + (a + cc * chi) * chi, b + cu * chi, uu, c)
                             for e, a, b, c, cc, uu, cu in v_forms]
                 us = ((e + a * chi, b) for e, a, b in forms)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import pytest
 
 from p6fold.bounds import (
     SHARP_TOLERANCE,
+    _genus_bound_times_4s,
     _root_floor,
     degree_bound,
     delta_lower,
@@ -389,6 +391,132 @@ def test_true_root_exceeds_flips_once_at_the_sharp_crossing(s, kappa, flip):
     flips = [dd for dd in range(2, paper + 1) if seen[dd - 1] != seen[dd - 2]]
     assert (seen[0], flips) == (False, [flip])
     assert sharp == flip
+
+
+def through(f, degree):
+    """The polynomial of ``degree`` through f(0), ..., f(degree), as its
+    coefficients, lowest first, by Lagrange interpolation over Fraction;
+    each is an integer when f is an integer polynomial of that degree."""
+    coefficients = [Fraction(0)] * (degree + 1)
+    for i in range(degree + 1):
+        basis, scale = [Fraction(1)], f(i)
+        for j in range(degree + 1):
+            if j != i:  # basis *= x - j
+                basis = [Fraction(0)] + basis
+                for k in range(len(basis) - 1):
+                    basis[k] -= j * basis[k + 1]
+                scale = Fraction(scale, i - j)
+        for k, b in enumerate(basis):
+            coefficients[k] += scale * b
+    return coefficients
+
+
+def value(p, x):
+    result = Fraction(0)
+    for c in reversed(p):
+        result = result * x + c
+    return result
+
+
+def sign_changes(chain, x):
+    """Sign changes along the chain at x, or at +infinity if x is None."""
+    signs = [s for s in ((p[-1] if x is None else value(p, x)) for p in chain)
+             if s]
+    return sum((a < 0) != (b < 0) for a, b in zip(signs, signs[1:]))
+
+
+def distinct_roots(p, lo, hi=None):
+    """The distinct real roots of p in (lo, hi], hi None for +infinity, by
+    Sturm's theorem over Fraction; neither end may be a root."""
+    chain = [p, [k * c for k, c in enumerate(p)][1:]]
+    while True:
+        rem = list(chain[-2])  # rem = chain[-2] mod chain[-1]
+        divisor = chain[-1]
+        while len(rem) >= len(divisor):
+            q = rem[-1] / divisor[-1]
+            shift = len(rem) - len(divisor)
+            for k, c in enumerate(divisor):
+                rem[shift + k] -= q * c
+            rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+    return sign_changes(chain, lo) - sign_changes(chain, hi)
+
+
+def crossing_polynomials(s_eff, kappa, shift=0):
+    """The quartic P(d) = (a*n + b*m)*n + c*m^2 that _crossing_sharp's
+    exceeds(d) tests, with (a, b, c) = forced_quadratic(d, kappa), n the
+    genus bound times m = 4*s_eff, and the cubic C(d) = c; both read at
+    d + shift by interpolation and confirmed at further points."""
+    m = 4 * s_eff
+
+    def p_at(dd):
+        a, b, c = forced_quadratic(dd + shift, kappa)
+        n = _genus_bound_times_4s(dd + shift, s_eff)
+        return (a * n + b * m) * n + c * m * m
+
+    def c_at(dd):
+        return forced_quadratic(dd + shift, kappa)[2]
+
+    quartic, cubic = through(p_at, 4), through(c_at, 3)
+    for dd in (-7, 5, 6, 1000, 20011):
+        assert (value(quartic, dd), value(cubic, dd)) == (p_at(dd), c_at(dd))
+    assert (quartic[-1], cubic[-1]) == (528 - 16 * s_eff, -2)
+    return quartic, cubic
+
+
+def sharp_crossing_problems(quartic, cubic, hi, d_star):
+    """The steps that fail of the proof that bisecting exceeds(d) = C(d) < 0
+    and P(d) < 0 from lo = 1, hi = the paper crossing returns d_star, the
+    least d with exceeds(d): P(1) > 0 > P(hi) with one root of P in (1, hi],
+    so P changes sign once there, at a root in [d_star - 1, d_star); and
+    C(d_star) < 0 with no root of C past d_star.  Then exceeds is false on
+    1..d_star - 1 and true on d_star..hi, the bisection's invariant."""
+    checks = {
+        "P(1) > 0 > P(hi)": value(quartic, 1) > 0 > value(quartic, hi),
+        "one root of P in (1, hi]": distinct_roots(quartic, 1, hi) == 1,
+        "P(d* - 1) >= 0 > P(d*)": (
+            value(quartic, d_star) < 0 <= value(quartic, d_star - 1)),
+        "C < 0 from d* on": (value(cubic, d_star) < 0
+                             and distinct_roots(cubic, d_star) == 0),
+    }
+    return [step for step, holds in checks.items() if not holds]
+
+
+def crossing_grid():
+    """(34, 9) and 150 seeded (s_eff, kappa) pairs, s_eff even in 34..400
+    and kappa in -40..197, at which the paper crossing exists."""
+    rng, pairs = random.Random(83), [(34, 9)]
+    while len(pairs) < 151:
+        s_eff, kappa = 2 * rng.randint(17, 200), rng.randint(-40, 197)
+        try:
+            degree_bound(s_eff, kappa)
+        except DomainError:
+            continue
+        pairs.append((s_eff, kappa))
+    return pairs
+
+
+def test_the_sharp_crossing_is_the_one_sign_change_of_the_quartic():
+    # _crossing_sharp bisects exceeds(d) between 1 and the paper crossing
+    # hi, which returns the least d with exceeds(d) only if exceeds turns
+    # true once there.  Sturm's theorem proves that on each pair of the
+    # grid; a mutant quartic whose root sits one step off fails the proof.
+    for s_eff, kappa in crossing_grid():
+        hi = degree_bound(s_eff, kappa).first_contradictory_degree
+        d_star = degree_bound(s_eff, kappa,
+                              "sharp").first_contradictory_degree
+        quartic, cubic = crossing_polynomials(s_eff, kappa)
+        assert sharp_crossing_problems(quartic, cubic, hi, d_star) == [], (
+            s_eff, kappa)
+        for shift in (-1, 1):
+            mutant, _ = crossing_polynomials(s_eff, kappa, shift)
+            assert "P(d* - 1) >= 0 > P(d*)" in sharp_crossing_problems(
+                mutant, cubic, hi, d_star), (s_eff, kappa, shift)
+    assert degree_bound(34, 9, "sharp").first_contradictory_degree == 14693
 
 
 def test_no_false_contradiction_below_the_bound():

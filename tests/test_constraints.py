@@ -244,14 +244,9 @@ def test_feasible_cells_are_exactly_the_cells_with_a_feasible_v(cfg):
             H2_CORNER_BOXES):
         got = list(feasible_cells(ranges, cfg))
         assert all(type(vs) is range and vs.step == 1 for *_, vs in got)
-        axes = [range(lo, hi + 1) for lo, hi in ranges]
-        expected = []
-        for cell in product(*axes[:4]):
-            vs = [v for v in axes[4] if is_feasible((*cell, v), cfg)]
-            if vs:
-                expected.append((*cell, vs))
-        assert [(*cell, list(vs)) for *cell, vs in got] == expected, ranges
-        rows = list(product(*axes[:2]))
+        assert [(*cell, list(vs)) for *cell, vs in got] == brute_cells(
+            ranges, cfg), ranges
+        rows = list(product(*(range(lo, hi + 1) for lo, hi in ranges[:2])))
         seen.update(k for k, hit in (
             ("cells", got), ("d <= 0", any(d <= 0 for d, _ in rows)),
             ("2d + delta = 0", any(2 * d + delta == 0 for d, delta in rows)),
@@ -266,6 +261,18 @@ def test_feasible_cells_are_exactly_the_cells_with_a_feasible_v(cfg):
                     "fixed-slope corner", "H2 corner",
                     "no cell past the corners"} | (
                         set() if cfg.geometric_mode else {"H2 corner, d < 0"})
+
+
+def brute_cells(ranges, cfg):
+    """Each cell of the box with a feasible v, in lex order, with the list
+    of the v that is_feasible accepts there."""
+    axes = [range(lo, hi + 1) for lo, hi in ranges]
+    cells = []
+    for cell in product(*axes[:4]):
+        vs = [v for v in axes[4] if is_feasible((*cell, v), cfg)]
+        if vs:
+            cells.append((*cell, vs))
+    return cells
 
 
 def row_classes(cfg, ranges, rows, got):
@@ -319,6 +326,21 @@ def test_a_box_with_an_empty_axis_costs_no_kernel_call(monkeypatch, axis):
     with pytest.raises(ValueError, match="feasible_cells needs ten integers"):
         list(feasible_cells(tuple(zip(bounds[::2], bounds[1::2])), cfg))
     assert calls == []
+
+
+@pytest.mark.parametrize("ranges", [
+    None,
+    ((1, 2), (-2, 0), (1, 3), (0, 40)),
+    ((1, 2), (-2, 0), (1, 3, 5), (0, 40), (0, 40)),
+    "abcde",
+])
+def test_ranges_that_are_not_five_pairs_raise_a_value_error(ranges):
+    # Each used to pass the gate and raise an unpacking TypeError or
+    # ValueError that did not name the call.
+    cells = feasible_cells(ranges, HypothesisConfig(geometric_mode=False))
+    with pytest.raises(ValueError, match=re.escape(
+            f"feasible_cells needs ten integers, got {ranges!r}")):
+        list(cells)
 
 
 def test_a_delta_range_past_the_s2_plus_s4_stop_costs_one_call_per_row(
@@ -612,15 +634,47 @@ def test_each_fixed_form_moves_with_delta_by_one_slope_on_every_degree(cfg):
 
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS)
 def test_each_kernel_entry_has_one_shape_in_the_walk(cfg):
-    # The chi- and u-steps read linear, the chi and u slopes of each form
-    # with no v and no quadratic part; S5, S6 and H1 are read only in the
-    # v-step, from curved.  The flat forms are only in fixed.
+    # The chi- and u-steps read linear, ``(i, a, ad, b, bd)``: the chi and
+    # u slopes of each form with no v and no quadratic part, which move
+    # with d alone; S5, S6 and H1 are read only in the v-step, from curved.
+    # The flat forms are only in fixed.
     ids = cfg.constraint_ids
     _, linear, curved = cfg._forms
-    assert {len(entry) for entry in linear} == {7}
+    assert {len(entry) for entry in linear} == {5}
     assert [ids[i] for i, *_ in curved] == ["S5", "S6", "H1"]
     assert {ids[i] for i, *_ in linear} == set(ids) - {
         "B1", "B2", "B3", "S1", "S5", "S6", "H1"}
+
+
+@pytest.mark.parametrize("term, cid", [
+    (lambda d, delta, chi, u, v: delta * chi, "B4"),
+    (lambda d, delta, chi, u, v: -delta * u, "S3"),
+])
+def test_an_entry_whose_slope_moves_with_delta_is_read_in_the_v_step(
+        monkeypatch, term, cid):
+    # No shipped kernel has one, but the walk stays exact on it: an entry
+    # whose chi or u coefficient moves with delta leaves fixed and linear
+    # for curved, whose v-step is exact for any form.
+    cfg = HypothesisConfig()
+    i = cfg.constraint_ids.index(cid)
+    kernel = cfg._kernel
+
+    def perturbed(*t):
+        values = list(kernel(*t))
+        values[i] += term(*t)
+        return tuple(values)
+
+    monkeypatch.setitem(vars(cfg), "_kernel", perturbed)
+    fixed, linear, curved = cfg._forms
+    assert i not in {j for j, *_ in fixed + linear}
+    assert i in {j for j, *_ in curved}
+    rng, decided = random.Random(67), 0
+    for ranges in (cells_box(rng, k) for k in range(50)):
+        expected = brute_cells(ranges, cfg)
+        assert [(*cell, list(vs)) for *cell, vs in feasible_cells(
+            ranges, cfg)] == expected, ranges
+        decided += expected != brute_cells(ranges, GEOMETRIC)
+    assert decided  # the perturbation changes the cells of some box
 
 
 @pytest.mark.parametrize("term, cid", [
