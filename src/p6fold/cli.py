@@ -316,11 +316,13 @@ def main(argv=None) -> int:
         code = args.run(args)
         sys.stdout.flush()
         return code
-    except OSError as exc:
-        # Only output can fail: no subcommand reads a file.
+    except (OSError, UnicodeEncodeError) as exc:
+        # Only output can fail: no subcommand reads a file.  A stdout whose
+        # encoding lacks a character (the delta of verify --show) raises
+        # UnicodeEncodeError, which has no strerror.
         target = getattr(args, "out", None)
         print(f"error: cannot write {target or 'stdout'}: "
-              f"{exc.strerror or exc}", file=sys.stderr)
+              f"{getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
         if not target:
             _discard_stdout()
         return 2

@@ -36,8 +36,10 @@ over the ids and values.  The config is a dataclass, since it validates
 its fields and caches its kernel; the kernel is left out of its pickled
 and copied state, so a config stays a plain value.
 
-:func:`feasible_cells` is the one walk of the feasible region of a box;
-its docstring gives the walk and what it costs.
+:func:`feasible_cells` is the one walk of the feasible region of a box, a
+loop over one input builder per stage (:func:`_delta_inputs`,
+:func:`_chi_inputs`, :func:`_u_inputs`, :func:`_v_inputs`); each stage's
+docstring gives its cut, and the walk's docstring what it costs.
 
 :func:`evaluate` and :func:`is_feasible` read their tuple through the gate
 ``invariants.five_ints``, every other number passes ``require_ints``, and
@@ -48,7 +50,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import chain
 from typing import Iterator, NamedTuple, Optional
 
 from .invariants import InvariantTuple, five_ints, invariants, require_ints
@@ -231,6 +232,58 @@ def _affine_interval(pairs, lo: int, hi: int) -> range:
     return range(lower, upper + 1)
 
 
+def _delta_inputs(at_d, best, s2: int, s4: int) -> list:
+    """The delta-step's inputs at one degree, given its kernel values
+    ``at_d`` at (d, 0, 0, 0, 0): each fixed form at its best corner, then
+    S2 + S4 = d^2 - 3d - delta.  A form with no quadratic part is largest
+    on the box at its best corner, ``e + max(a*chi0, a*chi1) + max(b*u0,
+    b*u1) + max(c*v0, c*v1)``.  On a fixed form, one such form but B2 whose
+    a, b and c do not move (all but H2), the part after e is ``best``'s
+    offset (0 on a flat form), and e is g(d) + t*delta with t the same on
+    every degree.  No row outside the delta at which all of them hold has a
+    cell; B2 only says that delta is even."""
+    return [(at_d[i] + offset, t) for i, offset, t in best] + [
+        (at_d[s2] + at_d[s4], -1)]
+
+
+def _chi_inputs(forms, u0: int, u1: int) -> list:
+    """The chi-step's inputs on one row, given its linear forms ``(e, a,
+    b)``, each e + a*chi + b*u with no v and no quadratic part, which must
+    hold for some real u in ``u0..u1``: each form with b = 0, which bounds
+    chi by itself, then for each pair with ``b_i > 0 > b_j``, among the
+    forms and the box's ``u - u0`` and ``u1 - u``, the u-free form
+    ``-b_j*f_i + b_i*f_j`` (one Fourier-Motzkin step).  The chi-interval is
+    empty where H2 is below 0 at every corner."""
+    with_box = forms + [(-u0, 0, 1), (u1, 0, -1)]
+    # No b = 0 pair: each is 0 or a positive multiple of a direct form.
+    return [(e, a) for e, a, b in forms if b == 0] + [
+        (bi * ej - bj * ei, bi * aj - bj * ai)
+        for ei, ai, bi in with_box if bi > 0
+        for ej, aj, bj in with_box if bj < 0]
+
+
+def _u_inputs(forms, chi: int) -> list:
+    """The u-step's inputs at one chi of a row: each linear form ``(e, a,
+    b)`` as ``(e + a*chi, b)``.  They give the u-interval at that chi."""
+    return [(e + a * chi, b) for e, a, b in forms]
+
+
+def _curved_row(at000, curved, d: int, delta: int) -> list:
+    """Each curved form on the row (d, delta), S5, S6, H1 and any whose a or
+    b moves with delta, as ``(e, a, b, c, cc, uu, cu)`` for e + a*chi + b*u
+    + c*v + cc*chi^2 + uu*u^2 + cu*chi*u, e from ``at000``."""
+    return [(at000[i], a + ad * d + at * delta, b + bd * d + bt * delta,
+             c + cd * d + ct * delta, cc, uu, cu)
+            for i, a, ad, at, b, bd, bt, c, cd, ct, cc, uu, cu in curved]
+
+
+def _v_inputs(at_chi, u: int) -> list:
+    """The v-step's inputs at one u: each curved form at the row's chi,
+    ``(e, b, uu, c)`` for e + b*u + uu*u^2 + c*v, as ``(e + (b + uu*u)*u,
+    c)``.  They give the cell's exact v-interval; S5 and S6 cut only here."""
+    return [(e + (b + uu * u) * u, c) for e, b, uu, c in at_chi]
+
+
 def feasible_cells(ranges, cfg: HypothesisConfig) -> Iterator[tuple]:
     """Yield ``(d, delta, chi, u, vs)`` in lex order for each cell of the
     box ``ranges`` (five inclusive ``(lo, hi)`` int pairs, as
@@ -239,35 +292,17 @@ def feasible_cells(ranges, cfg: HypothesisConfig) -> Iterator[tuple]:
     :class:`ValueError` on the first ``next()`` unless ``ranges`` is ten
     integers in five pairs and ``cfg`` is a :class:`HypothesisConfig`.
 
-    Each kernel entry is ``q(chi, u) + a*chi + b*u + c*v`` plus a
-    function of (d, delta), where q, its chi^2, u^2 and chi*u part, does
-    not depend on (d, delta), and a, b and c are affine in (d, delta).  So
-    fifteen kernel calls on the rows (0, 0), (1, 0) and (0, 1) read q, a, b
-    and c once per config, and one call at (chi, u, v) = (0, 0, 0) reads
-    the rest of each row.  A box with an empty axis costs no kernel call.
-
-    A form with no quadratic part is largest on the box at its best corner,
-    ``e + max(a*chi0, a*chi1) + max(b*u0, b*u1) + max(c*v0, c*v1)``, and if
-    that is below 0 it holds nowhere in the box.  On a fixed form, one such
-    form but B2 whose a, b and c do not move (all but H2), the part after e is
-    one offset per call (0 on a flat form), and e is g(d) + t*delta with t the
-    same on every degree; B2 only says that delta is even.  S2 + S4 =
-    d^2 - 3d - delta has no chi, u or v term.  So one kernel call at
-    (d, 0, 0, 0, 0) gives each degree's delta-interval, the delta of the box at
-    which S2 + S4 and every fixed form at its best corner hold (the even ones
-    under B2), and no row outside it holds a cell.  On each row in it, every
-    linear form ``e + a*chi + b*u``, one with no v and no quadratic part whose
-    a and b move with d alone (read once per degree), must hold for some real u
-    in the box: each with b = 0 bounds chi by itself, and each pair with
-    ``b_i > 0 > b_j``, among them and the box's ``u - u_lo`` and ``u_hi - u``,
-    gives the u-free form ``-b_j*f_i + b_i*f_j`` (one Fourier-Motzkin step), so
-    they give one chi-interval; it is empty where H2 is below 0 at every
-    corner.  At each such chi they give the u-interval.  Only on a row with a
-    chi left are the curved forms built, S5, S6 and H1 and any whose a or b
-    moves with delta, and at each u they give the cell's exact v-interval, with
-    no kernel call.  Each test before the v-interval is necessary, so the walk
-    is exact, and its cost grows with the degrees, the rows of their
-    delta-intervals and the cells, not the box volume.
+    The loop solves by :func:`_affine_interval`, per degree, the delta of
+    :func:`_delta_inputs` (the even ones under B2), per row the chi of
+    :func:`_chi_inputs`, per chi the u of :func:`_u_inputs` and per u the v
+    of :func:`_v_inputs`.  Each gives its cut; each cut is necessary, so
+    the walk is exact.  Each kernel entry is q(chi, u) + a*chi + b*u + c*v
+    plus a function of (d, delta), its quadratic part q free of (d, delta)
+    and a, b and c affine in it.  So fifteen kernel calls read q, a, b and
+    c once per config (``cfg._forms``), one call per degree and one per row
+    of its delta-interval read the rest, and no cell costs a call: the cost
+    grows with the degrees, their rows and the cells, not the box volume.
+    A box with an empty axis costs no call.
 
     >>> raw = HypothesisConfig(geometric_mode=False)
     >>> list(feasible_cells(((2, 2), (-4, -4), (-5, 5), (-20, 20),
@@ -294,44 +329,24 @@ def feasible_cells(ranges, cfg: HypothesisConfig) -> Iterator[tuple]:
     kernel, ids = cfg._kernel, cfg.constraint_ids
     fixed, linear, curved = cfg._forms
     s2, s4 = ids.index("S2"), ids.index("S4")
-    # Each fixed form at its best corner, as g(d) + offset + t*delta.
     best = [(i, max(a * chi0, a * chi1) + max(b * u0, b * u1)
              + max(c * v0, c * v1), t) for i, a, b, c, t in fixed]
     even = "B2" in ids
     for d in range(d0, d1 + 1):
-        at_d = kernel(d, 0, 0, 0, 0)
-        s24 = at_d[s2] + at_d[s4]  # S2 + S4 = d^2 - 3d - delta
-        deltas = _affine_interval(chain(
-            ((at_d[i] + offset, t) for i, offset, t in best), [(s24, -1)]),
-            delta0, delta1)
+        deltas = _affine_interval(
+            _delta_inputs(kernel(d, 0, 0, 0, 0), best, s2, s4), delta0, delta1)
         slopes = [(i, a + ad * d, b + bd * d) for i, a, ad, b, bd in linear]
         for delta in deltas[deltas.start % 2::2] if even else deltas:
             at000 = kernel(d, delta, 0, 0, 0)
             forms = [(at000[i], a, b) for i, a, b in slopes]  # e + a*chi + b*u
-            direct = ((e, a) for e, a, b in forms if b == 0)
-            with_box = forms + [(-u0, 0, 1), (u1, 0, -1)]
-            # No b = 0 pair: each is 0 or a positive multiple of a direct form.
-            combined = ((bi * ej - bj * ei, bi * aj - bj * ai)
-                        for ei, ai, bi in with_box if bi > 0
-                        for ej, aj, bj in with_box if bj < 0)
-            chis = _affine_interval(chain(direct, combined), chi0, chi1)
+            chis = _affine_interval(_chi_inputs(forms, u0, u1), chi0, chi1)
             if not chis:
                 continue
-            # Each curved form on this row, as e + a*chi + b*u + c*v plus
-            # cc*chi^2 + uu*u^2 + cu*chi*u.
-            v_forms = [(at000[i], a + ad * d + at * delta,
-                        b + bd * d + bt * delta, c + cd * d + ct * delta,
-                        cc, uu, cu)
-                       for i, a, ad, at, b, bd, bt, c, cd, ct, cc, uu, cu
-                       in curved]
+            v_forms = _curved_row(at000, curved, d, delta)
             for chi in chis:
-                # Each curved form at this chi, as e + b*u + uu*u^2 + c*v.
-                v_at_chi = [(e + (a + cc * chi) * chi, b + cu * chi, uu, c)
-                            for e, a, b, c, cc, uu, cu in v_forms]
-                us = ((e + a * chi, b) for e, a, b in forms)
-                for u in _affine_interval(us, u0, u1):
-                    vs = _affine_interval([(e + (b + uu * u) * u, c)
-                                           for e, b, uu, c in v_at_chi],
-                                          v0, v1)
+                at_chi = [(e + (a + cc * chi) * chi, b + cu * chi, uu, c)
+                          for e, a, b, c, cc, uu, cu in v_forms]
+                for u in _affine_interval(_u_inputs(forms, chi), u0, u1):
+                    vs = _affine_interval(_v_inputs(at_chi, u), v0, v1)
                     if vs:
                         yield d, delta, chi, u, vs

@@ -280,7 +280,6 @@ def chis_with_a_real_u(d, delta, ranges, cfg):
     A form with a = b = 0 holds or fails on the whole row, by its ``ok``
     flag (B2's value is delta mod 2); every other one holds iff it is
     >= 0.  Exact, in ``Fraction``s."""
-    (chi0, chi1), (u0, u1) = ranges[2], ranges[3]
     columns = zip(*(constraint_values((d, delta, *p), cfg)
                     for p in _QUADRATIC_POINTS))
     forms = []
@@ -292,6 +291,14 @@ def chis_with_a_real_u(d, delta, ranges, cfg):
             if a == b == 0 and not ok:
                 return []
             forms.append((e, a, b))
+    return chis_of_forms_with_a_real_u(forms, ranges[2], ranges[3])
+
+
+def chis_of_forms_with_a_real_u(forms, chi_range, u_range):
+    """The chi in ``chi_range`` (an inclusive ``(lo, hi)`` pair) at which
+    some real u in ``u_range`` satisfies ``e + a*chi + b*u >= 0`` for every
+    ``(e, a, b)`` in ``forms``.  Exact, in ``Fraction``s."""
+    (chi0, chi1), (u0, u1) = chi_range, u_range
     chis = []
     for chi in range(chi0, chi1 + 1):
         lower, upper, holds = Fraction(u0), Fraction(u1), True

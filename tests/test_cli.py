@@ -5,6 +5,7 @@ from __future__ import annotations
 import errno
 import hashlib
 import importlib
+import io
 import json
 import os
 import re
@@ -893,6 +894,34 @@ def test_failed_stdout_write_is_usage_error(argv, monkeypatch, capsys):
     assert code == 2
     assert err.endswith(
         f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+@pytest.mark.parametrize("argv", [["verify", "--id", "L4.3.1", "--show"],
+                                  ["verify", "--all", "--show"]])
+def test_a_stdout_that_cannot_encode_delta_is_usage_error(
+        argv, encoding, monkeypatch, capsys):
+    # Used to end in a UnicodeEncodeError traceback on the delta of a shown
+    # side, and exit 1, the "identity failed" code.
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO(),
+                                                        encoding=encoding))
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith(f"error: cannot write stdout: '{encoding}' codec "
+                          r"can't encode character '\u03b4'")
+    assert err.count("\n") == 1
+
+
+def test_json_needs_no_unicode_stdout(monkeypatch, capsys):
+    # JSON escapes every non-ASCII character, so it writes the same bytes
+    # on an ASCII stdout.
+    expected = run_cli(["verify", "--all", "--json"], capsys)[1]
+    raw = io.BytesIO()
+    out = io.TextIOWrapper(raw, encoding="ascii", newline="")
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["verify", "--all", "--json"]) == 0
+    out.flush()
+    assert raw.getvalue() == expected.encode()
 
 
 @needs_dev_full

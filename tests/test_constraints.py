@@ -8,15 +8,20 @@ import json
 import pickle
 import random
 import re
+from collections import Counter
 from itertools import product
 from math import prod
 
 import pytest
 
-from oracles import constraint_values
+from oracles import chis_of_forms_with_a_real_u, constraint_values
 from p6fold.constraints import (
     ConstraintReport,
     HypothesisConfig,
+    _affine_interval,
+    _chi_inputs,
+    _u_inputs,
+    _v_inputs,
     evaluate,
     feasible_cells,
     is_feasible,
@@ -805,3 +810,80 @@ def test_report_stays_a_plain_value_after_entries_are_read(cfg):
         assert not hasattr(report, "__dict__")
         assert report.entries == entries
         assert observed() == before
+
+
+def random_linear_forms(rng, chi_range, u_range):
+    """One to six forms ``(e, a, b)``, each e + a*chi + b*u, whose zero line
+    runs through or near the box: b of either sign or 0, now and then an
+    all-zero form, coefficients up to 10^6."""
+    forms = []
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.randrange(8)
+        if kind == 0:
+            forms.append((0, 0, 0))
+            continue
+        top = rng.choice((3, 100, 10 ** 6))
+        a = rng.randint(-top, top)
+        b = 0 if kind == 1 else rng.randint(-top, top)
+        chi = rng.randint(chi_range[0] - 1, chi_range[1] + 1)
+        u = rng.randint(u_range[0] - 1, u_range[1] + 1)
+        forms.append((rng.randint(-top, top) - a * chi - b * u, a, b))
+    return forms
+
+
+def test_the_chi_and_u_stages_are_exact_on_random_forms():
+    # The chi-step's inputs keep exactly the chi at which some real u of
+    # the box satisfies every linear form (the Fraction oracle), and at
+    # each chi of the box the u-step's inputs give exactly the integer u
+    # that satisfy every one.
+    rng, seen = random.Random(33), Counter()
+    for _ in range(1500):
+        chi0, u0 = rng.randint(-5, 5), rng.randint(-10, 10)
+        chi_range = (chi0, chi0 + rng.randint(0, 8))
+        u_range = (u0, u0 + rng.randint(0, 12))
+        forms = random_linear_forms(rng, chi_range, u_range)
+        chis = list(_affine_interval(_chi_inputs(forms, *u_range), *chi_range))
+        expected = chis_of_forms_with_a_real_u(forms, chi_range, u_range)
+        assert chis == expected, (forms, chi_range, u_range)
+        for chi in range(chi_range[0], chi_range[1] + 1):
+            us = [u for u in range(u_range[0], u_range[1] + 1)
+                  if all(e + a * chi + b * u >= 0 for e, a, b in forms)]
+            got = _affine_interval(_u_inputs(forms, chi), *u_range)
+            assert list(got) == us, (forms, chi, u_range)
+            if chi in chis:
+                seen["kept chi, no integer u"] += not us
+            else:
+                # Each form alone has a real u here, so only a pair cuts.
+                seen["cut by a pair"] += all(chis_of_forms_with_a_real_u(
+                    [form], (chi, chi), u_range) for form in forms)
+        seen["no chi"] += not chis
+        seen["some chi"] += 0 < len(chis) < chi_range[1] - chi_range[0] + 1
+        seen["every chi"] += len(chis) == chi_range[1] - chi_range[0] + 1
+        seen["b = 0 and b of both signs"] += (
+            {0, 1, -1} <= {(b > 0) - (b < 0) for _, _, b in forms})
+    assert min(seen.values()) >= 20, seen
+
+
+def test_the_v_stage_is_exact_on_random_forms():
+    # At each u the v-step's inputs give exactly the v at which every
+    # curved form e + b*u + uu*u^2 + c*v holds; each form's zero runs
+    # through the v-range at some u near 0.
+    rng, seen = random.Random(34), Counter()
+    for _ in range(300):
+        v0 = rng.randint(-10 ** 5, 10 ** 5)
+        v_range = (v0, v0 + rng.randint(0, 40))
+        at_chi = []
+        for _ in range(rng.randint(1, 4)):
+            b, uu = rng.randint(-500, 500), rng.randint(-30, 30)
+            c, u = rng.choice((-7, -1, 0, 1, 3)), rng.randint(-3, 3)
+            e = -(b + uu * u) * u - c * rng.randint(*v_range)
+            at_chi.append((e + rng.randint(-10, 10), b, uu, c))
+        for u in range(-12, 13):
+            vs = [v for v in range(v_range[0], v_range[1] + 1)
+                  if all(e + b * u + uu * u * u + c * v >= 0
+                         for e, b, uu, c in at_chi)]
+            got = _affine_interval(_v_inputs(at_chi, u), *v_range)
+            assert list(got) == vs, (at_chi, u, v_range)
+            seen["every v" if len(vs) == v_range[1] - v_range[0] + 1
+                 else "some v" if vs else "no v"] += 1
+    assert len(seen) == 3 and min(seen.values()) >= 100, seen

@@ -13,6 +13,7 @@ from p6fold.identities import (
     verify_all,
     verify_identity,
 )
+from p6fold.invariants import forced_quadratic
 from p6fold.ring import ParamExpr, _Poly, chi, d, delta, u, v
 
 EXPECTED_IDS = [
@@ -212,3 +213,39 @@ def test_the_projection_certificates():
     h2 = _HODGE_PARAM_FORMS[1]
     assert s2 + s4 == d * d - 3 * d - delta
     assert 2 * h2 + d * s2 == 4 * d * d + 2 * delta * delta - 12 * d * chi
+
+
+def v_free_form(k, u_, k_weight=3):
+    """(3d + 6*delta + k)^2 + (2d + delta)(4d - 3*delta + 24 - d^2 - 3k
+    - 6u), with ``k_weight`` in place of the 3 of 3k."""
+    return ((3 * d + 6 * delta + k) ** 2 + (2 * d + delta)
+            * (4 * d - 3 * delta + 24 - d * d - k_weight * k - 6 * u_))
+
+
+def v_free_certificate_failures(k_weight):
+    """Which of the certificate's identities fail, with ``k_weight`` in
+    place of the 3 of 3k.  H1 + S1*S5 has no v: with k = 10*chi - u =
+    K_S^2 it is Q(k, u).  At u = 1 and k = kappa, Q is the bound solver's
+    forced quadratic in delta less (2d + delta)(3*kappa - 27), so at
+    kappa = 9 it is that quadratic."""
+    h1 = _HODGE_PARAM_FORMS[0]
+    s1, s5 = SCHUR_PARAM_FORMS[0], SCHUR_PARAM_FORMS[4]
+    failures = []
+    if h1 + s1 * s5 != v_free_form(10 * chi - u, u, k_weight):
+        failures.append("H1 + S1*S5")
+    for kappa in (5, 9, 12):
+        a, b, c = forced_quadratic(d, kappa)
+        if v_free_form(kappa, 1, k_weight) != (
+                a * delta * delta + b * delta + c
+                - (2 * d + delta) * (3 * kappa - 27)):
+            failures.append(f"Q({kappa}, 1)")
+    return failures
+
+
+def test_the_v_free_certificate():
+    # ROADMAP item 7 step 2, proved on the generators; it gets no registry
+    # id, so verify --all keeps its 17 ids.  Each identity fails once 3k
+    # is made 2k.
+    assert v_free_certificate_failures(3) == []
+    assert v_free_certificate_failures(2) == [
+        "H1 + S1*S5", "Q(5, 1)", "Q(9, 1)", "Q(12, 1)"]

@@ -90,6 +90,65 @@ def test_nothing_the_package_imports_or_defines_goes_unused():
     assert found == []
 
 
+# Integer in, integer out; math.ceil rounds the lifting threshold, a
+# Fraction, once, in bounds.degree_bound.
+MATH_NAMES = {"isqrt", "prod"}
+
+
+def float_uses(tree):
+    """Each node of ``tree`` that divides with /, spells a float or complex
+    literal, calls float, complex or round, or names a math function
+    outside MATH_NAMES, as ``(function, what)``, function being the name
+    of the innermost def around it, or ''."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        what = None
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                node.op, ast.Div):
+            what = "/"
+        elif isinstance(node, ast.Constant) and type(node.value) in (
+                float, complex):
+            what = repr(node.value)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("float", "complex", "round")):
+            what = f"{node.func.id}("
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "math" and node.attr not in MATH_NAMES):
+            what = f"math.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            what = ", ".join(f"math.{alias.name}" for alias in node.names
+                             if alias.name not in MATH_NAMES) or None
+        if what:
+            found.append((where, what))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
+def test_no_float_enters_the_package():
+    # Exact arithmetic: a rewrite that slips in ceil(x / y) or a float
+    # literal fails here.
+    found = {path.name: float_uses(tree) for path, tree in _trees()}
+    assert {name: uses for name, uses in found.items() if uses} == {
+        "bounds.py": [("degree_bound", "math.ceil")]}
+
+
+@pytest.mark.parametrize("line, what", [
+    ("x = a / b", "/"), ("x /= 2", "/"), ("x = 0.5", "0.5"), ("x = 2j", "2j"),
+    ("x = float(a)", "float("), ("x = round(a)", "round("),
+    ("x = math.sqrt(a)", "math.sqrt"), ("x = math.log(a)", "math.log"),
+    ("from math import sqrt, isqrt", "math.sqrt"),
+    ("x = math.ceil(a)", "math.ceil")])
+def test_each_float_use_is_found(line, what):
+    assert float_uses(ast.parse(f"def f():\n    {line}\n")) == [("f", what)]
+
+
 def test_integer_checks_do_not_use_isinstance():
     # isinstance(x, int) admits True and False; the modules that decide
     # whether an argument is an integer test type(x) is int.
