@@ -15,11 +15,16 @@ Every step runs the one forced quadratic
 ints already checked; :func:`section5_quadratic` is its gated public
 name.  Everything is exact, no floats: integer sign analysis, one exact
 integer root (the floor of a quadratic's larger root, by ``isqrt``) for
-sharp :func:`delta_lower` and the paper crossing, and bisection over
-integer degrees for the sharp crossing.  The crossing arithmetic is
-integer: both crossings compare the bounds scaled by a positive multiple
-of s, so ``Fraction`` appears only in reported values (the lifting
-threshold, the genus bound and :func:`delta_lower`).
+sharp :func:`delta_lower` and the paper crossing, and a stdlib ``bisect``
+over integer degrees for the sharp crossing.  That bisection reads one
+quartic P(d), which changes sign exactly once past d = 1 for every
+(s, kappa) the solver accepts; tests/test_bounds.py's
+``test_the_crossing_quartic_has_one_root_past_one`` proves it for all of
+them.  Each crossing then passes one shared guard, which checks that C(d)
+stays negative from the crossing on or raises :class:`DomainError`.  The
+crossing arithmetic is integer: both crossings compare the bounds scaled
+by a positive multiple of s, so ``Fraction`` appears only in reported
+values (the lifting threshold, the genus bound and :func:`delta_lower`).
 
 :func:`degree_bound` returns a :class:`BoundReport`, a NamedTuple: a plain
 value whose JSON is its ``_asdict()`` with the threshold as text.
@@ -159,15 +164,17 @@ def _crossing_paper(s_eff: int, kappa: int) -> int:
         )
     # ic < 0 puts the lower root below 0, so the crossing, the first
     # integer d >= 0 with a positive gap, is the one past the upper root.
-    d_star = _root_floor(ia, ib, ic) + 1
+    # The gap falls from d = 0 to d = 1 and 2, so d* > 2.
+    return _c_negative_from(s_eff, kappa, _root_floor(ia, ib, ic) + 1)
 
-    # -B/A bounds delta from below only where C(d) < 0.  The gap falls from
-    # d = 0 to d = 1 and 2, so d* > 2, and for d >= 2 the second difference
-    # of C is 22 - 12d < 0; so C(d*) < 0 and a falling step from d* keep C
-    # negative at every integer d >= d*.
+
+def _c_negative_from(s_eff: int, kappa: int, d_star: int) -> int:
+    # Both crossings end here.  -B/A and the true root bound delta from
+    # below only where C(d) < 0.  For d >= 2 the second difference of C is
+    # 22 - 12d < 0, so C(d*) < 0 and a falling step from d* (> 1) keep C
+    # negative at every integer d >= d*; return d*, else name kappa.
     c_at = forced_quadratic(d_star, kappa)[2]
-    c_next = forced_quadratic(d_star + 1, kappa)[2]
-    if c_at >= 0 or c_next >= c_at:
+    if c_at >= 0 or forced_quadratic(d_star + 1, kappa)[2] >= c_at:
         raise DomainError(
             f"kappa = {kappa} is out of range for effective degree "
             f"{s_eff}: the forced quadratic's constant term C(d) is not "
@@ -179,30 +186,26 @@ def _crossing_paper(s_eff: int, kappa: int) -> int:
 def _crossing_sharp(s_eff: int, kappa: int, hi: int) -> int:
     # Least d for which the *true* positive root of the delta-quadratic
     # exceeds the genus bound t.  A = 33 > 0, and C < 0 puts the other root
-    # below 0 < t, so the root exceeds t iff the quadratic is negative at t.
-    # With t = n/m, m = 4*s_eff > 0, the test (a*t + b)*t + c < 0 is
-    # (a*n + b*m)*n + c*m^2 < 0, all in integers.
+    # below 0 < t, so there the root exceeds t iff the quadratic is negative
+    # at t.  With t = n/m, m = 4*s_eff > 0, the test (a*t + b)*t + c < 0 is
+    # P(d) = (a*n + b*m)*n + c*m^2 < 0, all in integers.
+    import bisect
     m = 4 * s_eff
 
-    def exceeds(dd: int) -> bool:
+    def p_negative(dd: int) -> bool:
         a, b, c = forced_quadratic(dd, kappa)
         n = _genus_bound_times_4s(dd, s_eff)
-        return c < 0 and (a * n + b * m) * n + c * m * m < 0
+        return (a * n + b * m) * n + c * m * m < 0
 
-    # exceeds(hi) holds: C(hi) < 0 puts the true root above -B/A, which
-    # exceeds the genus bound at the paper crossing hi.  The bisection takes
-    # exceeds to turn true once in d.  test_bounds.py's
-    # test_the_sharp_crossing_is_the_one_sign_change_of_the_quartic proves
-    # that by Sturm's theorem on (34, 9) and a seeded grid of (s_eff,
-    # kappa); no symbolic proof covers every pair yet.
-    lo = 1  # exceeds(1) is False: the genus bound is >= 860 there
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if exceeds(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # P(1 + t) has coefficients of signs (+, +, +, any, -) in t for every
+    # pair that _crossing_paper accepts, so by Descartes' rule of signs P
+    # has one root past d = 1 and p_negative turns true once, at d_P >= 2
+    # (test_bounds.py::test_the_crossing_quartic_has_one_root_past_one
+    # proves it).  p_negative(hi) holds: C(hi) < 0 puts the true root above
+    # -B/A, which exceeds t at the paper crossing hi.  The shared C-guard
+    # then keeps C < 0 from d_P on, so d_P is the sharp crossing.
+    d_p = bisect.bisect_left(range(1, hi + 1), True, key=p_negative) + 1
+    return _c_negative_from(s_eff, kappa, d_p)
 
 
 def degree_bound(s: int, kappa: int, mode: str = "paper") -> BoundReport:
@@ -249,6 +252,8 @@ def proof_trace(report: BoundReport) -> str:
     genus_const = Fraction(3 * s_eff * s_eff - 28, 4)
     genus_lin = Fraction(s_eff, 2) - 3
     a, b0, _ = forced_quadratic(0, report.kappa)
+    lower = (f"(d^2 - 34*d)/{a} + ({Fraction(-b0, a)!s})"
+             if report.delta_mode == "paper" else "its larger root")
     lines = [
         f"degree bound for s = {report.s} (effective even degree {s_eff}), "
         f"K_S^2 cap {report.kappa} [{report.delta_mode} mode]",
@@ -259,8 +264,7 @@ def proof_trace(report: BoundReport) -> str:
         f"delta <= d^2/{s_eff} + {genus_lin!s}*d + {genus_const!s}",
         f"  [3] Schur semi-positivity + Hodge index with K_S^2 <= "
         f"{report.kappa}: {a}*delta^2 + (-d^2 + 34*d + {b0})*delta + "
-        f"C(d) >= 0, so delta >= (d^2 - 34*d)/{a} + "
-        f"({Fraction(-b0, a)!s}) once C(d) < 0",
+        f"C(d) >= 0, so delta >= {lower} once C(d) < 0",
         f"  [4] crossing: the lower bound [3] exceeds the upper bound [2] "
         f"from d = {report.first_contradictory_degree} on",
         f"  [5] applicability clamp: final bound = max({s_eff}^3, "

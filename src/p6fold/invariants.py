@@ -148,7 +148,10 @@ def forced_quadratic(d, kappa):
     gives A = 33, B = -d^2 + 34d + 12*kappa - 9,
     C = -2d^3 + 17d^2 + (6*kappa - 18)d + kappa^2.  Checks nothing: the
     bound solver runs it on ints it has checked, and registry id S5.QUAD
-    on the ``ParamExpr`` generator d."""
+    on the ``ParamExpr`` generator d.  For every kappa it is a sum of
+    products of constraint entries, so it is >= 0 on every tuple that is
+    feasible in geometric mode with cap kappa: tests/test_bounds.py's
+    ``test_the_forced_quadratic_is_a_sum_of_constraint_products``."""
     return (33,
             -d * d + 34 * d + 12 * kappa - 9,
             -2 * d ** 3 + 17 * d * d + (6 * kappa - 18) * d + kappa * kappa)

@@ -12,9 +12,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
 
+from p6fold import bounds
 from p6fold.bounds import (
     SHARP_TOLERANCE,
+    _c_negative_from,
     _genus_bound_times_4s,
     _root_floor,
     degree_bound,
@@ -26,9 +29,18 @@ from p6fold.bounds import (
 )
 from p6fold.constraints import HypothesisConfig, feasible_cells, is_feasible
 from p6fold.errors import DomainError
-from p6fold.identities import verify_identity
+from p6fold.identities import (
+    _HODGE_PARAM_FORMS,
+    SCHUR_PARAM_FORMS,
+    verify_identity,
+)
 from p6fold.invariants import forced_quadratic
-from p6fold.ring import d as d_sym, delta as delta_sym
+from p6fold.ring import (
+    chi as chi_sym,
+    d as d_sym,
+    delta as delta_sym,
+    u as u_sym,
+)
 
 
 def quadratic_at(dd, kappa, x):
@@ -96,7 +108,6 @@ def test_quadratic_matches_symbolic_expansion():
     lhs = ((3 * d_sym + 6 * delta_sym + 9) ** 2
            - (2 * d_sym + delta_sym)
            * (d_sym * d_sym - 4 * d_sym + 3 * delta_sym + 9))
-    import random
     rng = random.Random(2)
     for _ in range(100):
         dd = rng.randint(-500, 500)
@@ -105,6 +116,26 @@ def test_quadratic_matches_symbolic_expansion():
         assert at_d.coefficient((0, 2, 0, 0, 0)) == a
         assert at_d.coefficient((0, 1, 0, 0, 0)) == b
         assert at_d.coefficient((0, 0, 0, 0, 0)) == c
+
+
+def test_the_forced_quadratic_is_a_sum_of_constraint_products():
+    # A*delta^2 + B*delta + C = H1 + S1*(S5 + 30*B4 + 3*B5) + K*(2*(S2 + S3)
+    # + K), with B4 = chi - 1, B5 = u - 1 and K = kappa - (10*chi - u) the
+    # cap's entry.  Every factor is a kernel entry or a sum of them, so the
+    # forced quadratic is >= 0 on every tuple that is feasible in geometric
+    # mode with cap kappa, at every d.  Both sides have degree 2 in kappa,
+    # so three values prove it for every kappa; 30 -> 29, 2 -> 1 and 3 -> 0
+    # each fail at all three.  It gets no registry id.
+    h1, (s1, s2, s3, _, s5, _) = _HODGE_PARAM_FORMS[0], SCHUR_PARAM_FORMS
+    b4, b5 = chi_sym - 1, u_sym - 1
+    for kappa in (0, 9, -5):
+        a, b, c = forced_quadratic(d_sym, kappa)
+        k = kappa - (10 * chi_sym - u_sym)
+        left = a * delta_sym * delta_sym + b * delta_sym + c
+        assert [left == h1 + s1 * (s5 + w4 * b4 + w5 * b5)
+                + k * (w23 * (s2 + s3) + k)
+                for w4, w23, w5 in ((30, 2, 3), (29, 2, 3), (30, 1, 3),
+                                    (30, 2, 0))] == [True, False, False, False]
 
 
 # -- delta lower bound --------------------------------------------------------
@@ -143,7 +174,6 @@ def root_floor_holds(a, b, c, r):
 
 
 def test_root_floor_matches_a_square_root_free_oracle():
-    import random
     rng = random.Random(5)
     for _ in range(3000):
         a = rng.randint(1, 10 ** rng.choice((1, 3, 10, 30)))
@@ -357,6 +387,7 @@ def test_sharp_mode_crosses_no_later():
     assert sharp.first_contradictory_degree <= \
         paper.first_contradictory_degree
     assert sharp.final_bound == paper.final_bound == 39304
+    assert sharp.first_contradictory_degree == 14693
     # exact oracle for "true positive root exceeds the genus bound"
     for s, kappa in CROSSING_CASES:
         s_eff = s if s % 2 == 0 else s - 1
@@ -382,7 +413,7 @@ def true_root_exceeds(dd, kappa, s_eff):
 @pytest.mark.parametrize("s, kappa, flip",
                          [(40, 11, 3101), (89, 5, 2252), (200, 39, 4087)])
 def test_true_root_exceeds_flips_once_at_the_sharp_crossing(s, kappa, flip):
-    # The sharp crossing bisects on this predicate, which is right only if
+    # The sharp crossing is the least d for which this predicate holds, and
     # it turns from false to true once over d = 1..paper crossing.
     s_eff = s if s % 2 == 0 else s - 1
     paper = degree_bound(s, kappa).first_contradictory_degree
@@ -393,130 +424,83 @@ def test_true_root_exceeds_flips_once_at_the_sharp_crossing(s, kappa, flip):
     assert sharp == flip
 
 
-def through(f, degree):
-    """The polynomial of ``degree`` through f(0), ..., f(degree), as its
-    coefficients, lowest first, by Lagrange interpolation over Fraction;
-    each is an integer when f is an integer polynomial of that degree."""
-    coefficients = [Fraction(0)] * (degree + 1)
-    for i in range(degree + 1):
-        basis, scale = [Fraction(1)], f(i)
-        for j in range(degree + 1):
-            if j != i:  # basis *= x - j
-                basis = [Fraction(0)] + basis
-                for k in range(len(basis) - 1):
-                    basis[k] -= j * basis[k + 1]
-                scale = Fraction(scale, i - j)
-        for k, b in enumerate(basis):
-            coefficients[k] += scale * b
-    return coefficients
+def crossing_quartic(s, kappa, dd):
+    """P(d) = (a*n + b*m)*n + c*m^2, whose sign bounds._crossing_sharp
+    bisects: (a, b, c) = forced_quadratic(d, kappa), m = 4*s and n the genus
+    bound times m.  Runs on ints or on sympy expressions."""
+    a, b, c = forced_quadratic(dd, kappa)
+    m, n = 4 * s, _genus_bound_times_4s(dd, s)
+    return (a * n + b * m) * n + c * m * m
 
 
-def value(p, x):
-    result = Fraction(0)
-    for c in reversed(p):
-        result = result * x + c
-    return result
+def crossing_quartic_problems(quartic):
+    """The steps that fail of the proof that quartic(s, kappa, d) has one
+    root past d = 1 for every real s >= 34 and kappa the solver accepts,
+    and that at (34, 9) the root lies just below the sharp crossing 14693.
+    With s = 34 + sigma and kappa = (960 - 99*s^2)/48 + j, the paper
+    crossing accepts exactly j > 0.  Write quartic(s, kappa, 1 + t) = c0 +
+    ... + c4*t^4: c4 = -16(s - 33) < 0, while c0, c1 and c2, as
+    polynomials in (sigma, j), have no negative coefficient and a positive
+    constant.  So the signs change once whatever c3's sign, Descartes' rule
+    of signs gives one root in t > 0, and P(1) = c0 > 0 at the bisection's
+    left end."""
+    t, sigma, j = sympy.symbols("t sigma j")
+    s = 34 + sigma
+    kappa = (960 - 99 * s * s) / 48 + j
+    # gap(0) in bounds._crossing_paper, which must be < 0, is -48*s*j.
+    assert sympy.expand(-4 * s * forced_quadratic(0, kappa)[1] + 48 * s * j
+                        - 33 * _genus_bound_times_4s(0, s)) == 0
+    c = sympy.Poly(quartic(s, kappa, 1 + t), t).all_coeffs()[::-1]
+    problems = []
+    if len(c) != 5 or sympy.expand(c[4] + 16 * (s - 33)) != 0:
+        problems.append("c4 = -16(s - 33)")
+    for k in range(3):
+        terms = sympy.Poly(c[k], sigma, j).as_dict()
+        if not (terms.get((0, 0), 0) > 0 and min(terms.values()) >= 0):
+            problems.append(f"c{k} > 0")
+    if not quartic(34, 9, 14692) >= 0 > quartic(34, 9, 14693):
+        problems.append("P(14692) >= 0 > P(14693)")
+    return problems
 
 
-def sign_changes(chain, x):
-    """Sign changes along the chain at x, or at +infinity if x is None."""
-    signs = [s for s in ((p[-1] if x is None else value(p, x)) for p in chain)
-             if s]
-    return sum((a < 0) != (b < 0) for a, b in zip(signs, signs[1:]))
-
-
-def distinct_roots(p, lo, hi=None):
-    """The distinct real roots of p in (lo, hi], hi None for +infinity, by
-    Sturm's theorem over Fraction; neither end may be a root."""
-    chain = [p, [k * c for k, c in enumerate(p)][1:]]
-    while True:
-        rem = list(chain[-2])  # rem = chain[-2] mod chain[-1]
-        divisor = chain[-1]
-        while len(rem) >= len(divisor):
-            q = rem[-1] / divisor[-1]
-            shift = len(rem) - len(divisor)
-            for k, c in enumerate(divisor):
-                rem[shift + k] -= q * c
-            rem.pop()
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-    return sign_changes(chain, lo) - sign_changes(chain, hi)
-
-
-def crossing_polynomials(s_eff, kappa, shift=0):
-    """The quartic P(d) = (a*n + b*m)*n + c*m^2 that _crossing_sharp's
-    exceeds(d) tests, with (a, b, c) = forced_quadratic(d, kappa), n the
-    genus bound times m = 4*s_eff, and the cubic C(d) = c; both read at
-    d + shift by interpolation and confirmed at further points."""
-    m = 4 * s_eff
-
-    def p_at(dd):
-        a, b, c = forced_quadratic(dd + shift, kappa)
-        n = _genus_bound_times_4s(dd + shift, s_eff)
-        return (a * n + b * m) * n + c * m * m
-
-    def c_at(dd):
-        return forced_quadratic(dd + shift, kappa)[2]
-
-    quartic, cubic = through(p_at, 4), through(c_at, 3)
-    for dd in (-7, 5, 6, 1000, 20011):
-        assert (value(quartic, dd), value(cubic, dd)) == (p_at(dd), c_at(dd))
-    assert (quartic[-1], cubic[-1]) == (528 - 16 * s_eff, -2)
-    return quartic, cubic
-
-
-def sharp_crossing_problems(quartic, cubic, hi, d_star):
-    """The steps that fail of the proof that bisecting exceeds(d) = C(d) < 0
-    and P(d) < 0 from lo = 1, hi = the paper crossing returns d_star, the
-    least d with exceeds(d): P(1) > 0 > P(hi) with one root of P in (1, hi],
-    so P changes sign once there, at a root in [d_star - 1, d_star); and
-    C(d_star) < 0 with no root of C past d_star.  Then exceeds is false on
-    1..d_star - 1 and true on d_star..hi, the bisection's invariant."""
-    checks = {
-        "P(1) > 0 > P(hi)": value(quartic, 1) > 0 > value(quartic, hi),
-        "one root of P in (1, hi]": distinct_roots(quartic, 1, hi) == 1,
-        "P(d* - 1) >= 0 > P(d*)": (
-            value(quartic, d_star) < 0 <= value(quartic, d_star - 1)),
-        "C < 0 from d* on": (value(cubic, d_star) < 0
-                             and distinct_roots(cubic, d_star) == 0),
+def test_the_crossing_quartic_has_one_root_past_one():
+    # Pólya's certificate for _crossing_sharp's bisection, on the closed
+    # forms themselves: p_negative turns true once on d >= 1 for every
+    # accepted pair.  A quartic read one degree late, one whose t^4
+    # coefficient is off by one, or one that is negative at d = 1 fails.
+    assert crossing_quartic_problems(crossing_quartic) == []
+    mutants = {
+        lambda s, k, dd: crossing_quartic(s, k, dd + 1): [
+            "P(14692) >= 0 > P(14693)"],
+        lambda s, k, dd: crossing_quartic(s, k, dd) + (dd - 1) ** 4: [
+            "c4 = -16(s - 33)", "P(14692) >= 0 > P(14693)"],
+        lambda s, k, dd: (crossing_quartic(s, k, dd)
+                          - 2 * crossing_quartic(s, k, 1)): ["c0 > 0"],
     }
-    return [step for step, holds in checks.items() if not holds]
+    for mutant, problems in mutants.items():
+        assert crossing_quartic_problems(mutant) == problems
 
 
-def crossing_grid():
-    """(34, 9) and 150 seeded (s_eff, kappa) pairs, s_eff even in 34..400
-    and kappa in -40..197, at which the paper crossing exists."""
-    rng, pairs = random.Random(83), [(34, 9)]
-    while len(pairs) < 151:
-        s_eff, kappa = 2 * rng.randint(17, 200), rng.randint(-40, 197)
-        try:
-            degree_bound(s_eff, kappa)
-        except DomainError:
-            continue
-        pairs.append((s_eff, kappa))
-    return pairs
-
-
-def test_the_sharp_crossing_is_the_one_sign_change_of_the_quartic():
-    # _crossing_sharp bisects exceeds(d) between 1 and the paper crossing
-    # hi, which returns the least d with exceeds(d) only if exceeds turns
-    # true once there.  Sturm's theorem proves that on each pair of the
-    # grid; a mutant quartic whose root sits one step off fails the proof.
-    for s_eff, kappa in crossing_grid():
-        hi = degree_bound(s_eff, kappa).first_contradictory_degree
-        d_star = degree_bound(s_eff, kappa,
-                              "sharp").first_contradictory_degree
-        quartic, cubic = crossing_polynomials(s_eff, kappa)
-        assert sharp_crossing_problems(quartic, cubic, hi, d_star) == [], (
-            s_eff, kappa)
-        for shift in (-1, 1):
-            mutant, _ = crossing_polynomials(s_eff, kappa, shift)
-            assert "P(d* - 1) >= 0 > P(d*)" in sharp_crossing_problems(
-                mutant, cubic, hi, d_star), (s_eff, kappa, shift)
-    assert degree_bound(34, 9, "sharp").first_contradictory_degree == 14693
+def test_the_c_guard_ends_both_crossings(monkeypatch):
+    # The guard checks C(d) < 0 and C(d + 1) < C(d), which with C concave
+    # for d >= 2 keeps C < 0 from d on.  Flattening C at 14694 leaves the
+    # paper crossing and P(14694) < 0 as they are, so only the sharp
+    # crossing d_P = 14693 fails it.
+    calls = []
+    monkeypatch.setattr(bounds, "_c_negative_from", lambda *args: (
+        calls.append(args) or _c_negative_from(*args)))
+    degree_bound(34, 9, "sharp")
+    assert calls == [(34, 9, 16922), (34, 9, 14693)]
+    real = forced_quadratic
+    monkeypatch.setattr(bounds, "forced_quadratic", lambda dd, k: (
+        real(dd, k)[:2] + real(14693 if dd == 14694 else dd, k)[2:]))
+    assert degree_bound(34, 9).first_contradictory_degree == 16922
+    with pytest.raises(DomainError, match="kappa = 9 .* C\\(d\\) is not "
+                       "negative for every d from the crossing d = 14693 on"):
+        degree_bound(34, 9, "sharp")
+    # C(2) = -16 < C(3) = -11 at kappa = -4: negative, but not falling.
+    with pytest.raises(DomainError, match="kappa = -4 .* d = 2 on"):
+        _c_negative_from(34, -4, 2)
 
 
 def test_no_false_contradiction_below_the_bound():
@@ -542,6 +526,19 @@ def test_final_bound_invariant():
             report.first_contradictory_degree - 1,
         )
         assert report.final_bound >= report.s_cubed
+
+
+def test_each_trace_names_the_lower_bound_its_mode_crosses():
+    # Sharp mode's [3] used to give the paper relaxation -B/A, which first
+    # exceeds the genus bound at the paper crossing 16922, not at the
+    # sharp crossing 14693 that its [4] names.
+    relaxation = "so delta >= (d^2 - 34*d)/33 + (-3) once C(d) < 0"
+    paper, sharp = (proof_trace(degree_bound(34, 9, mode))
+                    for mode in ("paper", "sharp"))
+    assert relaxation in paper and "from d = 16922 on" in paper
+    assert relaxation not in sharp and "(d^2 - 34*d)/" not in sharp
+    assert "so delta >= its larger root once C(d) < 0" in sharp
+    assert "from d = 14693 on" in sharp
 
 
 def test_proof_trace_mentions_the_numbers():

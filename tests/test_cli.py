@@ -540,7 +540,7 @@ into a degree-35 fourfold once d > 821
 delta <= d^2/34 + 14*d + 860
   [3] Schur semi-positivity + Hodge index with K_S^2 <= 10: \
 33*delta^2 + (-d^2 + 34*d + 111)*delta + C(d) >= 0, \
-so delta >= (d^2 - 34*d)/33 + (-37/11) once C(d) < 0
+so delta >= its larger root once C(d) < 0
   [4] crossing: the lower bound [3] exceeds the upper bound [2] \
 from d = 14693 on
   [5] applicability clamp: final bound = max(34^3, ceil(821), 14693 - 1) \

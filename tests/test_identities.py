@@ -243,9 +243,11 @@ def v_free_certificate_failures(k_weight):
 
 
 def test_the_v_free_certificate():
-    # ROADMAP item 7 step 2, proved on the generators; it gets no registry
-    # id, so verify --all keeps its 17 ids.  Each identity fails once 3k
-    # is made 2k.
+    # Proved on the generators; it gets no registry id, so verify --all
+    # keeps its 17 ids.  Each identity fails once 3k is made 2k.  ROADMAP
+    # item 1's identity supersedes it: test_bounds.py's
+    # test_the_forced_quadratic_is_a_sum_of_constraint_products needs no
+    # region of (d, delta).
     assert v_free_certificate_failures(3) == []
     assert v_free_certificate_failures(2) == [
         "H1 + S1*S5", "Q(5, 1)", "Q(9, 1)", "Q(12, 1)"]

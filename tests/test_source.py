@@ -228,7 +228,7 @@ def test_import_loads_the_modules_the_benchmark_times():
     # each of these modules and raises KeyError if one is missing, which
     # ends every --trace 1 run (the FOUND line on _parse_importtime in
     # CHANGES.md).  A lazy import of any of them (ROADMAP item 11) needs
-    # that parser fixed first (ROADMAP item 1(a)).
+    # that parser fixed first (ROADMAP item 2(a)).
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     names = ("p6fold.scan", "p6fold.identities", "p6fold.bounds")
     proc = subprocess.run(
@@ -239,7 +239,7 @@ def test_import_loads_the_modules_the_benchmark_times():
         "import p6fold must import p6fold.scan, p6fold.identities and "
         "p6fold.bounds until bench/worker.py's _parse_importtime reports a "
         "missing module as absent (CHANGES.md FOUND line on "
-        "_parse_importtime; ROADMAP item 1(a))", proc.stderr)
+        "_parse_importtime; ROADMAP item 2(a))", proc.stderr)
 
 
 def test_every_exported_name_resolves():
